@@ -156,12 +156,6 @@ def _load_spec(ref: str) -> gadgets.GadgetSpec:
         f"unknown spec {ref!r}; catalog has {', '.join(sorted(cat))}")
 
 
-class _Impl:
-    def __init__(self, system, encoding):
-        self.system = system
-        self.encoding = encoding
-
-
 def cmd_verify_sim(args) -> int:
     try:
         system = gadgets.parse_system(_read(args.impl_file))
@@ -179,7 +173,7 @@ def cmd_verify_sim(args) -> int:
         if mode is None:
             mode = "concrete"
         report = verify.check_bisimulation(
-            _Impl(system, encoding), spec, port_map,
+            lower.LoweringArtifact(system, encoding=encoding), spec, port_map,
             cap=args.cap, mode=mode, impl_cap=args.impl_cap)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,14 @@ Two state modes share all of this machinery:
   With [1,1] ranges intervals stay singletons, so the modes coincide.
 
 Endpoint strings: ``node:NAME`` for a connection node, ``INSTANCE.PORT``
-for a gadget port.  Instance ids must not contain dots.
+for a gadget port.  Only this module reads or writes that format.
+Instance ids are nonempty strings with no dots, and ``node`` (or a
+``node:`` prefix) is reserved, so every endpoint splits one way.
+
+A ``SystemOfGadgets`` is validated when it is constructed, whether it comes
+from a document, a lowering pass or code: wrong types, unknown specs,
+instances, nodes or ports, and bad initial states raise SystemFormatError
+there, so every SystemOfGadgets value is well formed.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ __all__ = [
     "ComponentKind", "Component", "CounterGadgetSpec", "FiniteGadgetSpec", "GadgetSpec",
     "GadgetInstance", "SystemOfGadgets", "SystemFormatError",
     "Configuration", "Traversal", "SystemIndex",
-    "node_endpoint", "port_endpoint", "split_endpoint",
+    "node_endpoint", "port_endpoint", "split_endpoint", "boundary_port",
     "canonicalize", "successors", "initial_config",
     "serialize_system", "parse_system", "parse_spec", "to_dot",
     "spec_inc_dec_jz", "spec_inc_jzdec", "spec_inc_decnz", "spec_inc_decnz_pz",
@@ -297,6 +304,9 @@ class SystemOfGadgets:
     goal: str | None = None
     boundary: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        _validate(self)
+
     def spec_named(self, name: str) -> GadgetSpec:
         for s in self.specs:
             if s.name == name:
@@ -320,6 +330,12 @@ def split_endpoint(ep: str) -> tuple[str, str]:
     if not dot or not inst or not port:
         raise SystemFormatError(f"bad endpoint {ep!r}")
     return (inst, port)
+
+
+def boundary_port(ep: str) -> str:
+    """The port name a boundary endpoint stands for: NAME for ``node:NAME``,
+    the endpoint itself for an instance port."""
+    return ep[5:] if ep.startswith("node:") else ep
 
 
 class Configuration(NamedTuple):
@@ -372,7 +388,6 @@ class SystemIndex:
 
     def __init__(self, system: SystemOfGadgets) -> None:
         self.system = system
-        _validate(system)
         uf = _UnionFind()
         for name in system.nodes:
             uf.add(node_endpoint(name))
@@ -468,43 +483,67 @@ class SystemIndex:
 
 
 def _validate(system: SystemOfGadgets) -> None:
-    names = set()
+    """The one validity check, run by SystemOfGadgets on construction.
+    Linear in specs, instances, nodes and endpoints."""
+    specs: dict[str, GadgetSpec] = {}
+    spec_locations: dict[str, frozenset[str]] = {}
     for spec in system.specs:
-        if spec.name in names:
+        if not isinstance(spec.name, str):
+            raise SystemFormatError(f"spec name must be a string, got {spec.name!r}")
+        if spec.name in specs:
             raise SystemFormatError(f"duplicate spec name {spec.name!r}")
-        names.add(spec.name)
-    ids = set()
+        specs[spec.name] = spec
+        # read the ports off the components: CounterGadgetSpec.locations
+        # hashes them, which fails on a malformed name before it is checked
+        locs = (spec.locations if isinstance(spec, FiniteGadgetSpec) else
+                [p for comp in spec.components for p in (comp.entry, *comp.exit_ports)])
+        if not all(isinstance(loc, str) for loc in locs):
+            raise SystemFormatError(f"{spec.name}: port names must be strings")
+        spec_locations[spec.name] = frozenset(locs)
+    ports_of: dict[str, frozenset[str]] = {}  # instance id -> its locations
     for inst in system.instances:
-        if "." in inst.id or not inst.id:
+        if not isinstance(inst.id, str) or "." in inst.id or not inst.id:
             raise SystemFormatError(f"bad instance id {inst.id!r} (no dots, nonempty)")
-        if inst.id in ids:
+        if inst.id == "node" or inst.id.startswith("node:"):
+            raise SystemFormatError(
+                f"instance id {inst.id!r} is reserved: its port endpoints "
+                "would read as connection nodes")
+        if inst.id in ports_of:
             raise SystemFormatError(f"duplicate instance id {inst.id!r}")
-        ids.add(inst.id)
-        spec = system.spec_named(inst.spec)
+        spec = specs.get(inst.spec) if isinstance(inst.spec, str) else None
+        if spec is None:
+            raise SystemFormatError(f"no spec named {inst.spec!r}")
         if isinstance(spec, CounterGadgetSpec):
-            if not (isinstance(inst.initial, int) and inst.initial >= 0):
+            if not (isinstance(inst.initial, int) and not isinstance(inst.initial, bool)
+                    and inst.initial >= 0):
                 raise SystemFormatError(
                     f"{inst.id}: counter gadget initial state must be a natural, "
                     f"got {inst.initial!r}")
         elif inst.initial not in spec.states:
             raise SystemFormatError(
                 f"{inst.id}: {inst.initial!r} is not a state of {spec.name}")
+        ports_of[inst.id] = spec_locations[spec.name]
+    for name in system.nodes:
+        if not isinstance(name, str):
+            raise SystemFormatError(f"node name must be a string, got {name!r}")
     node_set = set(system.nodes)
     if len(node_set) != len(system.nodes):
         raise SystemFormatError("duplicate node name")
-    if node_set & ids:
+    if not node_set.isdisjoint(ports_of):
         raise SystemFormatError("node names and instance ids overlap")
 
     def check_ep(ep: str) -> None:
+        if not isinstance(ep, str):
+            raise SystemFormatError(f"endpoint must be a string, got {ep!r}")
         kind, rest = split_endpoint(ep)
         if kind == "node":
             if rest not in node_set:
                 raise SystemFormatError(f"unknown node in endpoint {ep!r}")
         else:
-            if kind not in ids:
+            locs = ports_of.get(kind)
+            if locs is None:
                 raise SystemFormatError(f"unknown instance in endpoint {ep!r}")
-            inst = next(i for i in system.instances if i.id == kind)
-            if rest not in system.spec_named(inst.spec).locations:
+            if rest not in locs:
                 raise SystemFormatError(f"unknown port in endpoint {ep!r}")
 
     for (a, b) in system.edges:
@@ -544,7 +583,17 @@ def _kind_to_json(kind: ComponentKind) -> dict:
     return d
 
 
+def _list(value, what: str) -> list:
+    """A list-valued document entry; any other JSON value is rejected
+    rather than iterated (a string would split into characters)."""
+    if not isinstance(value, list):
+        raise SystemFormatError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _kind_from_json(d: dict) -> ComponentKind:
+    if not isinstance(d, dict):
+        raise SystemFormatError(f"component must be an object, got {type(d).__name__}")
     tag = d.get("kind")
     if tag in _RANGED_TAGS:
         try:
@@ -580,17 +629,18 @@ def _spec_from_json(d: dict) -> GadgetSpec:
         name = d["name"]
         if d["type"] == "counter":
             comps = tuple(
-                Component(_kind_from_json(c), c["entry"], tuple(c["exits"]))
-                for c in d["components"])
+                Component(_kind_from_json(c), c["entry"], tuple(_list(c["exits"], "exits")))
+                for c in _list(d["components"], "components"))
             return CounterGadgetSpec(name, comps)
         if d["type"] == "finite":
             return FiniteGadgetSpec(
                 name,
-                tuple(str(s) for s in d["states"]),
-                tuple(d["locations"]),
-                tuple((str(a), b, str(c), e) for (a, b, c, e) in d["transitions"]),
+                tuple(str(s) for s in _list(d["states"], "states")),
+                tuple(_list(d["locations"], "locations")),
+                tuple((str(a), b, str(c), e) for (a, b, c, e) in (
+                    _list(t, "transition") for t in _list(d["transitions"], "transitions"))),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SystemFormatError(f"bad spec entry: {exc}") from exc
     raise SystemFormatError(f"unknown spec type {d.get('type')!r}")
 
@@ -619,24 +669,26 @@ def parse_system(text: str) -> SystemOfGadgets:
         raise SystemFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SystemFormatError("top level must be an object")
+
+    def entries(key: str) -> list:
+        return _list(doc.get(key, []), key)
+
     try:
-        system = SystemOfGadgets(
-            specs=tuple(_spec_from_json(s) for s in doc.get("specs", [])),
+        return SystemOfGadgets(
+            specs=tuple(_spec_from_json(s) for s in entries("specs")),
             instances=tuple(
                 GadgetInstance(i["id"], i["spec"], i["initial"])
-                for i in doc.get("instances", [])),
-            nodes=tuple(doc.get("nodes", [])),
-            edges=tuple((a, b) for (a, b) in doc.get("edges", [])),
+                for i in entries("instances")),
+            nodes=tuple(entries("nodes")),
+            edges=tuple((a, b) for (a, b) in (_list(e, "edge") for e in entries("edges"))),
             start=doc.get("start"),
             goal=doc.get("goal"),
-            boundary=tuple(doc.get("boundary", [])),
+            boundary=tuple(entries("boundary")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SystemFormatError):
             raise
         raise SystemFormatError(f"bad system document: {exc}") from exc
-    _validate(system)
-    return system
 
 
 def parse_spec(doc: dict) -> GadgetSpec:

@@ -46,6 +46,7 @@ from .gadgets import (
     GadgetSpec,
     SystemFormatError,
     SystemOfGadgets,
+    boundary_port,
     node_endpoint,
     port_endpoint,
     spec_inc_ab,
@@ -57,6 +58,7 @@ from .gadgets import (
     spec_inc_jzdec,
     spec_sscd,
     spec_two_tunnel,
+    split_endpoint,
 )
 from .machine import Dec, Fragment, Halt, Inc, Jz, Program
 
@@ -151,10 +153,6 @@ class LoweringArtifact:
                               and self.encoding.kind == "interval-affine") else "concrete"
 
 
-def _node(name: str) -> str:
-    return node_endpoint(name)
-
-
 def _dedupe_specs(specs) -> tuple[GadgetSpec, ...]:
     out: list[GadgetSpec] = []
     seen: dict[str, GadgetSpec] = {}
@@ -182,26 +180,26 @@ def build_inc_decnz_decnz() -> LoweringArtifact:
     ids = ("top", "mid", "bot")
     ports = ("inc_in", "inc_out", "d0_in", "d0_out", "d1_in", "d1_out")
     edges = (
-        (_node("inc_in"), port_endpoint("top", "inc_in")),
-        (port_endpoint("top", "inc_out"), _node("inc_out")),
-        (_node("d0_in"), port_endpoint("mid", "inc_in")),
+        (node_endpoint("inc_in"), port_endpoint("top", "inc_in")),
+        (port_endpoint("top", "inc_out"), node_endpoint("inc_out")),
+        (node_endpoint("d0_in"), port_endpoint("mid", "inc_in")),
         (port_endpoint("mid", "inc_out"), port_endpoint("top", "jz_in")),
-        (_node("d1_in"), port_endpoint("bot", "inc_in")),
+        (node_endpoint("d1_in"), port_endpoint("bot", "inc_in")),
         (port_endpoint("bot", "inc_out"), port_endpoint("top", "jz_in")),
         (port_endpoint("top", "jz_out_nonzero"), port_endpoint("top", "dec_in")),
         (port_endpoint("top", "dec_out"), port_endpoint("mid", "jz_in")),
         (port_endpoint("top", "dec_out"), port_endpoint("bot", "jz_in")),
         (port_endpoint("mid", "jz_out_nonzero"), port_endpoint("mid", "dec_in")),
-        (port_endpoint("mid", "dec_out"), _node("d0_out")),
+        (port_endpoint("mid", "dec_out"), node_endpoint("d0_out")),
         (port_endpoint("bot", "jz_out_nonzero"), port_endpoint("bot", "dec_in")),
-        (port_endpoint("bot", "dec_out"), _node("d1_out")),
+        (port_endpoint("bot", "dec_out"), node_endpoint("d1_out")),
     )
     system = SystemOfGadgets(
         specs=(idj,),
         instances=tuple(GadgetInstance(i, idj.name, 0) for i in ids),
         nodes=ports,
         edges=edges,
-        boundary=tuple(_node(p) for p in ports),
+        boundary=tuple(node_endpoint(p) for p in ports),
     )
     return LoweringArtifact(
         system,
@@ -231,20 +229,20 @@ def sim_incdecjz_via_incjzdec() -> LoweringArtifact:
     ids = ("g0", "g1", "h0", "h1", "h2")
     p = port_endpoint
     edges = (
-        (_node("inc_in"), p("g0", "inc_in")),
+        (node_endpoint("inc_in"), p("g0", "inc_in")),
         (p("g0", "inc_out"), p("g1", "inc_in")),
         (p("h1", "inc_out"), p("g1", "inc_in")),
         (p("g1", "inc_out"), p("h1", "jz_in")),
-        (p("h1", "jz_out_zero"), _node("inc_out")),
-        (p("h1", "jz_out_nonzero"), _node("jz_out_nonzero")),
-        (_node("dec_in"), p("g0", "jz_in")),
-        (p("g0", "jz_out_zero"), _node("dec_out")),
-        (p("h2", "jz_out_nonzero"), _node("dec_out")),
+        (p("h1", "jz_out_zero"), node_endpoint("inc_out")),
+        (p("h1", "jz_out_nonzero"), node_endpoint("jz_out_nonzero")),
+        (node_endpoint("dec_in"), p("g0", "jz_in")),
+        (p("g0", "jz_out_zero"), node_endpoint("dec_out")),
+        (p("h2", "jz_out_nonzero"), node_endpoint("dec_out")),
         (p("g0", "jz_out_nonzero"), p("h2", "inc_in")),
         (p("h2", "inc_out"), p("g1", "jz_in")),
         (p("h0", "inc_out"), p("g1", "jz_in")),
-        (_node("jz_in"), p("h0", "inc_in")),
-        (p("g1", "jz_out_zero"), _node("jz_out_zero")),
+        (node_endpoint("jz_in"), p("h0", "inc_in")),
+        (p("g1", "jz_out_zero"), node_endpoint("jz_out_zero")),
         (p("g1", "jz_out_nonzero"), p("h2", "jz_in")),
         (p("h2", "jz_out_zero"), p("h1", "inc_in")),
     )
@@ -253,7 +251,7 @@ def sim_incdecjz_via_incjzdec() -> LoweringArtifact:
         instances=tuple(GadgetInstance(i, spec.name, 0) for i in ids),
         nodes=ports,
         edges=edges,
-        boundary=tuple(_node(q) for q in ports),
+        boundary=tuple(node_endpoint(q) for q in ports),
     )
     return LoweringArtifact(
         system,
@@ -279,8 +277,8 @@ def sim_incjzdec_via_incdecnzpz() -> LoweringArtifact:
         specs=(spec,),
         instances=(GadgetInstance("g", spec.name, 0),),
         nodes=ports,
-        edges=tuple((_node(q), port_endpoint("g", q)) for q in ports),
-        boundary=tuple(_node(q) for q in ports),
+        edges=tuple((node_endpoint(q), port_endpoint("g", q)) for q in ports),
+        boundary=tuple(node_endpoint(q) for q in ports),
     )
     return LoweringArtifact(
         system,
@@ -305,14 +303,14 @@ def build_sscd_from_incdecnz() -> LoweringArtifact:
                    GadgetInstance("b", spec.name, 0)),
         nodes=("L1", "R1", "L2", "R2"),
         edges=(
-            (_node("L1"), p("a", "dec_in")),
+            (node_endpoint("L1"), p("a", "dec_in")),
             (p("a", "dec_out"), p("b", "inc_in")),
-            (p("b", "inc_out"), _node("R1")),
-            (_node("L2"), p("b", "dec_in")),
+            (p("b", "inc_out"), node_endpoint("R1")),
+            (node_endpoint("L2"), p("b", "dec_in")),
             (p("b", "dec_out"), p("a", "inc_in")),
-            (p("a", "inc_out"), _node("R2")),
+            (p("a", "inc_out"), node_endpoint("R2")),
         ),
-        boundary=(_node("L1"), _node("R1"), _node("L2"), _node("R2")),
+        boundary=tuple(node_endpoint(q) for q in ("L1", "R1", "L2", "R2")),
     )
     return LoweringArtifact(
         system,
@@ -336,21 +334,21 @@ def _duplicator_edges(prefix: str, w0: str, w1: str,
     p = port_endpoint
     nodes = [n("In0"), n("Out0"), n("In1"), n("Out1"), n("E0"), n("E1")]
     edges = [
-        (_node(n("In0")), p(w0, "inc_in")),
-        (p(w0, "inc_out"), _node(n("E0"))),
-        (_node(n("In1")), p(w1, "inc_in")),
-        (p(w1, "inc_out"), _node(n("E0"))),
-        (_node(n("E1")), p(w0, "dec_in")),
-        (_node(n("E1")), p(w1, "dec_in")),
+        (node_endpoint(n("In0")), p(w0, "inc_in")),
+        (p(w0, "inc_out"), node_endpoint(n("E0"))),
+        (node_endpoint(n("In1")), p(w1, "inc_in")),
+        (p(w1, "inc_out"), node_endpoint(n("E0"))),
+        (node_endpoint(n("E1")), p(w0, "dec_in")),
+        (node_endpoint(n("E1")), p(w1, "dec_in")),
         (p(w0, "dec_out"), p(w0, "pz_in")),
-        (p(w0, "pz_out"), _node(n("Out0"))),
+        (p(w0, "pz_out"), node_endpoint(n("Out0"))),
         (p(w1, "dec_out"), p(w1, "pz_in")),
-        (p(w1, "pz_out"), _node(n("Out1"))),
+        (p(w1, "pz_out"), node_endpoint(n("Out1"))),
     ]
     if shared_entry is not None:
-        edges.append((_node(n("E0")), shared_entry))
+        edges.append((node_endpoint(n("E0")), shared_entry))
     if shared_exit is not None:
-        edges.append((shared_exit, _node(n("E1"))))
+        edges.append((shared_exit, node_endpoint(n("E1"))))
     return nodes, edges
 
 
@@ -383,7 +381,7 @@ def build_edge_duplicator(a: int, b: int, c: int, d: int) -> LoweringArtifact:
                    GadgetInstance("w1", wrap.name, 0)),
         nodes=tuple(nodes),
         edges=tuple(edges),
-        boundary=(_node("In0"), _node("Out0"), _node("In1"), _node("Out1")),
+        boundary=tuple(node_endpoint(q) for q in ("In0", "Out0", "In1", "Out1")),
     )
     return LoweringArtifact(
         system,
@@ -475,8 +473,8 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
                 dn, de = _duplicator_edges(prefix, w0, w1, cur[0], cur[1])
                 nodes.extend(dn)
                 edges.extend(de)
-                out.append((_node(f"{prefix}In0"), _node(f"{prefix}Out0")))
-                cur = (_node(f"{prefix}In1"), _node(f"{prefix}Out1"))
+                out.append((node_endpoint(f"{prefix}In0"), node_endpoint(f"{prefix}Out0")))
+                cur = (node_endpoint(f"{prefix}In1"), node_endpoint(f"{prefix}Out1"))
             out.append(cur)
             return out
 
@@ -491,16 +489,16 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
     if merged:
         ports = ("inc_in", "inc_out", "jz_in", "jz_out_zero", "jz_out_nonzero")
         nodes[:0] = ports
-        _chain(edges, _node("inc_in"), inc_hops, _node("inc_out"))
-        _chain(edges, _node("jz_in"), dec_hops, _node("jz_out_nonzero"))
-        _chain(edges, _node("jz_in"), pz_hops, _node("jz_out_zero"))
+        _chain(edges, node_endpoint("inc_in"), inc_hops, node_endpoint("inc_out"))
+        _chain(edges, node_endpoint("jz_in"), dec_hops, node_endpoint("jz_out_nonzero"))
+        _chain(edges, node_endpoint("jz_in"), pz_hops, node_endpoint("jz_out_zero"))
         simulates = spec_inc_decnz_pz_merged().name
     else:
         ports = ("inc_in", "inc_out", "dec_in", "dec_out", "pz_in", "pz_out")
         nodes[:0] = ports
-        _chain(edges, _node("inc_in"), inc_hops, _node("inc_out"))
-        _chain(edges, _node("dec_in"), dec_hops, _node("dec_out"))
-        _chain(edges, _node("pz_in"), pz_hops, _node("pz_out"))
+        _chain(edges, node_endpoint("inc_in"), inc_hops, node_endpoint("inc_out"))
+        _chain(edges, node_endpoint("dec_in"), dec_hops, node_endpoint("dec_out"))
+        _chain(edges, node_endpoint("pz_in"), pz_hops, node_endpoint("pz_out"))
         from .gadgets import spec_inc_decnz_pz
         simulates = spec_inc_decnz_pz().name
 
@@ -513,7 +511,7 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
         instances=tuple(instances),
         nodes=tuple(nodes),
         edges=tuple(edges),
-        boundary=tuple(_node(q) for q in ports),
+        boundary=tuple(node_endpoint(q) for q in ports),
     )
     return LoweringArtifact(
         system,
@@ -576,7 +574,7 @@ def compile_machine_to_incdecjz(program: Program,
         if i >= len(program.instructions):
             return ""
         if isinstance(program.instructions[i], Halt):
-            return _node("goal")
+            return node_endpoint("goal")
         return p(flows[i], "inc_in")
 
     edges: list[tuple[str, str]] = []
@@ -585,7 +583,7 @@ def compile_machine_to_incdecjz(program: Program,
         if src and dst:
             edges.append((src, dst))
 
-    wire(_node("start"), entrance(0))
+    wire(node_endpoint("start"), entrance(0))
     # instruction gadget -> its counter's operation entrance
     for i, ins in enumerate(program.instructions):
         if isinstance(ins, Halt):
@@ -616,8 +614,8 @@ def compile_machine_to_incdecjz(program: Program,
         instances=tuple(instances),
         nodes=("start", "goal"),
         edges=tuple(edges),
-        start=_node("start"),
-        goal=_node("goal"),
+        start=node_endpoint("start"),
+        goal=node_endpoint("goal"),
     )
     artifact = LoweringArtifact(
         system,
@@ -651,10 +649,9 @@ def substitute(host: LoweringArtifact, spec_name: str,
     psys = part.system
     if psys.start or psys.goal:
         raise SystemFormatError("substitution part must not carry start/goal")
-    part_boundary_names = {ep[5:] if ep.startswith("node:") else None
-                           for ep in psys.boundary}
-    if None in part_boundary_names:
+    if any(split_endpoint(ep)[0] != "node" for ep in psys.boundary):
         raise SystemFormatError("substitution part boundary must be nodes")
+    part_boundary_names = {boundary_port(ep) for ep in psys.boundary}
     if part_boundary_names != set(target_spec.locations):
         raise SystemFormatError(
             f"part boundary {sorted(part_boundary_names)} does not match "
@@ -664,6 +661,7 @@ def substitute(host: LoweringArtifact, spec_name: str,
 
     replaced = [inst for inst in hsys.instances if inst.spec == spec_name]
     kept = [inst for inst in hsys.instances if inst.spec != spec_name]
+    replaced_ids = {inst.id for inst in replaced}
 
     out_instances: list[GadgetInstance] = list(kept)
     out_nodes: list[str] = list(hsys.nodes)
@@ -671,11 +669,9 @@ def substitute(host: LoweringArtifact, spec_name: str,
     roles = {i.id: host.roles.get(i.id, "") for i in kept}
 
     def remap_host(ep: str) -> str:
-        if ep.startswith("node:"):
-            return ep
-        inst_id, port = ep.split(".", 1)
-        if any(inst_id == r.id for r in replaced):
-            return _node(f"{inst_id}/{port}")
+        inst_id, port = split_endpoint(ep)
+        if inst_id in replaced_ids:
+            return node_endpoint(f"{inst_id}/{port}")
         return ep
 
     for x in replaced:
@@ -722,9 +718,9 @@ def substitute(host: LoweringArtifact, spec_name: str,
 
 
 def _remap_part(ep: str, prefix: str) -> str:
-    if ep.startswith("node:"):
-        return _node(prefix + ep[5:])
-    inst_id, port = ep.split(".", 1)
+    inst_id, port = split_endpoint(ep)
+    if inst_id == "node":
+        return node_endpoint(prefix + port)
     return port_endpoint(prefix + inst_id, port)
 
 
@@ -841,14 +837,10 @@ def export_artifact(artifact: LoweringArtifact, path: str) -> tuple[str, str]:
         "roles": artifact.roles,
         "encoding": artifact.encoding.to_json() if artifact.encoding else None,
         "provenance": artifact.provenance,
-        "ports": {(_strip(ep)): _strip(ep) for ep in artifact.system.boundary},
+        "ports": {boundary_port(ep): boundary_port(ep) for ep in artifact.system.boundary},
         "mode": artifact.suggested_mode(),
     }
     meta_path = path + ".meta.json"
     with open(meta_path, "w") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return path, meta_path
-
-
-def _strip(ep: str) -> str:
-    return ep[5:] if ep.startswith("node:") else ep

@@ -244,10 +244,7 @@ def parse_program(text: str) -> Program:
         if op == "JZ" and not (0 <= int(args[1]) < n):
             raise ProgramError(
                 f"line {lineno}: JZ target {args[1]} out of range 0..{n - 1}")
-    try:
-        return Program(tuple(names), tuple(instructions))
-    except ProgramError as exc:  # pragma: no cover - guarded above
-        raise ProgramError(str(exc)) from None
+    return Program(tuple(names), tuple(instructions))
 
 
 def serialize_program(program: Program) -> str:

@@ -44,6 +44,7 @@ from .gadgets import (
     SystemFormatError,
     SystemIndex,
     SystemOfGadgets,
+    boundary_port,
     canonicalize,
     node_endpoint,
     port_endpoint,
@@ -82,10 +83,6 @@ class BoundaryLTS:
         return out
 
 
-def _port_name(endpoint: str) -> str:
-    return endpoint[5:] if endpoint.startswith("node:") else endpoint
-
-
 def _promote(vec: tuple, mode: str) -> tuple:
     if mode != "interval":
         return tuple(vec)
@@ -106,7 +103,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     index = system if isinstance(system, SystemIndex) else canonicalize(system)
     if not index.boundary_classes:
         raise SystemFormatError("system has no boundary endpoints")
-    boundary = [(cid, _port_name(ep)) for cid, ep in index.boundary_classes.items()]
+    boundary = [(cid, boundary_port(ep)) for cid, ep in index.boundary_classes.items()]
     boundary.sort(key=lambda pair: index.system.boundary.index(
         index.boundary_classes[pair[0]]))
     ports = tuple(name for _, name in boundary)
@@ -143,7 +140,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
                     continue  # the zero-traversal start itself
                 qname = None
                 if cfg.position in index.boundary_classes:
-                    qname = _port_name(index.boundary_classes[cfg.position])
+                    qname = boundary_port(index.boundary_classes[cfg.position])
                 if qname is None:
                     continue
                 transitions.add((vec, pname, qname, cfg.states))

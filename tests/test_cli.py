@@ -132,6 +132,16 @@ def test_compile_range_must_be_positive(tmp_path, capsys):
     assert code == 1 and "range_params" in err
 
 
+def test_compile_rejects_a_negative_counter_value(tmp_path, capsys):
+    src = _write(tmp_path, "p.cm", "0: INC c0\n1: HALT\n")
+    out_path = tmp_path / "neg.json"
+    code, out, err = _run_cli(capsys, "compile", src, "--counters=-1",
+                              "-o", str(out_path))
+    assert code == 1 and out == ""
+    assert "error:" in err and "natural" in err
+    assert not out_path.exists()
+
+
 def test_compile_inc_ab_tunnel_multiplicities(tmp_path, capsys):
     # (a,b,c,d)=(1,2,1,2): the low-anchor counter carries 2 inc and 4
     # decnz tunnels, the high-anchor one the transpose
@@ -184,6 +194,20 @@ def test_reach_exit_codes(tmp_path, capsys):
     code, _, err = _run_cli(capsys, "reach", str(tmp_path / "nope.json"),
                             "--cap", "4")
     assert code == 1 and "error:" in err
+
+
+def test_reach_rejects_wrong_types_without_a_traceback(tmp_path, capsys):
+    halting = _compiled_file(tmp_path, capsys, "0: INC c0\n1: HALT\n")
+    with open(halting) as fh:
+        text = fh.read()
+    int_endpoint, int_id = json.loads(text), json.loads(text)
+    int_endpoint["edges"][0][0] = 1
+    int_id["instances"][0]["id"] = 1
+    for name, doc in (("endpoint", int_endpoint), ("id", int_id)):
+        path = _write(tmp_path, f"bad-{name}.json", json.dumps(doc))
+        code, out, err = _run_cli(capsys, "reach", path, "--cap", "4")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_reach_budget_flag(tmp_path, capsys):

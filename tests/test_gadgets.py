@@ -339,6 +339,110 @@ def test_parse_rejects_garbage():
         parse_system(json.dumps(doc))
 
 
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set(("edges", 0, 0), 1), "endpoint must be a string"),
+    (_set(("start",), 1), "endpoint must be a string"),
+    (_set(("instances", 0, "id"), 1), "bad instance id"),
+    (_set(("nodes", 0), ["src"]), "node name must be a string"),
+    (_set(("instances", 0, "initial"), True), "natural"),
+    (_set(("boundary",), "node:src"), "boundary must be a list"),
+    (_set(("specs", 0, "components", 0, "exits"), "t_out"), "exits must be a list"),
+    (_set(("specs", 0, "components", 0, "hi"), float("inf")), "bad spec entry"),
+], ids=["int-endpoint", "int-start", "int-instance-id", "list-node", "bool-initial",
+        "string-boundary", "string-exits", "infinite-hi"])
+def test_parse_rejects_wrong_types(mutate, message):
+    doc = json.loads(serialize_system(_one_tunnel_system(IncRange(1, 1))))
+    mutate(doc)
+    with pytest.raises(SystemFormatError, match=message):
+        parse_system(json.dumps(doc))
+
+
+def test_instance_id_node_is_reserved():
+    # "node.inc_in" would split to the tag a connection node gets
+    spec = G.spec_inc_dec_jz()
+    for bad in ("node", "node:x"):
+        with pytest.raises(SystemFormatError, match="reserved"):
+            SystemOfGadgets((spec,), (GadgetInstance(bad, spec.name, 0),),
+                            edges=((f"{bad}.inc_in", f"{bad}.inc_out"),))
+
+
+def _paths(doc, path=()):
+    """(path, value) for every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _base_documents():
+    """A compiled machine (counter specs, start and goal) and a finite-spec
+    system with a boundary, as system documents."""
+    from gadgetforge import lower
+    from gadgetforge.machine import parse_program
+
+    compiled = lower.compile_machine_to_incdecjz(
+        parse_program("0: INC c0\n1: JZ c0 3\n2: DEC c0\n3: HALT\n")).system
+    door = SystemOfGadgets(
+        specs=(catalog()["sscd"],),
+        instances=(GadgetInstance("d", "sscd", "1"),),
+        nodes=("a", "b"),
+        edges=(("node:a", "d.L1"), ("d.R1", "node:b")),
+        boundary=("node:a", "node:b"),
+    )
+    return [json.loads(serialize_system(s)) for s in (compiled, door)]
+
+
+_REPLACEMENTS = {
+    "int": st.integers(-2, 3),
+    "bool": st.booleans(),
+    "None": st.none(),
+    "list": st.lists(st.sampled_from(["", "a", "node:a", "d.L1"]), max_size=2),
+    "string": st.sampled_from(["", "x", "node:a", "d.L1", "inc", "1"]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_documents_raise_only_system_format_error(data):
+    doc = data.draw(st.sampled_from(_base_documents()))
+    how = data.draw(st.sampled_from(["replace", "list-to-string", "drop"]))
+    paths = list(_paths(doc))
+    if how == "list-to-string":
+        paths = [pv for pv in paths if isinstance(pv[1], list)]
+    elif how == "drop":
+        paths = [pv for pv in paths if not isinstance(pv[0][-1], int)]
+    path, value = data.draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "replace":
+        kind = data.draw(st.sampled_from(sorted(_REPLACEMENTS)))
+        parent[path[-1]] = data.draw(_REPLACEMENTS[kind])
+    elif how == "list-to-string":
+        # the natural slip: a one-element list written as its element
+        parent[path[-1]] = value[0] if value and isinstance(value[0], str) else json.dumps(value)
+    else:
+        del parent[path[-1]]
+    try:
+        system = parse_system(json.dumps(doc))
+    except SystemFormatError:
+        return
+    try:
+        canonicalize(system)
+    except SystemFormatError:
+        pass
+
+
 def test_parse_spec_accepts_catalog_dump():
     doc = json.loads(serialize_system(_one_tunnel_system(IncRange(1, 2))))
     spec = parse_spec(doc["specs"][0])
