@@ -160,20 +160,25 @@ def cmd_verify_sim(args) -> int:
     try:
         system = gadgets.parse_system(_read(args.impl_file))
         spec = _load_spec(args.spec)
-        port_map = None
-        encoding = None
-        mode = args.mode
+        port_map, encoding, mode = None, None, args.mode
         if args.map:
             doc = json.loads(_read(args.map))
-            port_map = doc.get("ports") or None
+            if not isinstance(doc, dict):
+                raise gadgets.SystemFormatError("sidecar must be a JSON object")
+            port_map = doc.get("ports")
+            if port_map is not None and not (isinstance(port_map, dict) and all(
+                    isinstance(v, str) for v in port_map.values())):
+                raise gadgets.SystemFormatError(
+                    "sidecar ports must map port names to spec locations")
             if doc.get("encoding"):
                 encoding = lower.Encoding.from_json(doc["encoding"])
-            if mode is None:
-                mode = doc.get("mode")
-        if mode is None:
-            mode = "concrete"
+            mode = mode or doc.get("mode")
+        mode = mode or "concrete"
+        if mode not in ("concrete", "interval"):
+            raise gadgets.SystemFormatError(
+                f"mode must be concrete or interval, got {mode!r}")
         report = verify.check_bisimulation(
-            lower.LoweringArtifact(system, encoding=encoding), spec, port_map,
+            lower.LoweringArtifact(system, encoding=encoding), spec, port_map or None,
             cap=args.cap, mode=mode, impl_cap=args.impl_cap)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,8 +96,10 @@ class IncRange:
     def __post_init__(self) -> None:
         _check_range(self.lo, self.hi)
 
-    def moves(self, s: int) -> list[tuple[int, int, int]]:
-        return [(i, s + i, 0) for i in range(self.lo, self.hi + 1)]
+    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
+        # under a cap, stop at the first amount past it: the rest are pruned alike
+        hi = self.hi if cap is None else min(self.hi, max(self.lo, cap - s + 1))
+        return [(i, s + i, 0) for i in range(self.lo, hi + 1)]
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
         lo, hi = iv
@@ -117,7 +119,7 @@ class DecNZRange:
     def __post_init__(self) -> None:
         _check_range(self.lo, self.hi)
 
-    def moves(self, s: int) -> list[tuple[int, int, int]]:
+    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         if s < self.lo:
             return []
         return [(i, s - i, 0) for i in range(self.lo, min(s, self.hi) + 1)]
@@ -142,8 +144,10 @@ class DecRange:
     def __post_init__(self) -> None:
         _check_range(self.lo, self.hi)
 
-    def moves(self, s: int) -> list[tuple[int, int, int]]:
-        return [(i, max(s - i, 0), 0) for i in range(self.lo, self.hi + 1)]
+    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
+        # under a cap, stop at the first amount that saturates: the rest repeat it
+        hi = self.hi if cap is None else min(self.hi, max(self.lo, s))
+        return [(i, max(s - i, 0), 0) for i in range(self.lo, hi + 1)]
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
         lo, hi = iv
@@ -157,7 +161,7 @@ class PZ:
     exits = 1
     tag = "pz"
 
-    def moves(self, s: int) -> list[tuple[int, int, int]]:
+    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(0, 0, 0)] if s == 0 else []
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
@@ -171,7 +175,7 @@ class PNZ:
     exits = 1
     tag = "pnz"
 
-    def moves(self, s: int) -> list[tuple[int, int, int]]:
+    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(0, s, 0)] if s >= 1 else []
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
@@ -187,7 +191,7 @@ class JZSwitch:
     exits = 2
     tag = "jz"
 
-    def moves(self, s: int) -> list[tuple[int, int, int]]:
+    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(0, 0, 0)] if s == 0 else [(0, s, 1)]
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
@@ -208,7 +212,7 @@ class JZDecSwitch:
     exits = 2
     tag = "jzdec"
 
-    def moves(self, s: int) -> list[tuple[int, int, int]]:
+    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(0, 0, 0)] if s == 0 else [(0, s - 1, 1)]
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
@@ -377,13 +381,29 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+@dataclass(frozen=True)
+class _FiniteStep:
+    """A finite transition as a one-exit kind; its index is the choice."""
+
+    before: str
+    after: str
+    index: int
+
+    def moves(self, s: str, cap: int | None = None) -> list[tuple[int, str, int]]:
+        return [(self.index, self.after, 0)] if s == self.before else []
+
+    interval_moves = moves
+
+
 class SystemIndex:
-    """canonicalize() result: connectivity classes + fast successor lookup.
+    """canonicalize() result: connectivity classes + the move table.
 
     Classes are numbered deterministically (sorted by their lexicographically
-    least endpoint), and per-class component entrances are listed in
-    (instance declaration order, component order) so successor enumeration
-    is reproducible byte for byte.
+    least endpoint).  ``moves`` maps each class to one row per component
+    (or finite transition) entered there, in (instance declaration order,
+    component order), so successor enumeration is reproducible byte for
+    byte.  A row is (slot, instance id, entry port, kind, exit ports, exit
+    classes): everything a move needs but the state, fixed once here.
     """
 
     def __init__(self, system: SystemOfGadgets) -> None:
@@ -391,12 +411,9 @@ class SystemIndex:
         uf = _UnionFind()
         for name in system.nodes:
             uf.add(node_endpoint(name))
-        spec_of = {}
+        locations = {spec.name: spec.locations for spec in system.specs}
         for inst in system.instances:
-            spec = system.spec_named(inst.spec)
-            spec_of[inst.id] = spec
-            locs = spec.locations
-            for loc in locs:
+            for loc in locations[inst.spec]:
                 uf.add(port_endpoint(inst.id, loc))
         for (a, b) in system.edges:
             uf.union(a, b)
@@ -406,25 +423,21 @@ class SystemIndex:
             members.setdefault(uf.find(ep), []).append(ep)
         classes = sorted((sorted(eps) for eps in members.values()), key=lambda eps: eps[0])
         self.classes: list[tuple[str, ...]] = [tuple(eps) for eps in classes]
-        self.class_of: dict[str, int] = {}
-        for cid, eps in enumerate(self.classes):
-            for ep in eps:
-                self.class_of[ep] = cid
+        self.class_of = {ep: cid for cid, eps in enumerate(self.classes) for ep in eps}
 
-        # per-class entrance table: (instance index, component index) for
-        # counter specs, (instance index, transition index) for finite ones
-        self._spec_of = spec_of
-        self.entries: dict[int, list[tuple[int, int]]] = {}
+        # per spec, its entrances as (entry port, kind, exit ports)
+        parts = {spec.name: ([(c.entry, c.kind, c.exit_ports) for c in spec.components]
+                             if isinstance(spec, CounterGadgetSpec) else
+                             [(a, _FiniteStep(s, s2, k), (b,))
+                              for k, (s, a, s2, b) in enumerate(spec.transitions)])
+                 for spec in system.specs}
+        cls = self.class_of
+        self.moves: dict[int, list[tuple]] = {}
         for i, inst in enumerate(system.instances):
-            spec = spec_of[inst.id]
-            if isinstance(spec, CounterGadgetSpec):
-                for ci, comp in enumerate(spec.components):
-                    cid = self.class_of[port_endpoint(inst.id, comp.entry)]
-                    self.entries.setdefault(cid, []).append((i, ci))
-            else:
-                for ti, (s, a, s2, b) in enumerate(spec.transitions):
-                    cid = self.class_of[port_endpoint(inst.id, a)]
-                    self.entries.setdefault(cid, []).append((i, ti))
+            for entry, kind, exits in parts[inst.spec]:
+                self.moves.setdefault(cls[port_endpoint(inst.id, entry)], []).append(
+                    (i, inst.id, entry, kind, exits,
+                     tuple([cls[port_endpoint(inst.id, p)] for p in exits])))
 
         self.start_class = self.class_of[system.start] if system.start else None
         self.goal_class = self.class_of[system.goal] if system.goal else None
@@ -454,31 +467,20 @@ class SystemIndex:
             raise SystemFormatError("system has no start endpoint")
         return Configuration(self.start_class, self.initial_states(mode))
 
-    def successors(self, config: Configuration, mode: str = "concrete"
-                   ) -> list[tuple[Traversal, Configuration]]:
-        system = self.system
+    def successors(self, config: Configuration, mode: str = "concrete",
+                   cap: int | None = None) -> list[tuple[Traversal, Configuration]]:
+        """Every move from ``config``; under a ``cap`` ranged kinds stop early."""
+        states = config.states
+        interval = mode == "interval"
         out: list[tuple[Traversal, Configuration]] = []
-        for (i, key) in self.entries.get(config.position, ()):
-            inst = system.instances[i]
-            spec = self._spec_of[inst.id]
-            state = config.states[i]
-            if isinstance(spec, CounterGadgetSpec):
-                comp = spec.components[key]
-                moves = (comp.kind.interval_moves(state) if mode == "interval"
-                         else comp.kind.moves(state))
-                for (choice, s2, exit_idx) in moves:
-                    port = comp.exit_ports[exit_idx]
-                    q = self.class_of[port_endpoint(inst.id, port)]
-                    states = config.states[:i] + (s2,) + config.states[i + 1:]
-                    out.append((Traversal(inst.id, comp.entry, port, choice, state, s2),
-                                Configuration(q, states)))
-            else:
-                (s, a, s2, b) = spec.transitions[key]
-                if s == state:
-                    q = self.class_of[port_endpoint(inst.id, b)]
-                    states = config.states[:i] + (s2,) + config.states[i + 1:]
-                    out.append((Traversal(inst.id, a, b, key, state, s2),
-                                Configuration(q, states)))
+        for (i, inst_id, entry, kind, exit_ports, exit_classes) in self.moves.get(
+                config.position, ()):
+            state = states[i]
+            for (choice, s2, e) in (kind.interval_moves(state) if interval
+                                    else kind.moves(state, cap)):
+                out.append((Traversal(inst_id, entry, exit_ports[e], choice, state, s2),
+                            Configuration(exit_classes[e],
+                                          states[:i] + (s2,) + states[i + 1:])))
         return out
 
 
@@ -557,7 +559,7 @@ def _validate(system: SystemOfGadgets) -> None:
 
 
 def canonicalize(system: SystemOfGadgets) -> SystemIndex:
-    """Validate + compute connectivity classes and successor tables."""
+    """Compute a system's connectivity classes and move table, once."""
     return SystemIndex(system)
 
 

@@ -7,6 +7,11 @@ here is bounded two ways:
   the cap are not enqueued (the search notes that pruning happened);
 - a visit budget: a hard limit on dequeued configurations.
 
+Start configurations are admitted unchecked, so a start may hold a state
+above the cap; a successor that keeps such a state is pruned.  Every other
+admitted configuration is within the cap in every slot, so a move from it
+needs only the slot it changed checked, however many instances there are.
+
 The verdict discipline keeps the bounds honest.  Reachable comes with a
 replayable witness.  UnreachableWithinCap is only reported when the frontier
 was exhausted and *no* cap pruning ever fired -- in that case the bounded
@@ -69,6 +74,9 @@ class Sweep:
 
     visited maps each reached configuration to its BFS parent edge
     (parent config, label), or None for a start configuration.
+    start_revisited says whether some expanded configuration, or one the
+    budget left queued, has a move back to a start: the one revisit
+    ``visited`` cannot show.
     """
 
     visited: dict[Configuration, tuple[Configuration, Traversal] | None]
@@ -76,18 +84,16 @@ class Sweep:
     overflowed: bool
     budget_exhausted: bool
     stats: SearchStats
+    start_revisited: bool = False
 
     def path_to(self, config: Configuration) -> tuple[Traversal, ...]:
         labels: list[Traversal] = []
-        cur = config
-        while True:
-            edge = self.visited[cur]
-            if edge is None:
-                break
-            cur, label = edge[0], edge[1]
+        edge = self.visited[config]
+        while edge is not None:
+            cur, label = edge
             labels.append(label)
-        labels.reverse()
-        return tuple(labels)
+            edge = self.visited[cur]
+        return tuple(reversed(labels))
 
 
 def _magnitude(state) -> int | None:
@@ -109,16 +115,21 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
     visited: dict[Configuration, tuple[Configuration, Traversal] | None] = {}
     queue: deque[Configuration] = deque()
     max_counter = 0
+    over_cap: set[Configuration] = set()  # starts with a slot above the cap
     for cfg in starts:
         if cfg not in visited:
             visited[cfg] = None
             queue.append(cfg)
-            for s in cfg.states:
-                m = _magnitude(s)
-                if m is not None and m > max_counter:
-                    max_counter = m
+            top = max((m for m in map(_magnitude, cfg.states) if m is not None), default=0)
+            max_counter = max(max_counter, top)
+            if top > counter_cap:
+                over_cap.add(cfg)
+    # ranged moves stop one amount past this: nothing they skip could be
+    # admitted, or be a start
+    move_cap = max(counter_cap, max_counter)
     overflowed = False
     budget_exhausted = False
+    start_revisited = False
     goal_hit: Configuration | None = None
     explored = 0
     frontier_peak = len(queue)
@@ -132,28 +143,33 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
         if goal_class is not None and cfg.position == goal_class:
             goal_hit = cfg
             break
-        for label, nxt in index.successors(cfg, mode):
-            if nxt in visited:
+        # only a start above the cap needs every slot checked (module docstring)
+        whole = over_cap and cfg in over_cap
+        for label, nxt in index.successors(cfg, mode, move_cap):
+            parent = visited.get(nxt, False)  # False: not reached yet
+            if parent is not False:
+                if parent is None:
+                    start_revisited = True
                 continue
-            too_big = False
-            for s in nxt.states:
+            for s in (nxt.states if whole else (label.after,)):
                 m = _magnitude(s)
                 if m is not None:
                     if m > counter_cap:
-                        too_big = True
+                        overflowed = True
                         break
                     if m > max_counter:
                         max_counter = m
-            if too_big:
-                overflowed = True
-                continue
-            visited[nxt] = (cfg, label)
-            queue.append(nxt)
+            else:
+                visited[nxt] = (cfg, label)
+                queue.append(nxt)
         if len(queue) > frontier_peak:
             frontier_peak = len(queue)
+    if budget_exhausted and not start_revisited:  # reached, never expanded
+        start_revisited = any(visited.get(nxt, False) is None for cfg in queue
+                              for _, nxt in index.successors(cfg, mode, move_cap))
 
     return Sweep(visited, goal_hit, overflowed, budget_exhausted,
-                 SearchStats(explored, frontier_peak, max_counter))
+                 SearchStats(explored, frontier_peak, max_counter), start_revisited)
 
 
 def bfs_reach(system: SystemOfGadgets | SystemIndex, counter_cap: int,

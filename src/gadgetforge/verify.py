@@ -49,7 +49,7 @@ from .gadgets import (
     node_endpoint,
     port_endpoint,
 )
-from .reach import sweep
+from .reach import _magnitude, sweep
 
 log = logging.getLogger(__name__)
 
@@ -126,8 +126,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
                 f"boundary closure exceeded {state_budget} at-rest states")
         vec = todo.popleft()
         for cid, pname in boundary:
-            start = Configuration(cid, vec)
-            result = sweep(index, [start], counter_cap=impl_cap,
+            result = sweep(index, [Configuration(cid, vec)], counter_cap=impl_cap,
                            visit_budget=inner_budget, mode=mode)
             if result.overflowed:
                 frontier.add(vec)
@@ -136,27 +135,15 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
                 truncated = True
                 log.warning("inner sweep truncated at %s from port %s", vec, pname)
             for cfg, parent in result.visited.items():
-                if parent is None:
-                    continue  # the zero-traversal start itself
-                qname = None
-                if cfg.position in index.boundary_classes:
-                    qname = boundary_port(index.boundary_classes[cfg.position])
-                if qname is None:
-                    continue
-                transitions.add((vec, pname, qname, cfg.states))
+                ep = index.boundary_classes.get(cfg.position)
+                if parent is None or ep is None:
+                    continue  # the zero-traversal start, or not at a boundary port
+                transitions.add((vec, pname, boundary_port(ep), cfg.states))
                 if cfg.states not in seen:
                     seen.add(cfg.states)
                     todo.append(cfg.states)
-            # a cycle straight back to the start configuration is the one
-            # revisit BFS cannot report; check for it explicitly
-            for cfg, parent in result.visited.items():
-                for _lab, nxt in index.successors(cfg, mode):
-                    if nxt == start:
-                        transitions.add((vec, pname, pname, vec))
-                        break
-                else:
-                    continue
-                break
+            if result.start_revisited:  # a cycle straight back to the start
+                transitions.add((vec, pname, pname, vec))
 
     return BoundaryLTS(frozenset(seen), ports, frozenset(transitions),
                        frozenset(frontier), impl_cap, truncated)
@@ -222,26 +209,14 @@ class InvariantViolation(AssertionError):
 def _default_impl_cap(seed_vectors: list[tuple], cap: int) -> int:
     """Headroom rule: largest seed component + largest per-spec-step jump
     + slack for transient spikes inside a protocol."""
-    def mags(vec):
-        out = []
-        for v in vec:
-            if isinstance(v, tuple):
-                out.append(v[1])
-            elif isinstance(v, int):
-                out.append(v)
-        return out
-
-    seed_max = 0
-    step_max = 1
-    prev = None
+    seed_max, step_max, prev = 0, 1, None
     for vec in seed_vectors:
-        m = mags(vec)
+        m = [x for x in map(_magnitude, vec) if x is not None]
         if m:
             seed_max = max(seed_max, max(m))
         if prev is not None and m:
-            step_max = max(step_max,
-                           max(abs(x - y) for x, y in zip(m, mags(prev))))
-        prev = vec
+            step_max = max(step_max, max(abs(x - y) for x, y in zip(m, prev)))
+        prev = m
     return max(seed_max + step_max + 2, cap + 2)
 
 
@@ -276,6 +251,8 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     else:
         spec_seed_states = list(spec.states)
     seed_vectors = [_promote(tuple(enc(q, mode)), mode) for q in spec_seed_states]
+    if any(len(vec) != len(system.instances) for vec in seed_vectors):
+        raise SystemFormatError("encoding vectors must have one state per instance")
 
     if impl_cap is None:
         impl_cap = _default_impl_cap(seed_vectors, cap)
@@ -461,11 +438,8 @@ def interval_step(artifact, vec: tuple, op: str, *,
         raise InvariantViolation(
             f"op {op!r} from {vec} hit the cap/budget (cap={counter_cap}); "
             f"raise counter_cap to make the walk conclusive")
-    out = []
-    for cfg, parent in result.visited.items():
-        if parent is not None and cfg.position == exit_cls:
-            out.append(cfg.states)
-    return out
+    return [cfg.states for cfg, parent in result.visited.items()
+            if parent is not None and cfg.position == exit_cls]
 
 
 def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0,

@@ -276,6 +276,43 @@ def test_verify_sim_rejects_unknown_spec(tmp_path, capsys):
     assert code == 1 and "unknown spec" in err
 
 
+def _verify_sim_with_sidecar(tmp_path, capsys, edit):
+    """verify-sim on the quintet with its sidecar changed by ``edit``."""
+    impl, meta = _exported(tmp_path, lower.sim_incdecjz_via_incjzdec(), "q")
+    doc = edit(json.loads(open(meta).read()))
+    bad = _write(tmp_path, "bad.map.json", json.dumps(doc))
+    return _run_cli(capsys, "verify-sim", impl, "--spec", "inc-dec-jz",
+                    "--map", bad, "--cap", "4")
+
+
+def _rejected(code, out, err):
+    return code == 1 and out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_sim_rejects_ports_that_are_not_an_object(tmp_path, capsys):
+    assert _rejected(*_verify_sim_with_sidecar(
+        tmp_path, capsys, lambda doc: {**doc, "ports": 5}))
+
+
+def test_verify_sim_rejects_an_encoding_of_the_wrong_length(tmp_path, capsys):
+    def short(doc):
+        assert doc["encoding"]["kind"] == "affine"
+        doc["encoding"]["per_instance"] = [[1, 0]]
+        return doc
+    code, out, err = _verify_sim_with_sidecar(tmp_path, capsys, short)
+    assert _rejected(code, out, err) and "one state per instance" in err
+
+
+def test_verify_sim_rejects_an_unknown_sidecar_mode(tmp_path, capsys):
+    code, out, err = _verify_sim_with_sidecar(
+        tmp_path, capsys, lambda doc: {**doc, "mode": "sideways"})
+    assert _rejected(code, out, err) and "sideways" in err
+
+
+def test_verify_sim_rejects_a_sidecar_that_is_not_an_object(tmp_path, capsys):
+    assert _rejected(*_verify_sim_with_sidecar(tmp_path, capsys, lambda doc: []))
+
+
 # ------------------------------------------------------------------ dot
 
 def test_dot_output(tmp_path, capsys):
