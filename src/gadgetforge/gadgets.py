@@ -61,7 +61,7 @@ __all__ = [
     "GadgetInstance", "SystemOfGadgets", "SystemFormatError",
     "Configuration", "Traversal", "SystemIndex",
     "node_endpoint", "port_endpoint", "split_endpoint", "boundary_port",
-    "canonicalize", "successors", "initial_config",
+    "check_state", "canonicalize", "successors", "initial_config",
     "serialize_system", "parse_system", "parse_spec", "to_dot",
     "spec_inc_dec_jz", "spec_inc_jzdec", "spec_inc_decnz", "spec_inc_decnz_pz",
     "spec_inc_decnz_pz_merged", "spec_inc_decnz_decnz", "spec_inc_ab",
@@ -484,6 +484,22 @@ class SystemIndex:
         return out
 
 
+def check_state(spec: GadgetSpec, state, where: str, mode: str = "concrete") -> None:
+    """The one rule for a given gadget state (initial state, bisimulation seed):
+    a natural for a counter gadget, in interval mode a (lo, hi) pair of
+    naturals with lo <= hi; one of its states for a finite gadget."""
+    if not isinstance(spec, CounterGadgetSpec):
+        if state not in spec.states:
+            raise SystemFormatError(f"{where} {state!r} is not a state of {spec.name}")
+        return
+    pair = mode == "interval" and isinstance(state, tuple) and len(state) == 2
+    lo, hi = state if pair else (state, state)
+    if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi):  # no bools
+        want = "an interval of naturals" if mode == "interval" else "a natural"
+        raise SystemFormatError(
+            f"{where} of a counter gadget must be {want}, got {state!r}")
+
+
 def _validate(system: SystemOfGadgets) -> None:
     """The one validity check, run by SystemOfGadgets on construction.
     Linear in specs, instances, nodes and endpoints."""
@@ -515,15 +531,7 @@ def _validate(system: SystemOfGadgets) -> None:
         spec = specs.get(inst.spec) if isinstance(inst.spec, str) else None
         if spec is None:
             raise SystemFormatError(f"no spec named {inst.spec!r}")
-        if isinstance(spec, CounterGadgetSpec):
-            if not (isinstance(inst.initial, int) and not isinstance(inst.initial, bool)
-                    and inst.initial >= 0):
-                raise SystemFormatError(
-                    f"{inst.id}: counter gadget initial state must be a natural, "
-                    f"got {inst.initial!r}")
-        elif inst.initial not in spec.states:
-            raise SystemFormatError(
-                f"{inst.id}: {inst.initial!r} is not a state of {spec.name}")
+        check_state(spec, inst.initial, f"{inst.id}: initial state")
         ports_of[inst.id] = spec_locations[spec.name]
     for name in system.nodes:
         if not isinstance(name, str):

@@ -87,13 +87,19 @@ class Sweep:
     start_revisited: bool = False
 
     def path_to(self, config: Configuration) -> tuple[Traversal, ...]:
-        labels: list[Traversal] = []
-        edge = self.visited[config]
-        while edge is not None:
-            cur, label = edge
-            labels.append(label)
-            edge = self.visited[cur]
-        return tuple(reversed(labels))
+        return path_labels(self.visited, config)
+
+
+def path_labels(parents: dict, node) -> tuple:
+    """The labels on the path to ``node`` in a BFS parent map (node ->
+    (parent node, label), or None at a start), first label first."""
+    labels = []
+    edge = parents[node]
+    while edge is not None:
+        node, label = edge
+        labels.append(label)
+        edge = parents[node]
+    return tuple(reversed(labels))
 
 
 def _magnitude(state) -> int | None:

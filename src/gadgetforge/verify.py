@@ -15,11 +15,18 @@ boundary port it touches).  Zero-traversal "transitions" are excluded on
 both sides.
 
 Everything is bounded by a cap on gadget states.  States from which some
-excursion was cap-pruned are collected in ``cap_frontier``; the bisimulation
-check skips match obligations at pairs touching the frontier and reports how
-much it skipped, so an Equivalent verdict is an explicit up-to-the-cap claim
-and a cap too small to decide anything yields InconclusiveAtCap instead of a
-fake answer.
+excursion was cap-pruned are collected in ``cap_frontier``.
+
+The bisimulation relation maps each implementation state to the set of spec
+states related to it (as in Henzinger, Henzinger & Kopke, "Computing
+Simulations on Finite and Infinite Graphs", FOCS 1995).  Refinement starts
+from the full product and re-checks every pair until nothing changes: a
+pair stays while both states offer the same labels and each move of either
+side is matched, under its label, by a move of the other into a related
+pair.  Frontier rule: a pair whose implementation or spec state is on the
+cap frontier is never removed, and the report counts these skipped pairs,
+so an Equivalent verdict is an explicit up-to-the-cap claim and a cap too
+small to decide anything yields InconclusiveAtCap instead of a fake answer.
 
 Interval mode runs the same machinery over (lo, hi) possible-value states;
 see gadgets module docs.  This is how constructions with drawn amounts
@@ -33,12 +40,11 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterable
 
 from .gadgets import (
     Configuration,
     CounterGadgetSpec,
-    FiniteGadgetSpec,
     GadgetInstance,
     GadgetSpec,
     SystemFormatError,
@@ -46,10 +52,11 @@ from .gadgets import (
     SystemOfGadgets,
     boundary_port,
     canonicalize,
+    check_state,
     node_endpoint,
     port_endpoint,
 )
-from .reach import _magnitude, sweep
+from .reach import _magnitude, path_labels, sweep
 
 log = logging.getLogger(__name__)
 
@@ -60,8 +67,12 @@ __all__ = [
     "check_interval_invariant", "interval_step",
 ]
 
-State = Hashable
 Label = tuple[str, str]  # (entry port, exit port)
+
+_INNER_BUDGET = 200_000  # configurations per inner sweep of derive_boundary_lts
+_STATE_BUDGET = 100_000  # at-rest states per boundary closure
+_TRACE_BUDGET = 20_000   # state-set pairs per distinguishing_trace search
+_WALK_BUDGET = 500_000   # configurations per interval_step walk
 
 
 @dataclass(frozen=True)
@@ -91,8 +102,8 @@ def _promote(vec: tuple, mode: str) -> tuple:
 
 def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
                         seeds: Iterable[tuple], *, impl_cap: int,
-                        mode: str = "concrete", inner_budget: int = 200_000,
-                        state_budget: int = 100_000) -> BoundaryLTS:
+                        mode: str = "concrete",
+                        inner_budget: int = _INNER_BUDGET) -> BoundaryLTS:
     """Compute the boundary LTS of a system with boundary endpoints.
 
     ``seeds`` are at-rest state vectors to start from (e.g. encodings of the
@@ -103,9 +114,8 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     index = system if isinstance(system, SystemIndex) else canonicalize(system)
     if not index.boundary_classes:
         raise SystemFormatError("system has no boundary endpoints")
+    # boundary_classes is in system.boundary order
     boundary = [(cid, boundary_port(ep)) for cid, ep in index.boundary_classes.items()]
-    boundary.sort(key=lambda pair: index.system.boundary.index(
-        index.boundary_classes[pair[0]]))
     ports = tuple(name for _, name in boundary)
 
     todo: deque[tuple] = deque()
@@ -121,17 +131,16 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     truncated = False
 
     while todo:
-        if len(seen) > state_budget:
+        if len(seen) > _STATE_BUDGET:
             raise SystemFormatError(
-                f"boundary closure exceeded {state_budget} at-rest states")
+                f"boundary closure exceeded {_STATE_BUDGET} at-rest states")
         vec = todo.popleft()
         for cid, pname in boundary:
             result = sweep(index, [Configuration(cid, vec)], counter_cap=impl_cap,
                            visit_budget=inner_budget, mode=mode)
-            if result.overflowed:
+            if result.overflowed or result.budget_exhausted:
                 frontier.add(vec)
             if result.budget_exhausted:
-                frontier.add(vec)
                 truncated = True
                 log.warning("inner sweep truncated at %s from port %s", vec, pname)
             for cfg, parent in result.visited.items():
@@ -149,27 +158,22 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
                        frozenset(frontier), impl_cap, truncated)
 
 
-def spec_closure_lts(spec: GadgetSpec, cap: int, mode: str = "concrete"
-                     ) -> BoundaryLTS:
+def spec_closure_lts(spec: GadgetSpec, cap: int) -> BoundaryLTS:
     """Boundary LTS of a single gadget spec: one instance, every location
     exposed as a boundary node.  States are the gadget's own states 0..cap
     (or the finite state set); a state from which some traversal would
     exceed the cap lands on the cap frontier."""
-    if isinstance(spec, CounterGadgetSpec):
-        seeds: list[tuple] = [(s,) for s in range(cap + 1)]
-        initial: int | str = 0
-    else:
-        seeds = [(s,) for s in spec.states]
-        initial = spec.states[0]
+    counter = isinstance(spec, CounterGadgetSpec)
+    states = range(cap + 1) if counter else spec.states
     locs = spec.locations
     system = SystemOfGadgets(
         specs=(spec,),
-        instances=(GadgetInstance("g", spec.name, initial),),
+        instances=(GadgetInstance("g", spec.name, 0 if counter else states[0]),),
         nodes=locs,
         edges=tuple((node_endpoint(loc), port_endpoint("g", loc)) for loc in locs),
         boundary=tuple(node_endpoint(loc) for loc in locs),
     )
-    lts = derive_boundary_lts(system, seeds, impl_cap=cap, mode=mode)
+    lts = derive_boundary_lts(system, [(s,) for s in states], impl_cap=cap)
     unwrap = lambda v: v[0]  # noqa: E731 - single-instance vectors
     return BoundaryLTS(
         states=frozenset(unwrap(v) for v in lts.states),
@@ -223,8 +227,7 @@ def _default_impl_cap(seed_vectors: list[tuple], cap: int) -> int:
 def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None = None,
                        *, cap: int, mode: str = "concrete",
                        encoding: Callable | None = None,
-                       impl_cap: int | None = None,
-                       inner_budget: int = 200_000) -> BisimReport:
+                       impl_cap: int | None = None) -> BisimReport:
     """Is the implementation system bisimilar (through its boundary ports,
     up to the cap) to the spec gadget?
 
@@ -246,20 +249,24 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
         raise SystemFormatError("no encoding given and impl carries none")
     enc = encoding.state_for if hasattr(encoding, "state_for") else encoding
 
-    if isinstance(spec, CounterGadgetSpec):
-        spec_seed_states: list = list(range(cap + 1))
-    else:
-        spec_seed_states = list(spec.states)
-    seed_vectors = [_promote(tuple(enc(q, mode)), mode) for q in spec_seed_states]
-    if any(len(vec) != len(system.instances) for vec in seed_vectors):
-        raise SystemFormatError("encoding vectors must have one state per instance")
+    spec_seed_states = list(range(cap + 1) if isinstance(spec, CounterGadgetSpec)
+                            else spec.states)
+    try:
+        seed_vectors = [_promote(tuple(enc(q, mode)), mode) for q in spec_seed_states]
+    except KeyError as exc:  # a table encoding that lacks a spec state
+        raise SystemFormatError(*exc.args) from exc
+    specs = {s.name: s for s in system.specs}
+    for q, vec in zip(spec_seed_states, seed_vectors):
+        if len(vec) != len(system.instances):
+            raise SystemFormatError("encoding vectors must have one state per instance")
+        for inst, state in zip(system.instances, vec):
+            check_state(specs[inst.spec], state, f"encoding of {q!r}: {inst.id} state", mode)
 
     if impl_cap is None:
         impl_cap = _default_impl_cap(seed_vectors, cap)
 
     spec_lts = spec_closure_lts(spec, cap)
-    impl_lts = derive_boundary_lts(system, seed_vectors, impl_cap=impl_cap,
-                                   mode=mode, inner_budget=inner_budget)
+    impl_lts = derive_boundary_lts(system, seed_vectors, impl_cap=impl_cap, mode=mode)
 
     # the map must be a bijection: boundary ports <-> spec locations
     if port_map is None:
@@ -282,77 +289,65 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     for (s, a, b, s2) in impl_lts.transitions:
         impl_out[s].setdefault((port_map[a], port_map[b]), set()).add(s2)
     spec_out = spec_lts.out_map()
+    fx, fy = impl_lts.cap_frontier, spec_lts.cap_frontier
+    relation = _refine(impl_out, spec_out, fx, fy)
 
-    fx = impl_lts.cap_frontier
-    fy = spec_lts.cap_frontier
+    skipped = sum(len(ys) if x in fx else len(ys & fy) for x, ys in relation.items())
+    seed_pairs = list(zip(seed_vectors, spec_seed_states))
+    dead = [(x, y) for x, y in seed_pairs if y not in relation[x]]
+    counterexample = None
+    if dead:
+        x0, y0 = dead[0]
+        log.info("not equivalent: seed %s / %s", x0, y0)
+        verdict, note = BisimVerdict.NOT_EQUIVALENT, "first dead seed pair shown"
+        counterexample = ((x0, y0), distinguishing_trace(impl_out, spec_out, fx, fy, x0, y0))
+    elif all(x in fx or y in fy for x, y in seed_pairs):
+        verdict, note = (BisimVerdict.INCONCLUSIVE_AT_CAP,
+                         "every seed pair touches the cap frontier")
+    elif impl_lts.truncated or spec_lts.truncated:
+        verdict, note = BisimVerdict.INCONCLUSIVE_AT_CAP, "inner search truncated"
+    else:
+        verdict = BisimVerdict.EQUIVALENT
+        note = (f"bounded claim at cap {cap} (impl cap {impl_cap}); "
+                f"{skipped} frontier pair(s) skipped")
+    return BisimReport(
+        verdict, cap, impl_cap, sum(map(len, relation.values())), len(seed_pairs),
+        skipped, len(impl_lts.states), len(spec_lts.states), counterexample, note)
 
-    # coarsest relation by refinement; frontier pairs are never killed
-    relation = {(x, y) for x in impl_lts.states for y in spec_lts.states}
+
+def _refine(impl_out: dict, spec_out: dict, fx: frozenset, fy: frozenset) -> dict:
+    """impl state -> set of related spec states, by the refinement and the
+    frontier rule of the module docstring."""
+    relation = {x: set(spec_out) for x in impl_out}
 
     def pair_ok(x, y) -> bool:
-        xo = impl_out[x]
-        yo = spec_out[y]
+        xo, yo = impl_out[x], spec_out[y]
+        if xo.keys() != yo.keys():
+            return False
         for lab, xs in xo.items():
-            ys = yo.get(lab)
-            if not ys:
+            ys = yo[lab]
+            related = [relation[x2] for x2 in xs]
+            # every impl move is matched by a spec move, and every spec move
+            # by an impl move
+            if any(r.isdisjoint(ys) for r in related) or not ys <= set().union(*related):
                 return False
-            for x2 in xs:
-                if not any((x2, y2) in relation for y2 in ys):
-                    return False
-        for lab, ys in yo.items():
-            xs = xo.get(lab)
-            if not xs:
-                return False
-            for y2 in ys:
-                if not any((x2, y2) in relation for x2 in xs):
-                    return False
         return True
 
     changed = True
     while changed:
         changed = False
-        for pair in list(relation):
-            x, y = pair
-            if x in fx or y in fy:
+        for x, ys in relation.items():
+            if x in fx:
                 continue
-            if not pair_ok(x, y):
-                relation.discard(pair)
-                changed = True
-
-    skipped = sum(1 for (x, y) in relation if x in fx or y in fy)
-    seed_pairs = list(zip(seed_vectors, spec_seed_states))
-    dead = [p for p in seed_pairs if p not in relation]
-
-    if dead:
-        x0, y0 = dead[0]
-        trace = distinguishing_trace(impl_out, spec_out, fx, fy, x0, y0)
-        log.info("not equivalent: seed %s / %s", x0, y0)
-        return BisimReport(
-            BisimVerdict.NOT_EQUIVALENT, cap, impl_cap, len(relation),
-            len(seed_pairs), skipped, len(impl_lts.states), len(spec_lts.states),
-            ((x0, y0), trace) if trace is not None else ((x0, y0), None),
-            note="first dead seed pair shown")
-
-    tainted = [1 for (x, y) in seed_pairs if x in fx or y in fy]
-    if len(tainted) == len(seed_pairs) or impl_lts.truncated or spec_lts.truncated:
-        why = ("every seed pair touches the cap frontier"
-               if len(tainted) == len(seed_pairs) else "inner search truncated")
-        return BisimReport(
-            BisimVerdict.INCONCLUSIVE_AT_CAP, cap, impl_cap, len(relation),
-            len(seed_pairs), skipped, len(impl_lts.states), len(spec_lts.states),
-            None, note=why)
-
-    return BisimReport(
-        BisimVerdict.EQUIVALENT, cap, impl_cap, len(relation),
-        len(seed_pairs), skipped, len(impl_lts.states), len(spec_lts.states),
-        None,
-        note=f"bounded claim at cap {cap} (impl cap {impl_cap}); "
-             f"{skipped} frontier pair(s) skipped")
+            for y in list(ys):
+                if y not in fy and not pair_ok(x, y):
+                    ys.discard(y)
+                    changed = True
+    return relation
 
 
 def distinguishing_trace(impl_out: dict, spec_out: dict, fx: frozenset,
-                         fy: frozenset, x0, y0, budget: int = 20_000
-                         ) -> tuple | None:
+                         fy: frozenset, x0, y0) -> tuple | None:
     """Shortest label sequence after which exactly one side has no states
     left, found by BFS over determinized state-set pairs.  The emptying
     side's predecessor set must be clear of the cap frontier, so the missing
@@ -361,7 +356,7 @@ def distinguishing_trace(impl_out: dict, spec_out: dict, fx: frozenset,
     start = (frozenset([x0]), frozenset([y0]))
     parent: dict = {start: None}
     queue = deque([start])
-    while queue and len(parent) < budget:
+    while queue and len(parent) < _TRACE_BUDGET:
         cur = queue.popleft()
         xs, ys = cur
         labels = set()
@@ -370,14 +365,11 @@ def distinguishing_trace(impl_out: dict, spec_out: dict, fx: frozenset,
         for y in ys:
             labels.update(spec_out.get(y, {}))
         for lab in sorted(labels):
-            xs2 = frozenset(s for x in xs for s in impl_out.get(x, {}).get(lab, ()))
-            ys2 = frozenset(s for y in ys for s in spec_out.get(y, {}).get(lab, ()))
+            xs2, ys2 = _after(impl_out, xs, lab), _after(spec_out, ys, lab)
             if not xs2 and not ys2:
                 continue
-            if not xs2 and not (xs & fx):
-                return _trace_path(parent, cur) + (lab,)
-            if not ys2 and not (ys & fy):
-                return _trace_path(parent, cur) + (lab,)
+            if (not xs2 and not (xs & fx)) or (not ys2 and not (ys & fy)):
+                return path_labels(parent, cur) + (lab,)
             nxt = (xs2, ys2)
             if nxt not in parent:
                 parent[nxt] = (cur, lab)
@@ -385,13 +377,9 @@ def distinguishing_trace(impl_out: dict, spec_out: dict, fx: frozenset,
     return None
 
 
-def _trace_path(parent: dict, node) -> tuple:
-    labels = []
-    while parent[node] is not None:
-        node, lab = parent[node]
-        labels.append(lab)
-    labels.reverse()
-    return tuple(labels)
+def _after(out: dict, states, lab: Label) -> frozenset:
+    """The states reached from ``states`` by a move labelled ``lab``."""
+    return frozenset(s for x in states for s in out.get(x, {}).get(lab, ()))
 
 
 def trace_splits(impl_out: dict, spec_out: dict, x0, y0, trace: Iterable[Label]
@@ -400,9 +388,8 @@ def trace_splits(impl_out: dict, spec_out: dict, x0, y0, trace: Iterable[Label]
     the two final state sets.  For a valid trace exactly one is empty."""
     xs, ys = {x0}, {y0}
     for lab in trace:
-        xs = {s for x in xs for s in impl_out.get(x, {}).get(lab, ())}
-        ys = {s for y in ys for s in spec_out.get(y, {}).get(lab, ())}
-    return xs, ys
+        xs, ys = _after(impl_out, xs, lab), _after(spec_out, ys, lab)
+    return set(xs), set(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +406,7 @@ _OP_PORTS = {
 
 
 def interval_step(artifact, vec: tuple, op: str, *,
-                  counter_cap: int, visit_budget: int = 500_000) -> list[tuple]:
+                  counter_cap: int) -> list[tuple]:
     """All at-rest state vectors reachable by performing one simulated op
     ("inc" / "decnz" / "pz") on an Inc[a,b]-style lowering artifact, in
     interval semantics.  Empty list = the op is blocked from this state."""
@@ -433,7 +420,7 @@ def interval_step(artifact, vec: tuple, op: str, *,
     exit_cls = index.endpoint_class(node_endpoint(exit_))
     start = Configuration(entry_cls, _promote(vec, "interval"))
     result = sweep(index, [start], counter_cap=counter_cap,
-                   visit_budget=visit_budget, mode="interval")
+                   visit_budget=_WALK_BUDGET, mode="interval")
     if result.overflowed or result.budget_exhausted:
         raise InvariantViolation(
             f"op {op!r} from {vec} hit the cap/budget (cap={counter_cap}); "
@@ -442,9 +429,8 @@ def interval_step(artifact, vec: tuple, op: str, *,
             if parent is not None and cfg.position == exit_cls]
 
 
-def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0,
-                             counter_cap: int | None = None,
-                             visit_budget: int = 500_000) -> list[tuple]:
+def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0
+                             ) -> list[tuple]:
     """Drive a ranged-counter artifact (sim via Inc[a,b]-DecNZ[c,d]-PZ)
     through a feasible op sequence in interval semantics and assert the
     anchor invariant after every op:
@@ -473,10 +459,9 @@ def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0,
                    if "duplicator-wrapper" in artifact.roles.get(i.id, "")]
 
     ops = list(ops)
-    if counter_cap is None:
-        n_peak = n0 + sum(1 for o in ops if o == "inc") + 1
-        hs = max(h for ((_, _), (h, _)) in enc.iaffine)
-        counter_cap = hs * (n_peak + 1) + 2
+    n_peak = n0 + sum(1 for o in ops if o == "inc") + 1
+    hs = max(h for ((_, _), (h, _)) in enc.iaffine)
+    counter_cap = hs * (n_peak + 1) + 2
 
     n = n0
     vec = _promote(enc.state_for(n0, "interval"), "interval")
@@ -499,9 +484,7 @@ def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0,
                     or (op == "pz" and n == 0))
         if not feasible:
             raise InvariantViolation(f"step {step}: op {op!r} infeasible at n={n}")
-        outcomes = interval_step(artifact, vec, op,
-                                 counter_cap=counter_cap,
-                                 visit_budget=visit_budget)
+        outcomes = interval_step(artifact, vec, op, counter_cap=counter_cap)
         if len(outcomes) != 1:
             raise InvariantViolation(
                 f"step {step}: op {op!r} from {vec} yielded {len(outcomes)} "

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import gadgetforge
 from gadgetforge import gadgets, lower, machine
@@ -240,7 +241,7 @@ def test_verify_sim_equivalent(tmp_path, capsys):
 
 def test_verify_sim_catches_a_twisted_port_map(tmp_path, capsys):
     impl, meta = _exported(tmp_path, lower.build_sscd_from_incdecnz(), "sscd")
-    doc = json.loads(open(meta).read())
+    doc = json.loads(Path(meta).read_text())
     doc["ports"]["R1"], doc["ports"]["R2"] = doc["ports"]["R2"], doc["ports"]["R1"]
     twisted = _write(tmp_path, "twisted.map.json", json.dumps(doc))
     code, out, _ = _run_cli(capsys, "verify-sim", impl, "--spec", "sscd",
@@ -276,12 +277,14 @@ def test_verify_sim_rejects_unknown_spec(tmp_path, capsys):
     assert code == 1 and "unknown spec" in err
 
 
-def _verify_sim_with_sidecar(tmp_path, capsys, edit):
-    """verify-sim on the quintet with its sidecar changed by ``edit``."""
-    impl, meta = _exported(tmp_path, lower.sim_incdecjz_via_incjzdec(), "q")
-    doc = edit(json.loads(open(meta).read()))
+def _verify_sim_with_sidecar(tmp_path, capsys, edit,
+                             build=lower.sim_incdecjz_via_incjzdec, spec="inc-dec-jz"):
+    """verify-sim on an exported artifact (by default the quintet) with its
+    sidecar changed by ``edit``."""
+    impl, meta = _exported(tmp_path, build(), "q")
+    doc = edit(json.loads(Path(meta).read_text()))
     bad = _write(tmp_path, "bad.map.json", json.dumps(doc))
-    return _run_cli(capsys, "verify-sim", impl, "--spec", "inc-dec-jz",
+    return _run_cli(capsys, "verify-sim", impl, "--spec", spec,
                     "--map", bad, "--cap", "4")
 
 
@@ -311,6 +314,39 @@ def test_verify_sim_rejects_an_unknown_sidecar_mode(tmp_path, capsys):
 
 def test_verify_sim_rejects_a_sidecar_that_is_not_an_object(tmp_path, capsys):
     assert _rejected(*_verify_sim_with_sidecar(tmp_path, capsys, lambda doc: []))
+
+
+def _sscd_table(tmp_path, capsys, table):
+    """verify-sim on the sscd construction with its table encoding replaced."""
+    def edit(doc):
+        assert doc["encoding"]["kind"] == "table"
+        doc["encoding"]["map"] = table
+        return doc
+    return _verify_sim_with_sidecar(tmp_path, capsys, edit,
+                                    lower.build_sscd_from_incdecnz, "sscd")
+
+
+def test_verify_sim_rejects_a_table_encoding_that_lacks_a_state(tmp_path, capsys):
+    code, out, err = _sscd_table(tmp_path, capsys, [["1", [1, 0]]])
+    assert _rejected(code, out, err) and "'2'" in err
+
+
+def test_verify_sim_rejects_list_valued_table_vectors(tmp_path, capsys):
+    assert _rejected(*_sscd_table(tmp_path, capsys,
+                                  [["1", [[1], [0]]], ["2", [[0], [1]]]]))
+
+
+def test_verify_sim_rejects_a_boolean_in_a_table_vector(tmp_path, capsys):
+    assert _rejected(*_sscd_table(tmp_path, capsys,
+                                  [["1", [True, 0]], ["2", [0, 1]]]))
+
+
+def test_verify_sim_rejects_an_encoding_that_seeds_a_negative_counter(tmp_path, capsys):
+    def offset(doc):
+        doc["encoding"]["per_instance"][0] = [1, -5]
+        return doc
+    code, out, err = _verify_sim_with_sidecar(tmp_path, capsys, offset)
+    assert _rejected(code, out, err) and "natural" in err
 
 
 # ------------------------------------------------------------------ dot

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -515,4 +516,4 @@ def test_interval_artifact_suggests_interval_mode(tmp_path):
     art = sim_incdecnzpz_via_incab(1, 2, 1, 2)
     assert art.suggested_mode() == "interval"
     _, meta_path = export_artifact(art, str(tmp_path / "incab.json"))
-    assert json.loads(open(meta_path).read())["mode"] == "interval"
+    assert json.loads(Path(meta_path).read_text())["mode"] == "interval"
