@@ -71,17 +71,13 @@ def _jsonable(value):
 
 
 def cmd_run(args) -> int:
-    try:
-        program = machine.parse_program(_read(args.machine_file))
-        values = _parse_counter_values(args.counters)
-        if len(values) > len(program.counters):
-            raise machine.ProgramError(
-                f"{len(values)} counter values for {len(program.counters)} counters")
-        initial = dict(zip(program.counters, values))
-        result = machine.run(program, initial, max_steps=args.max_steps)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    program = machine.parse_program(_read(args.machine_file))
+    values = _parse_counter_values(args.counters)
+    if len(values) > len(program.counters):
+        raise machine.ProgramError(
+            f"{len(values)} counter values for {len(program.counters)} counters")
+    initial = dict(zip(program.counters, values))
+    result = machine.run(program, initial, max_steps=args.max_steps)
     _emit({
         "status": result.status.value,
         "steps": result.steps,
@@ -95,35 +91,26 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    try:
-        program = machine.parse_program(_read(args.machine_file))
-        values = _parse_counter_values(args.counters)
-        initial = dict(zip(program.counters, values))
-        range_params = None
-        if args.range:
-            parts = [int(tok) for tok in args.range.split(",")]
-            if len(parts) != 4:
-                raise gadgets.SystemFormatError("--range wants a,b,c,d")
-            range_params = tuple(parts)
-        artifact = lower.pipeline(program, args.target, initial=initial,
-                                  range_params=range_params, expand=args.expand)
-        system_path, meta_path = lower.export_artifact(artifact, args.output)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    program = machine.parse_program(_read(args.machine_file))
+    values = _parse_counter_values(args.counters)
+    initial = dict(zip(program.counters, values))
+    range_params = None
+    if args.range:
+        parts = [int(tok) for tok in args.range.split(",")]
+        if len(parts) != 4:
+            raise gadgets.SystemFormatError("--range wants a,b,c,d")
+        range_params = tuple(parts)
+    artifact = lower.pipeline(program, args.target, initial=initial,
+                              range_params=range_params, expand=args.expand)
+    system_path, meta_path = lower.export_artifact(artifact, args.output)
     log.info("wrote %s and %s (%d instances)", system_path, meta_path,
              len(artifact.system.instances))
     return 0
 
 
 def cmd_reach(args) -> int:
-    try:
-        system = gadgets.parse_system(_read(args.system_file))
-        outcome = reach.bfs_reach(system, counter_cap=args.cap,
-                                  visit_budget=args.budget)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    system = gadgets.parse_system(_read(args.system_file))
+    outcome = reach.bfs_reach(system, counter_cap=args.cap, visit_budget=args.budget)
     witness = None
     if outcome.witness is not None:
         witness = [{
@@ -157,32 +144,25 @@ def _load_spec(ref: str) -> gadgets.GadgetSpec:
 
 
 def cmd_verify_sim(args) -> int:
-    try:
-        system = gadgets.parse_system(_read(args.impl_file))
-        spec = _load_spec(args.spec)
-        port_map, encoding, mode = None, None, args.mode
-        if args.map:
-            doc = json.loads(_read(args.map))
-            if not isinstance(doc, dict):
-                raise gadgets.SystemFormatError("sidecar must be a JSON object")
-            port_map = doc.get("ports")
-            if port_map is not None and not (isinstance(port_map, dict) and all(
-                    isinstance(v, str) for v in port_map.values())):
-                raise gadgets.SystemFormatError(
-                    "sidecar ports must map port names to spec locations")
-            if doc.get("encoding"):
-                encoding = lower.Encoding.from_json(doc["encoding"])
-            mode = mode or doc.get("mode")
-        mode = mode or "concrete"
-        if mode not in ("concrete", "interval"):
+    system = gadgets.parse_system(_read(args.impl_file))
+    spec = _load_spec(args.spec)
+    port_map, encoding, mode = None, None, args.mode
+    if args.map:
+        doc = json.loads(_read(args.map))
+        if not isinstance(doc, dict):
+            raise gadgets.SystemFormatError("sidecar must be a JSON object")
+        port_map = doc.get("ports")
+        if port_map is not None and not (isinstance(port_map, dict) and all(
+                isinstance(v, str) for v in port_map.values())):
             raise gadgets.SystemFormatError(
-                f"mode must be concrete or interval, got {mode!r}")
-        report = verify.check_bisimulation(
-            lower.LoweringArtifact(system, encoding=encoding), spec, port_map or None,
-            cap=args.cap, mode=mode, impl_cap=args.impl_cap)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+                "sidecar ports must map port names to spec locations")
+        if doc.get("encoding"):
+            encoding = lower.Encoding.from_json(doc["encoding"])
+        mode = mode or doc.get("mode")
+    mode = mode or "concrete"
+    report = verify.check_bisimulation(
+        lower.LoweringArtifact(system, encoding=encoding), spec, port_map or None,
+        cap=args.cap, mode=mode, impl_cap=args.impl_cap)
     ce = None
     if report.counterexample is not None:
         (x0, y0), trace = report.counterexample
@@ -207,29 +187,21 @@ def cmd_verify_sim(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    try:
-        system = gadgets.parse_system(_read(args.system_file))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    system = gadgets.parse_system(_read(args.system_file))
     print(gadgets.to_dot(system), end="")
     return 0
 
 
 def cmd_init_prologue(args) -> int:
-    try:
-        values = {}
-        for tok in args.values.split(","):
-            name, _, val = tok.partition("=")
-            if not _:
-                raise machine.ProgramError(f"expected name=value, got {tok!r}")
-            values[name.strip()] = int(val)
-        frag = lower.emit_initializer(values)
-        if args.halt:
-            frag = frag.concat(machine.Program(frag.counters, (machine.Halt(),)))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    values = {}
+    for tok in args.values.split(","):
+        name, _, val = tok.partition("=")
+        if not _:
+            raise machine.ProgramError(f"expected name=value, got {tok!r}")
+        values[name.strip()] = int(val)
+    frag = lower.emit_initializer(values)
+    if args.halt:
+        frag = frag.concat(machine.Program(frag.counters, (machine.Halt(),)))
     print(machine.serialize_program(frag), end="")
     return 0
 
@@ -292,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # SystemFormatError, ProgramError, bad JSON
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,6 +35,10 @@ Two state modes share all of this machinery:
   (e.g. DecNZ[c,d] applies iff hi >= c and maps to [max(lo-d,0), hi-c]).
   With [1,1] ranges intervals stay singletons, so the modes coincide.
 
+The mode is fixed, and an unknown one rejected, when the system is indexed:
+``canonicalize(system, mode)``.  Whatever takes that index runs in its
+mode; a plain SystemOfGadgets means concrete.
+
 Endpoint strings: ``node:NAME`` for a connection node, ``INSTANCE.PORT``
 for a gadget port.  Only this module reads or writes that format.
 Instance ids are nonempty strings with no dots, and ``node`` (or a
@@ -396,7 +400,8 @@ class _FiniteStep:
 
 
 class SystemIndex:
-    """canonicalize() result: connectivity classes + the move table.
+    """canonicalize() result: connectivity classes + the move table, in one
+    state mode ("concrete" or "interval").
 
     Classes are numbered deterministically (sorted by their lexicographically
     least endpoint).  ``moves`` maps each class to one row per component
@@ -406,8 +411,11 @@ class SystemIndex:
     classes): everything a move needs but the state, fixed once here.
     """
 
-    def __init__(self, system: SystemOfGadgets) -> None:
+    def __init__(self, system: SystemOfGadgets, mode: str = "concrete") -> None:
+        if mode not in ("concrete", "interval"):
+            raise SystemFormatError(f"mode must be concrete or interval, got {mode!r}")
         self.system = system
+        self.interval = mode == "interval"
         uf = _UnionFind()
         for name in system.nodes:
             uf.add(node_endpoint(name))
@@ -453,25 +461,26 @@ class SystemIndex:
     def endpoint_class(self, ep: str) -> int:
         return self.class_of[ep]
 
-    def initial_states(self, mode: str = "concrete") -> tuple:
-        out = []
-        for inst in self.system.instances:
-            if mode == "interval" and isinstance(inst.initial, int):
-                out.append((inst.initial, inst.initial))
-            else:
-                out.append(inst.initial)
-        return tuple(out)
+    def at_rest(self, vec) -> tuple:
+        """A state vector in this index's mode: in interval mode each counter
+        value v becomes the interval (v, v)."""
+        if not self.interval:
+            return tuple(vec)
+        return tuple((v, v) if isinstance(v, int) else v for v in vec)
 
-    def start_config(self, mode: str = "concrete") -> Configuration:
+    def initial_states(self) -> tuple:
+        return self.at_rest(inst.initial for inst in self.system.instances)
+
+    def start_config(self) -> Configuration:
         if self.start_class is None:
             raise SystemFormatError("system has no start endpoint")
-        return Configuration(self.start_class, self.initial_states(mode))
+        return Configuration(self.start_class, self.initial_states())
 
-    def successors(self, config: Configuration, mode: str = "concrete",
-                   cap: int | None = None) -> list[tuple[Traversal, Configuration]]:
+    def successors(self, config: Configuration, cap: int | None = None
+                   ) -> list[tuple[Traversal, Configuration]]:
         """Every move from ``config``; under a ``cap`` ranged kinds stop early."""
         states = config.states
-        interval = mode == "interval"
+        interval = self.interval
         out: list[tuple[Traversal, Configuration]] = []
         for (i, inst_id, entry, kind, exit_ports, exit_classes) in self.moves.get(
                 config.position, ()):
@@ -566,20 +575,20 @@ def _validate(system: SystemOfGadgets) -> None:
         check_ep(ep)
 
 
-def canonicalize(system: SystemOfGadgets) -> SystemIndex:
+def canonicalize(system: SystemOfGadgets, mode: str = "concrete") -> SystemIndex:
     """Compute a system's connectivity classes and move table, once."""
-    return SystemIndex(system)
+    return SystemIndex(system, mode)
 
 
-def initial_config(system: SystemOfGadgets, mode: str = "concrete") -> Configuration:
-    return canonicalize(system).start_config(mode)
+def initial_config(system: SystemOfGadgets) -> Configuration:
+    return canonicalize(system).start_config()
 
 
-def successors(system: SystemOfGadgets | SystemIndex, config: Configuration,
-               mode: str = "concrete") -> list[tuple[Traversal, Configuration]]:
+def successors(system: SystemOfGadgets | SystemIndex, config: Configuration
+               ) -> list[tuple[Traversal, Configuration]]:
     """Convenience wrapper; build a SystemIndex once for bulk exploration."""
     index = system if isinstance(system, SystemIndex) else canonicalize(system)
-    return index.successors(config, mode)
+    return index.successors(config)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,8 @@ def run(program: Program, initial: dict[str, int] | tuple[int, ...] | None = Non
     ``initial`` assigns starting counter values (dict by name, or a tuple in
     declaration order; missing names are 0).  Values must be naturals.
     """
+    if max_steps < 0:
+        raise ProgramError(f"max_steps must be a natural, got {max_steps}")
     if initial is None:
         vals = (0,) * len(program.counters)
     elif isinstance(initial, dict):

@@ -113,11 +113,10 @@ def _magnitude(state) -> int | None:
 
 
 def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
-          visit_budget: int, mode: str = "concrete",
-          goal_class: int | None = None) -> Sweep:
-    """Bounded BFS from ``starts``.  Stops early when a configuration at
-    ``goal_class`` is dequeued.  Start configurations are admitted without a
-    cap check (they were given, not found)."""
+          visit_budget: int, goal_class: int | None = None) -> Sweep:
+    """Bounded BFS from ``starts``, in the index's state mode.  Stops early
+    when a configuration at ``goal_class`` is dequeued.  Start configurations
+    are admitted without a cap check (they were given, not found)."""
     visited: dict[Configuration, tuple[Configuration, Traversal] | None] = {}
     queue: deque[Configuration] = deque()
     max_counter = 0
@@ -151,7 +150,7 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
             break
         # only a start above the cap needs every slot checked (module docstring)
         whole = over_cap and cfg in over_cap
-        for label, nxt in index.successors(cfg, mode, move_cap):
+        for label, nxt in index.successors(cfg, move_cap):
             parent = visited.get(nxt, False)  # False: not reached yet
             if parent is not False:
                 if parent is None:
@@ -172,7 +171,7 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
             frontier_peak = len(queue)
     if budget_exhausted and not start_revisited:  # reached, never expanded
         start_revisited = any(visited.get(nxt, False) is None for cfg in queue
-                              for _, nxt in index.successors(cfg, mode, move_cap))
+                              for _, nxt in index.successors(cfg, move_cap))
 
     return Sweep(visited, goal_hit, overflowed, budget_exhausted,
                  SearchStats(explored, frontier_peak, max_counter), start_revisited)
@@ -186,6 +185,9 @@ def bfs_reach(system: SystemOfGadgets | SystemIndex, counter_cap: int,
     Reachable verdict is the traversal sequence of a shortest path found,
     suitable for replay().
     """
+    if counter_cap < 0 or visit_budget < 0:
+        raise SystemFormatError(
+            f"cap and budget must be naturals, got {counter_cap} and {visit_budget}")
     index = system if isinstance(system, SystemIndex) else canonicalize(system)
     if index.goal_class is None:
         raise SystemFormatError("goal required: system document has no goal endpoint")
@@ -211,8 +213,7 @@ class ReplayError(RuntimeError):
 
 
 def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...],
-           start: Configuration | None = None, mode: str = "concrete"
-           ) -> list[Configuration]:
+           start: Configuration | None = None) -> list[Configuration]:
     """Re-execute a traversal sequence, checking each step is legal.
 
     Returns the configuration sequence (len(witness) + 1 entries).  Raises
@@ -220,11 +221,11 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
     successor with the recorded states.
     """
     index = system if isinstance(system, SystemIndex) else canonicalize(system)
-    cfg = index.start_config(mode) if start is None else start
+    cfg = index.start_config() if start is None else start
     trace = [cfg]
     for i, label in enumerate(witness):
         matches = [
-            (lab, nxt) for (lab, nxt) in index.successors(cfg, mode)
+            (lab, nxt) for (lab, nxt) in index.successors(cfg)
             if (lab.instance, lab.entry, lab.exit, lab.choice)
             == (label.instance, label.entry, label.exit, label.choice)
         ]

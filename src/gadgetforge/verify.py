@@ -31,7 +31,9 @@ small to decide anything yields InconclusiveAtCap instead of a fake answer.
 Interval mode runs the same machinery over (lo, hi) possible-value states;
 see gadgets module docs.  This is how constructions with drawn amounts
 (Inc[a,b] etc.) are verified: their per-visit nondeterminism is absorbed
-into exact possible-value intervals.
+into exact possible-value intervals.  ``check_bisimulation`` takes the mode
+and indexes the system in it once; a caller of ``derive_boundary_lts`` in
+interval mode passes ``canonicalize(system, "interval")``.
 """
 
 from __future__ import annotations
@@ -94,22 +96,16 @@ class BoundaryLTS:
         return out
 
 
-def _promote(vec: tuple, mode: str) -> tuple:
-    if mode != "interval":
-        return tuple(vec)
-    return tuple((v, v) if isinstance(v, int) else v for v in vec)
-
-
 def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
                         seeds: Iterable[tuple], *, impl_cap: int,
-                        mode: str = "concrete",
                         inner_budget: int = _INNER_BUDGET) -> BoundaryLTS:
     """Compute the boundary LTS of a system with boundary endpoints.
 
     ``seeds`` are at-rest state vectors to start from (e.g. encodings of the
     spec states); every vector reachable at a boundary port is explored in
     turn until closure.  Gadget states above ``impl_cap`` prune the excursion
-    and put the source vector on the cap frontier.
+    and put the source vector on the cap frontier.  Runs in the index's
+    state mode (concrete for a plain system).
     """
     index = system if isinstance(system, SystemIndex) else canonicalize(system)
     if not index.boundary_classes:
@@ -118,13 +114,8 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     boundary = [(cid, boundary_port(ep)) for cid, ep in index.boundary_classes.items()]
     ports = tuple(name for _, name in boundary)
 
-    todo: deque[tuple] = deque()
-    seen: set[tuple] = set()
-    for vec in seeds:
-        v = _promote(vec, mode)
-        if v not in seen:
-            seen.add(v)
-            todo.append(v)
+    todo: deque[tuple] = deque(dict.fromkeys(map(index.at_rest, seeds)))
+    seen: set[tuple] = set(todo)
 
     transitions: set = set()
     frontier: set = set()
@@ -137,7 +128,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
         vec = todo.popleft()
         for cid, pname in boundary:
             result = sweep(index, [Configuration(cid, vec)], counter_cap=impl_cap,
-                           visit_budget=inner_budget, mode=mode)
+                           visit_budget=inner_budget)
             if result.overflowed or result.budget_exhausted:
                 frontier.add(vec)
             if result.budget_exhausted:
@@ -241,18 +232,25 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     Seeds are (encoding(q), q) for every spec state q (0..cap for counter
     specs).  The verdict is Equivalent only if every seed pair survives
     refinement and at least one seed pair is clear of the cap frontier.
+    The system is indexed once, in state mode ``mode``.
     """
+    counter = isinstance(spec, CounterGadgetSpec)
+    if cap < 0 or (impl_cap is not None and impl_cap < 0):
+        raise SystemFormatError(f"cap and impl cap must be naturals, got {cap}, {impl_cap}")
+    if counter and cap + 1 > _STATE_BUDGET:  # spec_closure_lts could never close
+        raise SystemFormatError(
+            f"cap {cap} gives more spec states than the closure budget {_STATE_BUDGET}")
     system = getattr(impl, "system", impl)
+    index = canonicalize(system, mode)
     if encoding is None:
         encoding = getattr(impl, "encoding", None)
     if encoding is None:
         raise SystemFormatError("no encoding given and impl carries none")
     enc = encoding.state_for if hasattr(encoding, "state_for") else encoding
 
-    spec_seed_states = list(range(cap + 1) if isinstance(spec, CounterGadgetSpec)
-                            else spec.states)
+    spec_seed_states = list(range(cap + 1) if counter else spec.states)
     try:
-        seed_vectors = [_promote(tuple(enc(q, mode)), mode) for q in spec_seed_states]
+        seed_vectors = [index.at_rest(enc(q, mode)) for q in spec_seed_states]
     except KeyError as exc:  # a table encoding that lacks a spec state
         raise SystemFormatError(*exc.args) from exc
     specs = {s.name: s for s in system.specs}
@@ -266,7 +264,7 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
         impl_cap = _default_impl_cap(seed_vectors, cap)
 
     spec_lts = spec_closure_lts(spec, cap)
-    impl_lts = derive_boundary_lts(system, seed_vectors, impl_cap=impl_cap, mode=mode)
+    impl_lts = derive_boundary_lts(index, seed_vectors, impl_cap=impl_cap)
 
     # the map must be a bijection: boundary ports <-> spec locations
     if port_map is None:
@@ -410,17 +408,25 @@ def interval_step(artifact, vec: tuple, op: str, *,
     """All at-rest state vectors reachable by performing one simulated op
     ("inc" / "decnz" / "pz") on an Inc[a,b]-style lowering artifact, in
     interval semantics.  Empty list = the op is blocked from this state."""
-    index = canonicalize(artifact.system)
-    merged = bool(artifact.provenance.get("merged", False))
-    try:
-        entry, exit_ = _OP_PORTS[merged][op]
-    except KeyError:
-        raise SystemFormatError(f"unknown op {op!r}; want inc/decnz/pz") from None
-    entry_cls = index.endpoint_class(node_endpoint(entry))
-    exit_cls = index.endpoint_class(node_endpoint(exit_))
-    start = Configuration(entry_cls, _promote(vec, "interval"))
-    result = sweep(index, [start], counter_cap=counter_cap,
-                   visit_budget=_WALK_BUDGET, mode="interval")
+    index = canonicalize(artifact.system, "interval")
+    return _interval_walk(index, _op_classes(artifact, index), vec, op, counter_cap)
+
+
+def _op_classes(artifact, index: SystemIndex) -> dict[str, tuple[int, ...]]:
+    """op -> (entry class, exit class) of an Inc[a,b]-style artifact."""
+    ports = _OP_PORTS[bool(artifact.provenance.get("merged", False))]
+    return {op: tuple(index.endpoint_class(node_endpoint(p)) for p in pair)
+            for op, pair in ports.items()}
+
+
+def _interval_walk(index: SystemIndex, op_classes: dict, vec: tuple, op: str,
+                   counter_cap: int) -> list[tuple]:
+    """interval_step on an interval-mode index and its artifact's _op_classes."""
+    if op not in op_classes:
+        raise SystemFormatError(f"unknown op {op!r}; want inc/decnz/pz")
+    entry_cls, exit_cls = op_classes[op]
+    start = Configuration(entry_cls, index.at_rest(vec))
+    result = sweep(index, [start], counter_cap=counter_cap, visit_budget=_WALK_BUDGET)
     if result.overflowed or result.budget_exhausted:
         raise InvariantViolation(
             f"op {op!r} from {vec} hit the cap/budget (cap={counter_cap}); "
@@ -463,8 +469,10 @@ def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0
     hs = max(h for ((_, _), (h, _)) in enc.iaffine)
     counter_cap = hs * (n_peak + 1) + 2
 
+    index = canonicalize(artifact.system, "interval")
+    classes = _op_classes(artifact, index)
     n = n0
-    vec = _promote(enc.state_for(n0, "interval"), "interval")
+    vec = index.at_rest(enc.state_for(n0, "interval"))
     snapshots = [("start", n, vec)]
 
     def check(tag: str) -> None:
@@ -484,7 +492,7 @@ def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0
                     or (op == "pz" and n == 0))
         if not feasible:
             raise InvariantViolation(f"step {step}: op {op!r} infeasible at n={n}")
-        outcomes = interval_step(artifact, vec, op, counter_cap=counter_cap)
+        outcomes = _interval_walk(index, classes, vec, op, counter_cap)
         if len(outcomes) != 1:
             raise InvariantViolation(
                 f"step {step}: op {op!r} from {vec} yielded {len(outcomes)} "

@@ -21,12 +21,12 @@ from gadgetforge.gadgets import (
     GadgetSpec,
     SystemFormatError,
     SystemOfGadgets,
+    canonicalize,
 )
 from gadgetforge.verify import (
     BisimReport,
     BisimVerdict,
     _default_impl_cap,
-    _promote,
     check_bisimulation,
     derive_boundary_lts,
     distinguishing_trace,
@@ -39,6 +39,13 @@ from test_verify import identity_subsystem
 
 
 # ------------------------------------------------------------- the oracle
+
+# the earlier verify._promote, whose job SystemIndex.at_rest now does
+def _promote(vec: tuple, mode: str) -> tuple:
+    if mode != "interval":
+        return tuple(vec)
+    return tuple((v, v) if isinstance(v, int) else v for v in vec)
+
 
 def reference_relation(impl_states, spec_states, impl_out: dict, spec_out: dict,
                        fx: frozenset, fy: frozenset) -> set:
@@ -117,8 +124,8 @@ def reference_check_bisimulation(impl, spec: GadgetSpec,
         impl_cap = _default_impl_cap(seed_vectors, cap)
 
     spec_lts = spec_closure_lts(spec, cap)
-    impl_lts = derive_boundary_lts(system, seed_vectors, impl_cap=impl_cap,
-                                   mode=mode, inner_budget=inner_budget)
+    impl_lts = derive_boundary_lts(canonicalize(system, mode), seed_vectors,
+                                   impl_cap=impl_cap, inner_budget=inner_budget)
 
     # the map must be a bijection: boundary ports <-> spec locations
     if port_map is None:

@@ -11,7 +11,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import gadgetforge
 from gadgetforge import gadgets, lower, machine
@@ -347,6 +350,28 @@ def test_verify_sim_rejects_an_encoding_that_seeds_a_negative_counter(tmp_path, 
         return doc
     code, out, err = _verify_sim_with_sidecar(tmp_path, capsys, offset)
     assert _rejected(code, out, err) and "natural" in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("reach", ["--cap", "-1"]),
+    ("reach", ["--cap", "4", "--budget", "-3"]),
+    ("run", ["--max-steps", "-1"]),
+    ("verify-sim", ["--cap", "-1"]),
+    ("verify-sim", ["--cap", "4", "--impl-cap", "-2"]),
+    ("verify-sim", ["--cap", "1000000000"]),  # more spec states than the budget
+], ids=["reach-cap", "reach-budget", "run-max-steps", "verify-sim-cap",
+        "verify-sim-impl-cap", "verify-sim-huge-cap"])
+def test_bounds_that_make_no_sense_are_rejected(tmp_path, capsys, command, flags):
+    if command == "run":
+        files = [_write(tmp_path, "loop.cm", "0: JZ c0 0\n")]
+    elif command == "reach":
+        files = [_compiled_file(tmp_path, capsys, "0: INC c0\n1: HALT\n")]
+    else:
+        impl, meta = _exported(tmp_path, lower.sim_incdecjz_via_incjzdec(), "q")
+        files = [impl, "--spec", "inc-dec-jz", "--map", meta]
+    began = time.perf_counter()
+    assert _rejected(*_run_cli(capsys, command, *files, *flags))
+    assert time.perf_counter() - began < 1.0  # rejected before anything is built
 
 
 # ------------------------------------------------------------------ dot

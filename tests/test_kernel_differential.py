@@ -35,12 +35,19 @@ from gadgetforge.gadgets import (
     port_endpoint,
 )
 from gadgetforge.reach import SearchOutcome, SearchStats, Sweep, Verdict, _magnitude
-from gadgetforge.verify import BoundaryLTS, _promote, derive_boundary_lts
+from gadgetforge.verify import BoundaryLTS, derive_boundary_lts
 
 from test_acceptance import _RANGE_PARAMS, _corpus, _spliced_duplicator
 
 
 # ------------------------------------------------------------- the oracle
+
+# the earlier verify._promote, whose job SystemIndex.at_rest now does
+def _promote(vec: tuple, mode: str) -> tuple:
+    if mode != "interval":
+        return tuple(vec)
+    return tuple((v, v) if isinstance(v, int) else v for v in vec)
+
 
 class ReferenceIndex(SystemIndex):
     """A SystemIndex whose successors are enumerated the earlier way."""
@@ -339,13 +346,13 @@ def _criterion_3_derivations():
 def test_boundary_lts_matches_the_reference():
     truncated = above_cap = 0
     for name, system, seeds, mode in _criterion_3_derivations():
-        index, ref = canonicalize(system), ReferenceIndex(system)
+        index, ref = canonicalize(system, mode), ReferenceIndex(system)
         seed_max = max(m for vec in seeds for m in map(_magnitude, _promote(vec, mode))
                        if m is not None)
         # impl caps with and without headroom over the seeds, full and tiny budgets
         for impl_cap, inner_budget in ((seed_max + 4, 200_000), (4, 200_000),
                                        (seed_max + 4, 3)):
-            got = derive_boundary_lts(index, seeds, impl_cap=impl_cap, mode=mode,
+            got = derive_boundary_lts(index, seeds, impl_cap=impl_cap,
                                       inner_budget=inner_budget)
             want = reference_derive_boundary_lts(ref, seeds, impl_cap=impl_cap, mode=mode,
                                                  inner_budget=inner_budget)

@@ -9,6 +9,8 @@ them.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from gadgetforge import gadgets as G, lower
@@ -16,9 +18,11 @@ from gadgetforge.gadgets import (
     GadgetInstance,
     SystemFormatError,
     SystemOfGadgets,
+    canonicalize,
     node_endpoint,
     port_endpoint,
 )
+from gadgetforge.reach import ReplayError, replay, sweep
 from gadgetforge.verify import (
     BisimVerdict,
     InvariantViolation,
@@ -171,6 +175,14 @@ def test_wrong_initial_state_is_caught():
     assert trace is not None
 
 
+def test_an_unknown_mode_is_an_error():
+    art = lower.sim_incdecjz_via_incjzdec()
+    with pytest.raises(SystemFormatError, match="sideways"):
+        check_bisimulation(art, G.catalog()["inc-dec-jz"], cap=4, mode="sideways")
+    with pytest.raises(SystemFormatError, match="bogus"):
+        canonicalize(art.system, "bogus")
+
+
 def test_port_map_must_be_a_bijection():
     spec = G.spec_inc_decnz()
     impl = identity_subsystem(spec)
@@ -308,6 +320,33 @@ def test_interval_step_growing_ranges():
     assert out == enc(1, "interval")
     g0, g1 = out[0], out[1]
     assert g0[1] == 4 and g1[0] == 4
+
+
+def test_an_interval_index_sweeps_and_replays():
+    # a ranged artifact started at inc_in with the concrete encoding of 1
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    initial = art.encoding.state_for(1)
+    system = dataclasses.replace(
+        art.system, start=node_endpoint("inc_in"), instances=tuple(
+            dataclasses.replace(inst, initial=v)
+            for inst, v in zip(art.system.instances, initial)))
+    index = canonicalize(system, "interval")
+    start = index.start_config()
+    assert start.states == tuple((v, v) for v in initial)
+
+    exit_cls = index.endpoint_class(node_endpoint("inc_out"))
+    result = sweep(index, [start], counter_cap=24, visit_budget=10_000,
+                   goal_class=exit_cls)
+    cfg = result.goal_hit
+    assert cfg is not None and not result.overflowed
+    assert [cfg.states] == interval_step(art, initial, "inc", counter_cap=24)
+    chain = [cfg]  # the BFS parent chain, start first once reversed
+    while result.visited[chain[-1]] is not None:
+        chain.append(result.visited[chain[-1]][0])
+    witness = result.path_to(cfg)
+    assert replay(index, witness, start=start) == chain[::-1]
+    with pytest.raises(ReplayError):  # the same labels are not concrete moves
+        replay(canonicalize(system), witness)
 
 
 def test_interval_invariant_walks():
