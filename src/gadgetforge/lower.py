@@ -124,19 +124,28 @@ class Encoding:
             kind = doc["kind"]
             if kind == "affine":
                 return Encoding("affine", affine=tuple(
-                    (int(s), int(o)) for (s, o) in doc["per_instance"]))
+                    (_integer(s), _integer(o)) for (s, o) in doc["per_instance"]))
             if kind == "table":
                 return Encoding("table", table=tuple(
                     (k, tuple(v)) for (k, v) in doc["map"]))
             if kind == "interval-affine":
                 return Encoding(
                     "interval-affine",
-                    iaffine=tuple(((int(a), int(b)), (int(c), int(d)))
+                    iaffine=tuple(((_integer(a), _integer(b)), (_integer(c), _integer(d)))
                                   for ((a, b), (c, d)) in doc["per_instance"]),
-                    concrete=tuple((int(s), int(o)) for (s, o) in doc["concrete"]))
+                    concrete=tuple((_integer(s), _integer(o))
+                                   for (s, o) in doc["concrete"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SystemFormatError(f"bad encoding document: {exc}") from exc
         raise SystemFormatError(f"unknown encoding kind {doc.get('kind')!r}")
+
+
+def _integer(value) -> int:
+    """A scale, offset or interval bound of an encoding document: a JSON
+    integer (not a bool, a float or a string)."""
+    if type(value) is not int:
+        raise SystemFormatError(f"bad encoding document: {value!r} is not an integer")
+    return value
 
 
 @dataclass

@@ -19,14 +19,16 @@ excursion was cap-pruned are collected in ``cap_frontier``.
 
 The bisimulation relation maps each implementation state to the set of spec
 states related to it (as in Henzinger, Henzinger & Kopke, "Computing
-Simulations on Finite and Infinite Graphs", FOCS 1995).  Refinement starts
-from the full product and re-checks every pair until nothing changes: a
-pair stays while both states offer the same labels and each move of either
-side is matched, under its label, by a move of the other into a related
-pair.  Frontier rule: a pair whose implementation or spec state is on the
-cap frontier is never removed, and the report counts these skipped pairs,
-so an Equivalent verdict is an explicit up-to-the-cap claim and a cap too
-small to decide anything yields InconclusiveAtCap instead of a fake answer.
+Simulations on Finite and Infinite Graphs", FOCS 1995).  A pair stays
+while both states offer the same labels and each move of either side is
+matched, under its label, by a move of the other into a related pair.
+Refinement starts from the pairs whose label sets agree, checks each pair
+once, and then, as a worklist, re-checks only the predecessors of each
+removed pair under the same label.  Frontier rule: a pair whose
+implementation or spec state is on the cap frontier is never removed, and
+the report counts these skipped pairs, so an Equivalent verdict is an
+explicit up-to-the-cap claim and a cap too small to decide anything yields
+InconclusiveAtCap instead of a fake answer.
 
 Interval mode runs the same machinery over (lo, hi) possible-value states;
 see gadgets module docs.  This is how constructions with drawn amounts
@@ -316,31 +318,75 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
 def _refine(impl_out: dict, spec_out: dict, fx: frozenset, fy: frozenset) -> dict:
     """impl state -> set of related spec states, by the refinement and the
     frontier rule of the module docstring."""
-    relation = {x: set(spec_out) for x in impl_out}
+    # label sets never change, so pairs that differ in them go at the start
+    by_labels: dict = {}
+    for y, yo in spec_out.items():
+        by_labels.setdefault(frozenset(yo), set()).add(y)
+    relation = {x: set(spec_out) if x in fx else by_labels.get(frozenset(xo), set()) | fy
+                for x, xo in impl_out.items()}
+    initial = sum(map(len, relation.values()))
 
-    def pair_ok(x, y) -> bool:
-        xo, yo = impl_out[x], spec_out[y]
-        if xo.keys() != yo.keys():
-            return False
-        for lab, xs in xo.items():
-            ys = yo[lab]
+    # predecessors by label; frontier sources are never re-checked
+    impl_pred: dict = {}
+    for x, xo in impl_out.items():
+        if x not in fx:
+            for lab, xs in xo.items():
+                for x2 in xs:
+                    impl_pred.setdefault(x2, []).append((x, lab))
+    spec_pred: dict = {}
+    for y, yo in spec_out.items():
+        if y not in fy:
+            for lab, ys in yo.items():
+                for y2 in ys:
+                    spec_pred.setdefault(y2, {}).setdefault(lab, set()).add(y)
+
+    # one full pass; a pair that fails goes on the worklist.  The union of an
+    # impl move's related sets is taken once per x: if it goes stale, the
+    # removal that staled it is on the worklist and re-checks the pair.
+    removed = []  # pairs taken out whose predecessors are not yet re-checked
+    for x, ys in relation.items():
+        if x in fx:
+            continue
+        moves = []
+        for lab, xs in impl_out[x].items():
             related = [relation[x2] for x2 in xs]
-            # every impl move is matched by a spec move, and every spec move
-            # by an impl move
-            if any(r.isdisjoint(ys) for r in related) or not ys <= set().union(*related):
-                return False
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for x, ys in relation.items():
-            if x in fx:
+            moves.append((lab, related, set().union(*related)))
+        for y in list(ys):
+            if y in fy:
                 continue
-            for y in list(ys):
-                if y not in fy and not pair_ok(x, y):
-                    ys.discard(y)
-                    changed = True
+            yo = spec_out[y]
+            # every spec move is matched by an impl move, and every impl move
+            # by a spec move
+            if any(not yo[lab] <= union or any(r.isdisjoint(yo[lab]) for r in related)
+                   for lab, related, union in moves):
+                ys.discard(y)
+                removed.append((x, y))
+    rechecks = 0
+    while removed:
+        x2, y2 = removed.pop()
+        spec_in = spec_pred.get(y2)
+        if spec_in is None:
+            continue
+        r2 = relation[x2]
+        # (x, y) with x -lab-> x2 and y -lab-> y2 lost a match through
+        # (x2, y2).  It fails if none of x's lab-moves is still related to
+        # y2 (the same for every such y), or if x2 is now related to none
+        # of y's lab-moves.
+        for x, lab in impl_pred.get(x2, ()):
+            ys = spec_in.get(lab)
+            if ys is None:
+                continue
+            rx = relation[x]
+            hit = ys & rx
+            if not hit:
+                continue
+            rechecks += len(hit)
+            if any(y2 in relation[x3] for x3 in impl_out[x][lab]):
+                hit = [y for y in hit if r2.isdisjoint(spec_out[y][lab])]
+            rx.difference_update(hit)
+            removed.extend((x, y) for y in hit)
+    log.info("refinement: %d initial pairs, %d removed, %d local re-checks",
+             initial, initial - sum(map(len, relation.values())), rechecks)
     return relation
 
 

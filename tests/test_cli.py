@@ -352,6 +352,17 @@ def test_verify_sim_rejects_an_encoding_that_seeds_a_negative_counter(tmp_path, 
     assert _rejected(code, out, err) and "natural" in err
 
 
+@pytest.mark.parametrize("scale", [float("inf"), 2.7, True, "3"],
+                         ids=["infinity", "float", "bool", "string"])
+def test_verify_sim_rejects_an_encoding_number_that_is_not_an_integer(
+        tmp_path, capsys, scale):
+    def edit(doc):
+        doc["encoding"]["per_instance"][0] = [scale, 0]
+        return doc
+    code, out, err = _verify_sim_with_sidecar(tmp_path, capsys, edit)
+    assert _rejected(code, out, err) and "not an integer" in err
+
+
 @pytest.mark.parametrize("command, flags", [
     ("reach", ["--cap", "-1"]),
     ("reach", ["--cap", "4", "--budget", "-3"]),

@@ -10,6 +10,8 @@ them.
 from __future__ import annotations
 
 import dataclasses
+import logging
+import re
 
 import pytest
 
@@ -181,6 +183,16 @@ def test_an_unknown_mode_is_an_error():
         check_bisimulation(art, G.catalog()["inc-dec-jz"], cap=4, mode="sideways")
     with pytest.raises(SystemFormatError, match="bogus"):
         canonicalize(art.system, "bogus")
+
+
+def test_refinement_logs_what_it_did(caplog, capsys):
+    with caplog.at_level(logging.INFO, logger="gadgetforge.verify"):
+        report = check_bisimulation(lower.sim_incdecjz_via_incjzdec(),
+                                    G.catalog()["inc-dec-jz"], cap=8)
+    line, = (r.getMessage() for r in caplog.records if "refinement" in r.getMessage())
+    initial, removed, rechecks = map(int, re.findall(r"\d+", line))
+    assert initial - removed == report.relation_size and removed and rechecks
+    assert capsys.readouterr().out == ""
 
 
 def test_port_map_must_be_a_bijection():
