@@ -63,7 +63,7 @@ __all__ = [
     "IncRange", "DecNZRange", "DecRange", "PZ", "PNZ", "JZSwitch", "JZDecSwitch",
     "ComponentKind", "Component", "CounterGadgetSpec", "FiniteGadgetSpec", "GadgetSpec",
     "GadgetInstance", "SystemOfGadgets", "SystemFormatError",
-    "Configuration", "Traversal", "SystemIndex",
+    "Configuration", "Traversal", "SystemIndex", "KeyCodec",
     "node_endpoint", "port_endpoint", "split_endpoint", "boundary_port",
     "check_state", "canonicalize", "successors", "initial_config",
     "serialize_system", "parse_system", "parse_spec", "to_dot",
@@ -409,6 +409,8 @@ class SystemIndex:
     component order), so successor enumeration is reproducible byte for
     byte.  A row is (slot, instance id, entry port, kind, exit ports, exit
     classes): everything a move needs but the state, fixed once here.
+    ``codec(limit)`` gives the packed-key layout of the same table that
+    ``reach.sweep`` runs on (see KeyCodec).
     """
 
     def __init__(self, system: SystemOfGadgets, mode: str = "concrete") -> None:
@@ -434,11 +436,12 @@ class SystemIndex:
         self.class_of = {ep: cid for cid, eps in enumerate(self.classes) for ep in eps}
 
         # per spec, its entrances as (entry port, kind, exit ports)
-        parts = {spec.name: ([(c.entry, c.kind, c.exit_ports) for c in spec.components]
-                             if isinstance(spec, CounterGadgetSpec) else
-                             [(a, _FiniteStep(s, s2, k), (b,))
-                              for k, (s, a, s2, b) in enumerate(spec.transitions)])
-                 for spec in system.specs}
+        spec_of = {spec.name: spec for spec in system.specs}
+        parts = {name: ([(c.entry, c.kind, c.exit_ports) for c in spec.components]
+                        if isinstance(spec, CounterGadgetSpec) else
+                        [(a, _FiniteStep(s, s2, k), (b,))
+                         for k, (s, a, s2, b) in enumerate(spec.transitions)])
+                 for name, spec in spec_of.items()}
         cls = self.class_of
         self.moves: dict[int, list[tuple]] = {}
         for i, inst in enumerate(system.instances):
@@ -446,6 +449,17 @@ class SystemIndex:
                 self.moves.setdefault(cls[port_endpoint(inst.id, entry)], []).append(
                     (i, inst.id, entry, kind, exits,
                      tuple([cls[port_endpoint(inst.id, p)] for p in exits])))
+
+        # the codec's fixed part: which instances hold counters, every
+        # finite-gadget state interned to a small int, the position width
+        self.counter = tuple(isinstance(spec, CounterGadgetSpec) for spec in
+                             (spec_of[inst.spec] for inst in system.instances))
+        self.finite_states = tuple(dict.fromkeys(
+            s for spec in system.specs if isinstance(spec, FiniteGadgetSpec)
+            for s in spec.states))
+        self.finite_code = {s: k for k, s in enumerate(self.finite_states)}
+        self.pos_width = _bytes_for(len(self.classes) - 1)
+        self._codecs: dict[int, KeyCodec] = {}
 
         self.start_class = self.class_of[system.start] if system.start else None
         self.goal_class = self.class_of[system.goal] if system.goal else None
@@ -491,6 +505,126 @@ class SystemIndex:
                             Configuration(exit_classes[e],
                                           states[:i] + (s2,) + states[i + 1:])))
         return out
+
+    def codec(self, limit: int) -> KeyCodec:
+        """The key codec whose slots hold every counter value up to ``limit``
+        and every interned finite state; one per width, built on first use."""
+        width = _bytes_for(max(limit, len(self.finite_states)))
+        try:
+            return self._codecs[width]
+        except KeyError:
+            codec = self._codecs[width] = KeyCodec(self, width)
+            return codec
+
+
+def _bytes_for(n: int) -> int:
+    """Bytes in the shortest unsigned big-endian slot that holds 0..n."""
+    return max(1, (n.bit_length() + 7) // 8)
+
+
+class KeyCodec:
+    """Packed configuration keys for one SystemIndex at one slot width.
+
+    A key is a ``bytes``: the position in ``pos_width`` bytes, then the state
+    of each instance in declaration order, in ``width``-byte big-endian
+    slots.  A counter value takes one slot, an interval (lo, hi) two, and a
+    finite-gadget state one slot holding its interned code.  A successor key
+    is its parent key with the position and one state's slots spliced in,
+    so a move costs the same however many instances there are.  Only
+    ``state`` and ``unpack`` turn keys back into states.
+
+    ``moves`` is SystemIndex.moves laid out for keys: position prefix ->
+    one row per move, (first byte of the state's slots, one past its last,
+    kind.moves or kind.interval_moves, exit positions as key prefixes, two
+    slots?, a counter?, slot, instance id, entry port, exit ports).  A
+    finite step's row compares interned codes.
+    """
+
+    def __init__(self, index: SystemIndex, width: int) -> None:
+        self.index = index
+        self.width = width
+        self.pos_width = pw = index.pos_width
+        self.top = (1 << 8 * width) - 1  # the largest value a slot holds
+        # per instance: (first byte, two slots?, counter?)
+        self.layout: list[tuple[int, bool, bool]] = []
+        off = pw
+        for counted in index.counter:
+            pair = counted and index.interval
+            self.layout.append((off, pair, counted))
+            off += width * (2 if pair else 1)
+        self.size = off  # bytes per key
+        self._last: tuple = (None, b"")  # the last states packed, and their bytes
+        code = index.finite_code
+        self.moves: dict[bytes, list[tuple]] = {}
+        for cid, rows in index.moves.items():
+            packed = self.moves[cid.to_bytes(pw, "big")] = []
+            for (i, inst_id, entry, kind, exit_ports, exit_classes) in rows:
+                off, pair, counted = self.layout[i]
+                if not counted:
+                    kind = _FiniteStep(code[kind.before], code[kind.after], kind.index)
+                packed.append((off, off + width * (2 if pair else 1),
+                               kind.interval_moves if pair else kind.moves,
+                               tuple(c.to_bytes(pw, "big") for c in exit_classes),
+                               pair, counted, i, inst_id, entry, exit_ports))
+
+    def pack(self, config: Configuration) -> bytes:
+        states = config.states
+        # a vector is often swept from several positions in turn (one per
+        # boundary port in verify): its slots are packed once for all of them
+        if states is not self._last[0]:
+            self._last = (states, self._pack_states(states))
+        try:
+            return config.position.to_bytes(self.pos_width, "big") + self._last[1]
+        except (AttributeError, OverflowError) as exc:
+            raise SystemFormatError(f"position {config.position!r} does not fit") from exc
+
+    def _pack_states(self, states: tuple) -> bytes:
+        w = self.width
+        code = self.index.finite_code
+        try:
+            parts = []
+            for (_, pair, counted), state in zip(self.layout, states, strict=True):
+                if pair:
+                    lo, hi = state
+                    if lo > hi:
+                        raise ValueError("empty interval")
+                    parts += (lo.to_bytes(w, "big"), hi.to_bytes(w, "big"))
+                else:
+                    parts.append((state if counted else code[state]).to_bytes(w, "big"))
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SystemFormatError(
+                f"states {states!r} do not fit {w}-byte slots of this system's states"
+            ) from exc
+        return b"".join(parts)
+
+    def state(self, key: bytes, i: int):
+        """The state of instance ``i`` in ``key``."""
+        off, pair, counted = self.layout[i]
+        w = self.width
+        v = int.from_bytes(key[off:off + w], "big")
+        if pair:
+            return (v, int.from_bytes(key[off + w:off + 2 * w], "big"))
+        return v if counted else self.index.finite_states[v]
+
+    def unpack(self, key: bytes) -> Configuration:
+        """The configuration ``key`` holds: ``state`` for every instance."""
+        w, from_bytes, names = self.width, int.from_bytes, self.index.finite_states
+        states = []
+        for off, pair, counted in self.layout:
+            v = from_bytes(key[off:off + w], "big")
+            if pair:
+                v = (v, from_bytes(key[off + w:off + 2 * w], "big"))
+            elif not counted:
+                v = names[v]
+            states.append(v)
+        return Configuration(from_bytes(key[:self.pos_width], "big"), tuple(states))
+
+    def label(self, move: tuple, choice: int, e: int, before: bytes,
+              after: bytes) -> Traversal:
+        """The Traversal of a ``moves`` row from key ``before`` to ``after``."""
+        i, inst_id, entry, exit_ports = move[6:]
+        return Traversal(inst_id, entry, exit_ports[e], choice,
+                         self.state(before, i), self.state(after, i))
 
 
 def check_state(spec: GadgetSpec, state, where: str, mode: str = "concrete") -> None:

@@ -21,17 +21,28 @@ Anything else is Unknown, with the reason ("cap-overflow-seen" or
 
 Exploration order is deterministic: FIFO queue, successors enumerated in
 instance-declaration / component / choice order, goal tested at dequeue.
+
+A sweep runs on packed keys (Holzmann, "State Compression in SPIN", 1997):
+each configuration is one ``bytes`` of fixed-width slots (``gadgets.KeyCodec``),
+with a width worked out per sweep from the cap, the largest start value and
+the number of finite-gadget states.  A successor is its parent key with one
+slot and the position spliced in, and the visited map keeps (parent key,
+move, choice, exit) per key.  Traversal labels are built only for a path
+asked for (``Sweep.path_to``: the witness), and Configurations only for the
+keys a caller reads (``Sweep.configurations``).
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass
 from enum import Enum
 
 from .gadgets import (
     Configuration,
+    KeyCodec,
     SystemFormatError,
     SystemIndex,
     SystemOfGadgets,
@@ -72,44 +83,47 @@ class SearchOutcome:
 class Sweep:
     """Raw result of one bounded BFS sweep (shared by reach and verify).
 
-    visited maps each reached configuration to its BFS parent edge
-    (parent config, label), or None for a start configuration.
-    start_revisited says whether some expanded configuration, or one the
-    budget left queued, has a move back to a start: the one revisit
-    ``visited`` cannot show.
+    The sweep runs on packed keys (``codec``, see ``gadgets.KeyCodec``).
+    ``visited`` maps each reached key to its BFS parent edge (parent key,
+    move, choice, exit), or None for a start, in visit order; ``goal_hit``
+    is a key too.  Only ``path_to`` builds Traversal labels and only
+    ``configurations`` unpacks keys into Configurations, so a sweep builds
+    neither for configurations nobody reads.  start_revisited says
+    whether some expanded configuration, or one the budget left queued, has
+    a move back to a start: the one revisit ``visited`` cannot show.
     """
 
-    visited: dict[Configuration, tuple[Configuration, Traversal] | None]
-    goal_hit: Configuration | None
+    codec: KeyCodec
+    visited: dict[bytes, tuple | None]
+    goal_hit: bytes | None
     overflowed: bool
     budget_exhausted: bool
     stats: SearchStats
-    start_revisited: bool = False
+    start_revisited: bool
+    start_configs: dict[bytes, Configuration]  # each start's key -> the start
 
-    def path_to(self, config: Configuration) -> tuple[Traversal, ...]:
-        return path_labels(self.visited, config)
+    def path_to(self, key: bytes) -> tuple[Traversal, ...]:
+        """The labels on the BFS path from a start to ``key``, first first."""
+        labels = []
+        edge = self.visited[key]
+        while edge is not None:
+            parent, move, choice, e = edge
+            labels.append(self.codec.label(move, choice, e, parent, key))
+            key = parent
+            edge = self.visited[key]
+        return tuple(reversed(labels))
 
-
-def path_labels(parents: dict, node) -> tuple:
-    """The labels on the path to ``node`` in a BFS parent map (node ->
-    (parent node, label), or None at a start), first label first."""
-    labels = []
-    edge = parents[node]
-    while edge is not None:
-        node, label = edge
-        labels.append(label)
-        edge = parents[node]
-    return tuple(reversed(labels))
-
-
-def _magnitude(state) -> int | None:
-    if isinstance(state, bool):  # bools are ints; refuse silently weird input
-        return None
-    if isinstance(state, int):
-        return state
-    if isinstance(state, tuple):
-        return state[1]  # interval (lo, hi): cap applies to hi
-    return None  # finite-gadget state
+    def configurations(self, at: Container[int]
+                       ) -> dict[bytes, tuple[Configuration, bytes | None]]:
+        """Each reached key whose position is in ``at`` -> (its configuration,
+        the BFS parent's key or None at a start), in visit order."""
+        pw, unpack = self.codec.pos_width, self.codec.unpack
+        out = {}
+        for key, edge in self.visited.items():
+            if int.from_bytes(key[:pw], "big") in at:
+                out[key] = ((self.start_configs[key], None) if edge is None
+                            else (unpack(key), edge[0]))
+        return out
 
 
 def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
@@ -117,64 +131,94 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
     """Bounded BFS from ``starts``, in the index's state mode.  Stops early
     when a configuration at ``goal_class`` is dequeued.  Start configurations
     are admitted without a cap check (they were given, not found)."""
-    visited: dict[Configuration, tuple[Configuration, Traversal] | None] = {}
-    queue: deque[Configuration] = deque()
-    max_counter = 0
-    over_cap: set[Configuration] = set()  # starts with a slot above the cap
+    counter, interval = index.counter, index.interval
+    tops = {}  # start -> its largest counter value (hi of an interval), first first
     for cfg in starts:
-        if cfg not in visited:
-            visited[cfg] = None
-            queue.append(cfg)
-            top = max((m for m in map(_magnitude, cfg.states) if m is not None), default=0)
-            max_counter = max(max_counter, top)
-            if top > counter_cap:
-                over_cap.add(cfg)
+        if cfg not in tops:
+            tops[cfg] = max([s[1] if interval else s
+                             for s, c in zip(cfg.states, counter) if c], default=0)
+    max_counter = max(tops.values(), default=0)
     # ranged moves stop one amount past this: nothing they skip could be
     # admitted, or be a start
     move_cap = max(counter_cap, max_counter)
+    codec = index.codec(move_cap)
+    start_configs: dict[bytes, Configuration] = {}
+    over_cap: dict[bytes, frozenset[int]] = {}  # start above the cap -> those slots
+    for cfg, high in tops.items():
+        key = codec.pack(cfg)
+        start_configs[key] = cfg
+        if high > counter_cap:
+            over_cap[key] = frozenset(
+                i for i, (s, c) in enumerate(zip(cfg.states, counter))
+                if c and (s[1] if interval else s) > counter_cap)
+    visited: dict[bytes, tuple | None] = dict.fromkeys(start_configs)
+    queue: deque[bytes] = deque(visited)
+    pw, w, top, moves = codec.pos_width, codec.width, codec.top, codec.moves
+    base, w2 = top + 1, 2 * w
+    goal = None if goal_class is None else goal_class.to_bytes(pw, "big")
+    from_bytes, join = int.from_bytes, b"".join
     overflowed = False
     budget_exhausted = False
     start_revisited = False
-    goal_hit: Configuration | None = None
+    goal_hit: bytes | None = None
     explored = 0
     frontier_peak = len(queue)
 
     while queue:
-        if explored >= visit_budget:
+        if explored >= visit_budget and not budget_exhausted:
+            # from here on the queued keys, reached but never expanded, are
+            # only searched for a move back to a start
             budget_exhausted = True
+        if budget_exhausted and start_revisited:
             break
-        cfg = queue.popleft()
-        explored += 1
-        if goal_class is not None and cfg.position == goal_class:
-            goal_hit = cfg
-            break
-        # only a start above the cap needs every slot checked (module docstring)
-        whole = over_cap and cfg in over_cap
-        for label, nxt in index.successors(cfg, move_cap):
-            parent = visited.get(nxt, False)  # False: not reached yet
-            if parent is not False:
-                if parent is None:
-                    start_revisited = True
-                continue
-            for s in (nxt.states if whole else (label.after,)):
-                m = _magnitude(s)
-                if m is not None:
-                    if m > counter_cap:
-                        overflowed = True
-                        break
-                    if m > max_counter:
-                        max_counter = m
+        key = queue.popleft()
+        if not budget_exhausted:
+            explored += 1
+            if goal is not None and key.startswith(goal):
+                goal_hit = key
+                break
+        # only a start above the cap needs its other slots checked (module docstring)
+        over = over_cap.get(key) if over_cap else None
+        for move in moves.get(key[:pw], ()):
+            off, end, step, exits, pair, counted, i, _, _, _ = move
+            if pair:  # (lo, hi) as one number, lo * base + hi
+                out = step(divmod(from_bytes(key[off:end], "big"), base))
             else:
-                visited[nxt] = (cfg, label)
+                out = step(from_bytes(key[off:end], "big"), move_cap)
+            if not out:
+                continue
+            head, tail = key[pw:off], key[end:]
+            for choice, s2, e in out:
+                # the successor key: this move's slots and exit spliced in
+                if pair:
+                    lo, m = s2
+                    new = (lo * base + m).to_bytes(w2, "big") if m <= top else None
+                else:
+                    m = s2 if counted else None
+                    new = s2.to_bytes(w, "big") if m is None or m <= top else None
+                if new is not None:  # else no key holds m: new, and above the cap
+                    nxt = join((exits[e], head, new, tail))
+                    parent = visited.get(nxt, False)  # False: not reached yet
+                    if parent is not False:
+                        if parent is None:
+                            start_revisited = True
+                        continue
+                if budget_exhausted:
+                    continue
+                # over != {i}: some slot the move left alone is above the cap
+                if (over is not None and over != {i}) or (m is not None and m > counter_cap):
+                    overflowed = True
+                    continue
+                if m is not None and m > max_counter:
+                    max_counter = m
+                visited[nxt] = (key, move, choice, e)
                 queue.append(nxt)
         if len(queue) > frontier_peak:
             frontier_peak = len(queue)
-    if budget_exhausted and not start_revisited:  # reached, never expanded
-        start_revisited = any(visited.get(nxt, False) is None for cfg in queue
-                              for _, nxt in index.successors(cfg, move_cap))
 
-    return Sweep(visited, goal_hit, overflowed, budget_exhausted,
-                 SearchStats(explored, frontier_peak, max_counter), start_revisited)
+    return Sweep(codec, visited, goal_hit, overflowed, budget_exhausted,
+                 SearchStats(explored, frontier_peak, max_counter), start_revisited,
+                 start_configs)
 
 
 def bfs_reach(system: SystemOfGadgets | SystemIndex, counter_cap: int,
@@ -194,16 +238,23 @@ def bfs_reach(system: SystemOfGadgets | SystemIndex, counter_cap: int,
     start = index.start_config()
     result = sweep(index, [start], counter_cap=counter_cap,
                    visit_budget=visit_budget, goal_class=index.goal_class)
+    witness = None
     if result.goal_hit is not None:
         witness = result.path_to(result.goal_hit)
-        log.info("reachable in %d traversals (%d configs explored)",
-                 len(witness), result.stats.explored)
-        return SearchOutcome(Verdict.REACHABLE, None, witness, result.stats)
-    if result.budget_exhausted:
-        return SearchOutcome(Verdict.UNKNOWN, "budget-exhausted", None, result.stats)
-    if result.overflowed:
-        return SearchOutcome(Verdict.UNKNOWN, "cap-overflow-seen", None, result.stats)
-    return SearchOutcome(Verdict.UNREACHABLE_WITHIN_CAP, None, None, result.stats)
+        verdict, reason = Verdict.REACHABLE, None
+    elif result.budget_exhausted:
+        verdict, reason = Verdict.UNKNOWN, "budget-exhausted"
+    elif result.overflowed:
+        verdict, reason = Verdict.UNKNOWN, "cap-overflow-seen"
+    else:
+        verdict, reason = Verdict.UNREACHABLE_WITHIN_CAP, None
+    stats = result.stats
+    why = f"{len(witness)} traversals" if witness is not None else reason
+    log.info("%s%s: %d configs explored, frontier peak %d, max counter %d, "
+             "slot width %d B, %d key bytes per visited config",
+             verdict.value, f" ({why})" if why else "", stats.explored,
+             stats.frontier_peak, stats.max_counter, result.codec.width, result.codec.size)
+    return SearchOutcome(verdict, reason, witness, stats)
 
 
 class ReplayError(RuntimeError):

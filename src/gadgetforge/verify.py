@@ -60,7 +60,7 @@ from .gadgets import (
     node_endpoint,
     port_endpoint,
 )
-from .reach import _magnitude, path_labels, sweep
+from .reach import sweep
 
 log = logging.getLogger(__name__)
 
@@ -113,8 +113,8 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     if not index.boundary_classes:
         raise SystemFormatError("system has no boundary endpoints")
     # boundary_classes is in system.boundary order
-    boundary = [(cid, boundary_port(ep)) for cid, ep in index.boundary_classes.items()]
-    ports = tuple(name for _, name in boundary)
+    boundary = {cid: boundary_port(ep) for cid, ep in index.boundary_classes.items()}
+    ports = tuple(boundary.values())
 
     todo: deque[tuple] = deque(dict.fromkeys(map(index.at_rest, seeds)))
     seen: set[tuple] = set(todo)
@@ -128,7 +128,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
             raise SystemFormatError(
                 f"boundary closure exceeded {_STATE_BUDGET} at-rest states")
         vec = todo.popleft()
-        for cid, pname in boundary:
+        for cid, pname in boundary.items():
             result = sweep(index, [Configuration(cid, vec)], counter_cap=impl_cap,
                            visit_budget=inner_budget)
             if result.overflowed or result.budget_exhausted:
@@ -136,11 +136,13 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
             if result.budget_exhausted:
                 truncated = True
                 log.warning("inner sweep truncated at %s from port %s", vec, pname)
-            for cfg, parent in result.visited.items():
-                ep = index.boundary_classes.get(cfg.position)
-                if parent is None or ep is None:
-                    continue  # the zero-traversal start, or not at a boundary port
-                transitions.add((vec, pname, boundary_port(ep), cfg.states))
+            # a sweep that reached only its start (the zero-traversal
+            # excursion) has no transition to read
+            reached = result.configurations(boundary) if len(result.visited) > 1 else {}
+            for cfg, parent in reached.values():
+                if parent is None:
+                    continue
+                transitions.add((vec, pname, boundary[cfg.position], cfg.states))
                 if cfg.states not in seen:
                     seen.add(cfg.states)
                     todo.append(cfg.states)
@@ -201,6 +203,16 @@ class BisimReport:
 
 class InvariantViolation(AssertionError):
     pass
+
+
+def _magnitude(state) -> int | None:
+    if isinstance(state, bool):  # bools are ints; refuse silently weird input
+        return None
+    if isinstance(state, int):
+        return state
+    if isinstance(state, tuple):
+        return state[1]  # interval (lo, hi): cap applies to hi
+    return None  # finite-gadget state
 
 
 def _default_impl_cap(seed_vectors: list[tuple], cap: int) -> int:
@@ -421,6 +433,18 @@ def distinguishing_trace(impl_out: dict, spec_out: dict, fx: frozenset,
     return None
 
 
+def path_labels(parents: dict, node) -> tuple:
+    """The labels on the path to ``node`` in a BFS parent map (node ->
+    (parent node, label), or None at a start), first label first."""
+    labels = []
+    edge = parents[node]
+    while edge is not None:
+        node, label = edge
+        labels.append(label)
+        edge = parents[node]
+    return tuple(reversed(labels))
+
+
 def _after(out: dict, states, lab: Label) -> frozenset:
     """The states reached from ``states`` by a move labelled ``lab``."""
     return frozenset(s for x in states for s in out.get(x, {}).get(lab, ()))
@@ -477,8 +501,8 @@ def _interval_walk(index: SystemIndex, op_classes: dict, vec: tuple, op: str,
         raise InvariantViolation(
             f"op {op!r} from {vec} hit the cap/budget (cap={counter_cap}); "
             f"raise counter_cap to make the walk conclusive")
-    return [cfg.states for cfg, parent in result.visited.items()
-            if parent is not None and cfg.position == exit_cls]
+    return [cfg.states for cfg, parent in result.configurations((exit_cls,)).values()
+            if parent is not None]
 
 
 def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0

@@ -448,6 +448,20 @@ def test_log_env_var_controls_stderr(tmp_path):
     assert junk.returncode == 0 and junk.stderr == ""  # unknown -> quiet
 
 
+def test_reach_info_line_goes_to_stderr_only(tmp_path):
+    src = _write(tmp_path, "p.cm", "0: INC c0\n1: JZ c0 3\n2: HALT\n3: HALT\n")
+    system = str(tmp_path / "p.json")
+    assert _cli_subprocess("compile", src, "-o", system).returncode == 0
+    quiet = _cli_subprocess("reach", system, "--cap", "4")
+    info = _cli_subprocess("reach", system, "--cap", "4",
+                           env_extra={"GADGETFORGE_LOG": "info"})
+    assert quiet.returncode == info.returncode == 0 and quiet.stderr == ""
+    assert info.stdout == quiet.stdout
+    line, = info.stderr.splitlines()
+    assert line.startswith("INFO gadgetforge.reach: reachable (")
+    assert "configs explored" in line and "key bytes per visited config" in line
+
+
 def test_compile_is_byte_identical_across_processes(tmp_path):
     src = _write(tmp_path, "p.cm",
                  "counters: c0 c1\n0: INC c0\n1: JZ c1 3\n2: DEC c0\n3: HALT\n")

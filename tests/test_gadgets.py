@@ -487,3 +487,56 @@ def test_dot_output_shape():
     assert n_lines == n_ports + len(sys0.nodes)
     for (a, b) in sys0.edges:
         assert f'"{a}" -- "{b}"' in dot
+
+
+# ------------------------------------------------------------ packed keys
+
+def _mixed_system() -> SystemOfGadgets:
+    """A finite gadget between two counters, so a key mixes both slot kinds."""
+    sscd, counter = catalog()["sscd"], G.spec_inc_decnz_pz()
+    return SystemOfGadgets(
+        specs=(counter, sscd),
+        instances=(GadgetInstance("a", counter.name, 0), GadgetInstance("d", "sscd", "1"),
+                   GadgetInstance("b", counter.name, 0)),
+        nodes=("hub",),
+        edges=(("node:hub", "a.inc_in"), ("a.inc_out", "d.L1"), ("d.R1", "b.inc_in")),
+        start="node:hub")
+
+
+@pytest.mark.parametrize("limit, width", [(0, 1), (255, 1), (256, 2), (65_535, 2),
+                                          (65_536, 3), (2**24 - 1, 3)])
+def test_packed_keys_round_trip(limit, width):
+    system = _mixed_system()
+    last = len(canonicalize(system).classes) - 1
+    values = sorted({0, 1, limit // 2, limit})
+    for mode in ("concrete", "interval"):
+        index = canonicalize(system, mode)
+        codec = index.codec(limit)
+        assert codec.width == width
+        counters = [(v, w) for v in values for w in values if v <= w] \
+            if mode == "interval" else values
+        for pos in (0, last):
+            for a in counters:
+                for d in ("1", "2"):
+                    cfg = Configuration(pos, (a, d, counters[-1]))
+                    key = codec.pack(cfg)
+                    assert len(key) == codec.size
+                    assert codec.unpack(key) == cfg
+                    assert [codec.state(key, i) for i in range(3)] == list(cfg.states)
+        # a state the slots cannot hold is an error, not a wrapped value
+        too_big = (limit, 256**width) if mode == "interval" else 256**width
+        bad = [(too_big, "1", 0), (0, "3", 0), (0, "1"), (-1, "1", 0)]
+        if mode == "interval":
+            bad.append(((0, 0), "1", (1, 0)))  # an empty interval
+        for states in bad:
+            with pytest.raises(SystemFormatError):
+                codec.pack(Configuration(0, states))
+
+
+def test_interned_finite_states_set_the_slot_width():
+    ring = FiniteGadgetSpec("ring", tuple(map(str, range(300))), ("L", "R"), ())
+    system = SystemOfGadgets(specs=(ring,), instances=(GadgetInstance("r", "ring", "299"),))
+    index = canonicalize(system)
+    assert index.codec(0).width == 2
+    cfg = Configuration(0, ("299",))
+    assert index.codec(0).unpack(index.codec(0).pack(cfg)) == cfg

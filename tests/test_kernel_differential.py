@@ -1,20 +1,23 @@
-"""Differential test of the search kernel against the reference it replaced.
+"""Differential test of the packed-key search kernel against the tuple kernel.
 
-The reference below is the earlier kernel, kept verbatim as the oracle:
-``ReferenceIndex.successors`` looks up each spec and endpoint class per
-move, ``reference_sweep`` checks every slot of every new configuration
-against the cap, and ``reference_derive_boundary_lts`` enumerates the
-successors of every visited configuration a second time to find cycles
-back to the start.  The current kernel must give the same verdicts,
-witnesses, statistics, visited maps and boundary LTSs, including for
-start configurations above the cap (admitted unchecked; a successor that
-keeps such a slot is pruned) and for inner sweeps cut short by a tiny
-budget.
+The reference below is the tuple kernel the packed one replaced, kept
+verbatim as the oracle: ``ReferenceIndex.successors`` builds a Traversal
+and a Configuration for every move, ``reference_sweep`` keeps a visited map
+of Configurations with their parent edges, ``reference_bfs_reach`` and
+``reference_derive_boundary_lts`` read that map.  The packed kernel must
+give, in this order, the same reached configurations with the same parent
+configurations (visit order included), the same ``path_to`` labels, search
+statistics, overflow and start-revisit flags, and the same boundary LTSs.
+The cases cover caps at which the slot width changes (255, 256, 65,536),
+finite gadgets (whose interned states can set the width), interval-mode
+indexes, starts above the cap, and sweeps cut short by a tiny budget.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
@@ -24,6 +27,7 @@ from gadgetforge.gadgets import (
     Configuration,
     CounterGadgetSpec,
     DecRange,
+    FiniteGadgetSpec,
     GadgetInstance,
     IncRange,
     SystemFormatError,
@@ -32,86 +36,92 @@ from gadgetforge.gadgets import (
     Traversal,
     boundary_port,
     canonicalize,
+    node_endpoint,
     port_endpoint,
 )
-from gadgetforge.reach import SearchOutcome, SearchStats, Sweep, Verdict, _magnitude
-from gadgetforge.verify import BoundaryLTS, derive_boundary_lts
+from gadgetforge.reach import SearchOutcome, SearchStats, Verdict
+from gadgetforge.verify import BoundaryLTS, derive_boundary_lts, spec_closure_lts
 
 from test_acceptance import _RANGE_PARAMS, _corpus, _spliced_duplicator
 
 
 # ------------------------------------------------------------- the oracle
 
-# the earlier verify._promote, whose job SystemIndex.at_rest now does
-def _promote(vec: tuple, mode: str) -> tuple:
-    if mode != "interval":
-        return tuple(vec)
-    return tuple((v, v) if isinstance(v, int) else v for v in vec)
-
-
 class ReferenceIndex(SystemIndex):
-    """A SystemIndex whose successors are enumerated the earlier way."""
+    """A SystemIndex whose successors are the tuple kernel's."""
 
-    def __init__(self, system: SystemOfGadgets) -> None:
-        super().__init__(system)
-        spec_of = {inst.id: system.spec_named(inst.spec) for inst in system.instances}
-        self._spec_of = spec_of
-        self.entries: dict[int, list[tuple[int, int]]] = {}
-        for i, inst in enumerate(system.instances):
-            spec = spec_of[inst.id]
-            if isinstance(spec, CounterGadgetSpec):
-                for ci, comp in enumerate(spec.components):
-                    cid = self.class_of[port_endpoint(inst.id, comp.entry)]
-                    self.entries.setdefault(cid, []).append((i, ci))
-            else:
-                for ti, (s, a, s2, b) in enumerate(spec.transitions):
-                    cid = self.class_of[port_endpoint(inst.id, a)]
-                    self.entries.setdefault(cid, []).append((i, ti))
-
-    def successors(self, config: Configuration, mode: str = "concrete"
+    def successors(self, config: Configuration, cap: int | None = None
                    ) -> list[tuple[Traversal, Configuration]]:
-        system = self.system
+        """Every move from ``config``; under a ``cap`` ranged kinds stop early."""
+        states = config.states
+        interval = self.interval
         out: list[tuple[Traversal, Configuration]] = []
-        for (i, key) in self.entries.get(config.position, ()):
-            inst = system.instances[i]
-            spec = self._spec_of[inst.id]
-            state = config.states[i]
-            if isinstance(spec, CounterGadgetSpec):
-                comp = spec.components[key]
-                moves = (comp.kind.interval_moves(state) if mode == "interval"
-                         else comp.kind.moves(state))
-                for (choice, s2, exit_idx) in moves:
-                    port = comp.exit_ports[exit_idx]
-                    q = self.class_of[port_endpoint(inst.id, port)]
-                    states = config.states[:i] + (s2,) + config.states[i + 1:]
-                    out.append((Traversal(inst.id, comp.entry, port, choice, state, s2),
-                                Configuration(q, states)))
-            else:
-                (s, a, s2, b) = spec.transitions[key]
-                if s == state:
-                    q = self.class_of[port_endpoint(inst.id, b)]
-                    states = config.states[:i] + (s2,) + config.states[i + 1:]
-                    out.append((Traversal(inst.id, a, b, key, state, s2),
-                                Configuration(q, states)))
+        for (i, inst_id, entry, kind, exit_ports, exit_classes) in self.moves.get(
+                config.position, ()):
+            state = states[i]
+            for (choice, s2, e) in (kind.interval_moves(state) if interval
+                                    else kind.moves(state, cap)):
+                out.append((Traversal(inst_id, entry, exit_ports[e], choice, state, s2),
+                            Configuration(exit_classes[e],
+                                          states[:i] + (s2,) + states[i + 1:])))
         return out
 
 
-def reference_sweep(index, starts, *, counter_cap, visit_budget, mode="concrete",
-                    goal_class=None) -> Sweep:
-    visited: dict = {}
-    queue: deque = deque()
+@dataclass
+class ReferenceSweep:
+    visited: dict[Configuration, tuple[Configuration, Traversal] | None]
+    goal_hit: Configuration | None
+    overflowed: bool
+    budget_exhausted: bool
+    stats: SearchStats
+    start_revisited: bool = False
+
+    def path_to(self, config: Configuration) -> tuple[Traversal, ...]:
+        return path_labels(self.visited, config)
+
+
+def path_labels(parents: dict, node) -> tuple:
+    labels = []
+    edge = parents[node]
+    while edge is not None:
+        node, label = edge
+        labels.append(label)
+        edge = parents[node]
+    return tuple(reversed(labels))
+
+
+def _magnitude(state) -> int | None:
+    if isinstance(state, bool):  # bools are ints; refuse silently weird input
+        return None
+    if isinstance(state, int):
+        return state
+    if isinstance(state, tuple):
+        return state[1]  # interval (lo, hi): cap applies to hi
+    return None  # finite-gadget state
+
+
+def reference_sweep(index: ReferenceIndex, starts: list[Configuration], *,
+                    counter_cap: int, visit_budget: int,
+                    goal_class: int | None = None) -> ReferenceSweep:
+    visited: dict[Configuration, tuple[Configuration, Traversal] | None] = {}
+    queue: deque[Configuration] = deque()
     max_counter = 0
+    over_cap: set[Configuration] = set()  # starts with a slot above the cap
     for cfg in starts:
         if cfg not in visited:
             visited[cfg] = None
             queue.append(cfg)
-            for s in cfg.states:
-                m = _magnitude(s)
-                if m is not None and m > max_counter:
-                    max_counter = m
+            top = max((m for m in map(_magnitude, cfg.states) if m is not None), default=0)
+            max_counter = max(max_counter, top)
+            if top > counter_cap:
+                over_cap.add(cfg)
+    # ranged moves stop one amount past this: nothing they skip could be
+    # admitted, or be a start
+    move_cap = max(counter_cap, max_counter)
     overflowed = False
     budget_exhausted = False
-    goal_hit = None
+    start_revisited = False
+    goal_hit: Configuration | None = None
     explored = 0
     frontier_peak = len(queue)
 
@@ -124,31 +134,42 @@ def reference_sweep(index, starts, *, counter_cap, visit_budget, mode="concrete"
         if goal_class is not None and cfg.position == goal_class:
             goal_hit = cfg
             break
-        for label, nxt in index.successors(cfg, mode):
-            if nxt in visited:
+        # only a start above the cap needs every slot checked (module docstring)
+        whole = over_cap and cfg in over_cap
+        for label, nxt in index.successors(cfg, move_cap):
+            parent = visited.get(nxt, False)  # False: not reached yet
+            if parent is not False:
+                if parent is None:
+                    start_revisited = True
                 continue
-            too_big = False
-            for s in nxt.states:
+            for s in (nxt.states if whole else (label.after,)):
                 m = _magnitude(s)
                 if m is not None:
                     if m > counter_cap:
-                        too_big = True
+                        overflowed = True
                         break
                     if m > max_counter:
                         max_counter = m
-            if too_big:
-                overflowed = True
-                continue
-            visited[nxt] = (cfg, label)
-            queue.append(nxt)
+            else:
+                visited[nxt] = (cfg, label)
+                queue.append(nxt)
         if len(queue) > frontier_peak:
             frontier_peak = len(queue)
+    if budget_exhausted and not start_revisited:  # reached, never expanded
+        start_revisited = any(visited.get(nxt, False) is None for cfg in queue
+                              for _, nxt in index.successors(cfg, move_cap))
 
-    return Sweep(visited, goal_hit, overflowed, budget_exhausted,
-                 SearchStats(explored, frontier_peak, max_counter))
+    return ReferenceSweep(visited, goal_hit, overflowed, budget_exhausted,
+                          SearchStats(explored, frontier_peak, max_counter), start_revisited)
 
 
-def reference_bfs_reach(index, counter_cap, visit_budget=1_000_000) -> SearchOutcome:
+def reference_bfs_reach(index: ReferenceIndex, counter_cap: int,
+                        visit_budget: int = 1_000_000) -> SearchOutcome:
+    if counter_cap < 0 or visit_budget < 0:
+        raise SystemFormatError(
+            f"cap and budget must be naturals, got {counter_cap} and {visit_budget}")
+    if index.goal_class is None:
+        raise SystemFormatError("goal required: system document has no goal endpoint")
     start = index.start_config()
     result = reference_sweep(index, [start], counter_cap=counter_cap,
                              visit_budget=visit_budget, goal_class=index.goal_class)
@@ -162,23 +183,17 @@ def reference_bfs_reach(index, counter_cap, visit_budget=1_000_000) -> SearchOut
     return SearchOutcome(Verdict.UNREACHABLE_WITHIN_CAP, None, None, result.stats)
 
 
-def reference_derive_boundary_lts(index, seeds, *, impl_cap, mode="concrete",
-                                  inner_budget=200_000, state_budget=100_000
-                                  ) -> BoundaryLTS:
+def reference_derive_boundary_lts(index: ReferenceIndex, seeds, *, impl_cap: int,
+                                  inner_budget: int = 200_000,
+                                  state_budget: int = 100_000) -> BoundaryLTS:
     if not index.boundary_classes:
         raise SystemFormatError("system has no boundary endpoints")
+    # boundary_classes is in system.boundary order
     boundary = [(cid, boundary_port(ep)) for cid, ep in index.boundary_classes.items()]
-    boundary.sort(key=lambda pair: index.system.boundary.index(
-        index.boundary_classes[pair[0]]))
     ports = tuple(name for _, name in boundary)
 
-    todo: deque = deque()
-    seen: set = set()
-    for vec in seeds:
-        v = _promote(vec, mode)
-        if v not in seen:
-            seen.add(v)
-            todo.append(v)
+    todo: deque[tuple] = deque(dict.fromkeys(map(index.at_rest, seeds)))
+    seen: set[tuple] = set(todo)
 
     transitions: set = set()
     frontier: set = set()
@@ -190,36 +205,22 @@ def reference_derive_boundary_lts(index, seeds, *, impl_cap, mode="concrete",
                 f"boundary closure exceeded {state_budget} at-rest states")
         vec = todo.popleft()
         for cid, pname in boundary:
-            start = Configuration(cid, vec)
-            result = reference_sweep(index, [start], counter_cap=impl_cap,
-                                     visit_budget=inner_budget, mode=mode)
-            if result.overflowed:
+            result = reference_sweep(index, [Configuration(cid, vec)],
+                                     counter_cap=impl_cap, visit_budget=inner_budget)
+            if result.overflowed or result.budget_exhausted:
                 frontier.add(vec)
             if result.budget_exhausted:
-                frontier.add(vec)
                 truncated = True
             for cfg, parent in result.visited.items():
-                if parent is None:
-                    continue  # the zero-traversal start itself
-                qname = None
-                if cfg.position in index.boundary_classes:
-                    qname = boundary_port(index.boundary_classes[cfg.position])
-                if qname is None:
-                    continue
-                transitions.add((vec, pname, qname, cfg.states))
+                ep = index.boundary_classes.get(cfg.position)
+                if parent is None or ep is None:
+                    continue  # the zero-traversal start, or not at a boundary port
+                transitions.add((vec, pname, boundary_port(ep), cfg.states))
                 if cfg.states not in seen:
                     seen.add(cfg.states)
                     todo.append(cfg.states)
-            # a cycle straight back to the start configuration is the one
-            # revisit BFS cannot report; check for it explicitly
-            for cfg, parent in result.visited.items():
-                for _lab, nxt in index.successors(cfg, mode):
-                    if nxt == start:
-                        transitions.add((vec, pname, pname, vec))
-                        break
-                else:
-                    continue
-                break
+            if result.start_revisited:  # a cycle straight back to the start
+                transitions.add((vec, pname, pname, vec))
 
     return BoundaryLTS(frozenset(seen), ports, frozenset(transitions),
                        frozenset(frontier), impl_cap, truncated)
@@ -227,31 +228,46 @@ def reference_derive_boundary_lts(index, seeds, *, impl_cap, mode="concrete",
 
 # ------------------------------------------------------------ comparisons
 
+def _assert_same_sweep(index: SystemIndex, ref: ReferenceIndex, starts, **bounds) -> None:
+    got = reach.sweep(index, starts, **bounds)
+    want = reference_sweep(ref, starts, **bounds)
+    # 1. the reached configurations and their parents, in visit order
+    reached = got.configurations(range(len(index.classes)))
+    assert [(cfg, None if parent is None else reached[parent][0])
+            for cfg, parent in reached.values()] == \
+        [(cfg, None if edge is None else edge[0]) for cfg, edge in want.visited.items()]
+    # 2. labels, statistics and flags
+    keys = list(got.visited)
+    sample = keys if len(keys) <= 300 else keys[::50] + keys[-1:]
+    for key in sample:
+        assert got.path_to(key) == want.path_to(reached[key][0])
+    goal = None if got.goal_hit is None else reached[got.goal_hit][0]
+    assert (goal, got.stats, got.overflowed, got.start_revisited, got.budget_exhausted) \
+        == (want.goal_hit, want.stats, want.overflowed, want.start_revisited,
+            want.budget_exhausted)
+    if got.goal_hit is not None:
+        assert got.path_to(got.goal_hit) == want.path_to(want.goal_hit)
+
+
+def _assert_same_search(system: SystemOfGadgets, cap: int, mode: str = "concrete",
+                        budgets=(1, 3, 10**6)) -> None:
+    index, ref = canonicalize(system, mode), ReferenceIndex(system, mode)
+    full = max(budgets)
+    assert reach.bfs_reach(index, counter_cap=cap, visit_budget=full) == \
+        reference_bfs_reach(ref, counter_cap=cap, visit_budget=full)
+    start = index.start_config()
+    for budget in budgets:
+        _assert_same_sweep(index, ref, [start], counter_cap=cap, visit_budget=budget,
+                           goal_class=index.goal_class)
+
+
 def _shift_above_cap(system: SystemOfGadgets, cap: int) -> SystemOfGadgets:
     """The same system with its first counter instance starting at cap + 1."""
     counters = {s.name for s in system.specs if isinstance(s, CounterGadgetSpec)}
     instances = list(system.instances)
     k = next(k for k, inst in enumerate(instances) if inst.spec in counters)
     instances[k] = GadgetInstance(instances[k].id, instances[k].spec, cap + 1)
-    return SystemOfGadgets(system.specs, tuple(instances), system.nodes, system.edges,
-                           system.start, system.goal, system.boundary)
-
-
-def _assert_same_search(system: SystemOfGadgets, cap: int) -> None:
-    index, ref = canonicalize(system), ReferenceIndex(system)
-    got = reach.bfs_reach(index, counter_cap=cap)
-    want = reference_bfs_reach(ref, counter_cap=cap)
-    assert got == want
-    start = index.start_config()
-    for budget in (3, 10**6):
-        got_sweep = reach.sweep(index, [start], counter_cap=cap, visit_budget=budget,
-                                goal_class=index.goal_class)
-        want_sweep = reference_sweep(ref, [start], counter_cap=cap, visit_budget=budget,
-                                     goal_class=index.goal_class)
-        assert list(got_sweep.visited.items()) == list(want_sweep.visited.items())
-        assert (got_sweep.goal_hit, got_sweep.overflowed, got_sweep.budget_exhausted,
-                got_sweep.stats) == (want_sweep.goal_hit, want_sweep.overflowed,
-                                     want_sweep.budget_exhausted, want_sweep.stats)
+    return dataclasses.replace(system, instances=tuple(instances))
 
 
 CORPUS_CAP = 12
@@ -270,16 +286,16 @@ def test_reach_matches_the_reference_on_the_corpus(target):
     assert shifted_differs  # the shifted starts do change some searches
 
 
-def _inc_dec_system(initial: int) -> SystemOfGadgets:
-    """One Inc[1,5]/Dec[1,5] counter whose tunnels join at a start node;
-    the goal is reachable only through a zero test."""
-    spec = CounterGadgetSpec("incdec15", (
-        Component(IncRange(1, 5), "inc_in", ("inc_out",)),
-        Component(DecRange(1, 5), "dec_in", ("dec_out",)),
-        Component(G.PZ(), "pz_in", ("pz_out",)),
-    ))
-    eps = [port_endpoint("g", p) for p in ("inc_in", "inc_out", "dec_in", "dec_out",
-                                           "pz_in")]
+def _inc_dec_system(initial: int, dec: bool = True) -> SystemOfGadgets:
+    """One Inc[1,5]/Dec[1,5] counter (no Dec with ``dec=False``) whose
+    tunnels join at a start node; the goal is reachable only through a zero
+    test."""
+    inc = Component(IncRange(1, 5), "inc_in", ("inc_out",))
+    dec_ = Component(DecRange(1, 5), "dec_in", ("dec_out",))
+    pz = Component(G.PZ(), "pz_in", ("pz_out",))
+    spec = CounterGadgetSpec("incdec15", (inc, dec_, pz) if dec else (inc, pz))
+    eps = [port_endpoint("g", p) for c in spec.components for p in (c.entry, *c.exit_ports)
+           if p != "pz_out"]
     return SystemOfGadgets(
         specs=(spec,), instances=(GadgetInstance("g", spec.name, initial),),
         nodes=("hub", "goal"),
@@ -294,11 +310,93 @@ def test_ranged_system_matches_the_reference(initial):
     _assert_same_search(system, cap)
     index, ref = canonicalize(system), ReferenceIndex(system)
     for impl_cap in (cap, 4):
-        for inner_budget in (1, 2, 200_000):
+        for inner_budget in (1, 2, 3, 200_000):
             assert derive_boundary_lts(
                 index, [(initial,)], impl_cap=impl_cap, inner_budget=inner_budget
             ) == reference_derive_boundary_lts(
                 ref, [(initial,)], impl_cap=impl_cap, inner_budget=inner_budget)
+
+
+@pytest.mark.parametrize("cap", [255, 256, 65_536])
+def test_searches_match_where_the_slot_width_changes(cap):
+    # starts just under, at and above the cap: a successor one past the cap
+    # may need a wider slot than any key of the sweep holds.  The boundary
+    # closures count up only, so they stay near the cap.
+    widths = set()
+    for initial in (0, cap - 3, cap, cap + 1, cap + 7):
+        system = _inc_dec_system(initial)
+        _assert_same_search(system, cap, budgets=(1, 3, 40, 2_000))
+        index = canonicalize(system)
+        widths.add(reach.sweep(index, [index.start_config()], counter_cap=cap,
+                               visit_budget=1).codec.width)
+        if initial == 0:
+            continue
+        system = _inc_dec_system(initial, dec=False)
+        index, ref = canonicalize(system), ReferenceIndex(system)
+        for inner_budget in (1, 3, 200_000):
+            assert derive_boundary_lts(
+                index, [(initial,)], impl_cap=cap, inner_budget=inner_budget
+            ) == reference_derive_boundary_lts(
+                ref, [(initial,)], impl_cap=cap, inner_budget=inner_budget)
+    assert widths == {255: {1, 2}, 256: {2}, 65_536: {3}}[cap]
+
+
+def _ring(n: int) -> FiniteGadgetSpec:
+    """A finite gadget with n states; crossing L -> R steps to the next."""
+    states = tuple(f"s{k}" for k in range(n))
+    return FiniteGadgetSpec(f"ring{n}", states, ("L", "R"), tuple(
+        (states[k], "L", states[(k + 1) % n], "R") for k in range(n)))
+
+
+def _finite_system(ring: int) -> SystemOfGadgets:
+    """A self-closing door, a ring of finite states and an Inc-JZDec counter
+    around one hub: the goal is behind the door's second tunnel, which the
+    first tunnel (through the counter's increment) opens."""
+    sscd, ring_spec, counter = G.spec_sscd(), _ring(ring), G.spec_inc_jzdec()
+    hub = node_endpoint("hub")
+    return SystemOfGadgets(
+        specs=(sscd, ring_spec, counter),
+        instances=(GadgetInstance("d", "sscd", "1"),
+                   GadgetInstance("r", ring_spec.name, "s0"),
+                   GadgetInstance("g", counter.name, 0)),
+        nodes=("hub", "goal"),
+        edges=((hub, "d.L1"), ("d.R1", "g.inc_in"), ("g.inc_out", hub),
+               (hub, "d.L2"), ("d.R2", node_endpoint("goal")),
+               (hub, "r.L"), ("r.R", hub), (hub, "g.jz_in"),
+               ("g.jz_out_zero", hub), ("g.jz_out_nonzero", hub)),
+        start=hub, goal=node_endpoint("goal"), boundary=(hub, node_endpoint("goal")))
+
+
+@pytest.mark.parametrize("ring", [3, 300])
+def test_finite_gadgets_match_the_reference(ring):
+    # 300 interned states need 2-byte slots even at cap 3
+    for cap in (0, 3):
+        system = _finite_system(ring)
+        _assert_same_search(system, cap)
+        _assert_same_search(_shift_above_cap(system, cap), cap)
+        index = canonicalize(system)
+        assert reach.sweep(index, [index.start_config()], counter_cap=cap,
+                           visit_budget=1).codec.width == (2 if ring == 300 else 1)
+    spec_lts = spec_closure_lts(G.spec_sscd(), 4)
+    assert spec_lts.transitions == {("1", "L1", "R1", "2"), ("2", "L2", "R2", "1")}
+
+
+def _interval_search_system(params) -> SystemOfGadgets:
+    """A ranged artifact started at inc_in with the concrete encoding of 1,
+    its goal at inc_out."""
+    art = lower.sim_incdecnzpz_via_incab(*params)
+    return dataclasses.replace(
+        art.system, start=node_endpoint("inc_in"), goal=node_endpoint("inc_out"),
+        instances=tuple(dataclasses.replace(inst, initial=v) for inst, v in
+                        zip(art.system.instances, art.encoding.state_for(1))))
+
+
+@pytest.mark.parametrize("params", _RANGE_PARAMS)
+def test_interval_searches_match_the_reference(params):
+    system = _interval_search_system(params)
+    for cap in (2, 24):
+        _assert_same_search(system, cap, "interval")
+        _assert_same_search(_shift_above_cap(system, cap), cap, "interval")
 
 
 def test_ranged_moves_stop_at_the_cap():
@@ -319,7 +417,8 @@ def test_ranged_moves_stop_at_the_cap():
 
 def _criterion_3_derivations():
     """(name, system, seeds, mode) of every criterion-3 artifact at cap 8,
-    then every criterion-5 single-edge deletion of the quintet."""
+    every criterion-5 single-edge deletion of the quintet, and a system
+    with finite gadgets."""
     cap = 8
     cat = G.catalog()
     pairs = [
@@ -341,20 +440,21 @@ def _criterion_3_derivations():
             specs=quintet.specs, instances=quintet.instances, nodes=quintet.nodes,
             edges=quintet.edges[:k] + quintet.edges[k + 1:], boundary=quintet.boundary)
         yield f"mutant-{k}", mutant, [(q, q, 0, 0, 0) for q in range(cap + 1)], "concrete"
+    yield "finite", _finite_system(3), [("1", "s0", q) for q in range(cap + 1)], "concrete"
 
 
 def test_boundary_lts_matches_the_reference():
     truncated = above_cap = 0
     for name, system, seeds, mode in _criterion_3_derivations():
-        index, ref = canonicalize(system, mode), ReferenceIndex(system)
-        seed_max = max(m for vec in seeds for m in map(_magnitude, _promote(vec, mode))
+        index, ref = canonicalize(system, mode), ReferenceIndex(system, mode)
+        seed_max = max(m for vec in seeds for m in map(_magnitude, index.at_rest(vec))
                        if m is not None)
         # impl caps with and without headroom over the seeds, full and tiny budgets
         for impl_cap, inner_budget in ((seed_max + 4, 200_000), (4, 200_000),
-                                       (seed_max + 4, 3)):
+                                       (seed_max + 4, 1), (seed_max + 4, 3)):
             got = derive_boundary_lts(index, seeds, impl_cap=impl_cap,
                                       inner_budget=inner_budget)
-            want = reference_derive_boundary_lts(ref, seeds, impl_cap=impl_cap, mode=mode,
+            want = reference_derive_boundary_lts(ref, seeds, impl_cap=impl_cap,
                                                  inner_budget=inner_budget)
             assert got == want, (name, impl_cap, inner_budget)
             truncated += got.truncated

@@ -9,6 +9,9 @@ reach.bfs_reach, so agreement actually means something.
 from __future__ import annotations
 
 import json
+import logging
+import re
+import time
 from collections import defaultdict
 
 import pytest
@@ -22,7 +25,7 @@ from gadgetforge.gadgets import (
     Traversal,
     serialize_system,
 )
-from gadgetforge.reach import ReplayError, Verdict, bfs_reach, replay
+from gadgetforge.reach import ReplayError, Verdict, bfs_reach, replay, sweep
 
 
 # ---------------------------------------------------------------- oracle
@@ -320,3 +323,54 @@ def test_repeat_runs_identical():
         a = bfs_reach(system, counter_cap=8)
         b = bfs_reach(system, counter_cap=8)
         assert a == b
+
+
+# ------------------------------------------------------ bounds and logging
+
+def _countdown(start: int) -> SystemOfGadgets:
+    """Two Inc-JZDec counters: the first counts down to zero, and the zero
+    exit leads through the second's increment to the goal."""
+    spec = G.spec_inc_jzdec()
+    return SystemOfGadgets(
+        specs=(spec,),
+        instances=(GadgetInstance("a", spec.name, start), GadgetInstance("b", spec.name, 0)),
+        nodes=("s", "t"),
+        edges=(("node:s", "a.jz_in"), ("a.jz_out_nonzero", "node:s"),
+               ("a.jz_out_zero", "b.inc_in"), ("b.inc_out", "node:t")),
+        start="node:s",
+        goal="node:t",
+    )
+
+
+@pytest.mark.parametrize("cap, width", [(10**9, 4), (10**30, 13)])
+def test_a_huge_cap_allocates_nothing_sized_by_it(cap, width):
+    system = _countdown(3)
+    t0 = time.perf_counter()
+    out = bfs_reach(system, counter_cap=cap)
+    assert time.perf_counter() - t0 < 1.0
+    assert out.verdict is Verdict.REACHABLE and len(out.witness) == 5
+    index = G.canonicalize(system)
+    assert sweep(index, [index.start_config()], counter_cap=cap,
+                 visit_budget=1).codec.width == width
+
+
+def test_every_verdict_logs_one_info_line(caplog, capsys):
+    cases = [
+        (_countdown(3), {}, "reachable (5 traversals)"),
+        (_pump_loop(), {}, "unknown (cap-overflow-seen)"),
+        (_countdown(3), {"visit_budget": 2}, "unknown (budget-exhausted)"),
+        (_single_gadget("jz_out_nonzero"), {}, "unreachable-within-cap"),
+    ]
+    numbers = re.compile(r"(\d+) configs explored, frontier peak (\d+), max counter "
+                         r"(\d+), slot width (\d+) B, (\d+) key bytes per visited config$")
+    for system, bounds, head in cases:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="gadgetforge.reach"):
+            out = bfs_reach(system, counter_cap=6, **bounds)
+        line, = (r.getMessage() for r in caplog.records if r.name == "gadgetforge.reach")
+        assert line.startswith(head + ": ")
+        explored, peak, top, width, key_bytes = map(int, numbers.search(line).groups())
+        assert (explored, peak, top) == (out.stats.explored, out.stats.frontier_peak,
+                                         out.stats.max_counter)
+        assert (width, key_bytes) == (1, 1 + len(system.instances))
+    assert capsys.readouterr().out == ""

@@ -349,13 +349,17 @@ def test_an_interval_index_sweeps_and_replays():
     exit_cls = index.endpoint_class(node_endpoint("inc_out"))
     result = sweep(index, [start], counter_cap=24, visit_budget=10_000,
                    goal_class=exit_cls)
-    cfg = result.goal_hit
-    assert cfg is not None and not result.overflowed
+    assert result.goal_hit is not None and not result.overflowed
+    reached = result.configurations(range(len(index.classes)))
+    cfg = reached[result.goal_hit][0]
+    assert cfg.position == exit_cls
     assert [cfg.states] == interval_step(art, initial, "inc", counter_cap=24)
-    chain = [cfg]  # the BFS parent chain, start first once reversed
-    while result.visited[chain[-1]] is not None:
-        chain.append(result.visited[chain[-1]][0])
-    witness = result.path_to(cfg)
+    chain = [result.goal_hit]  # the BFS parent chain, start first once reversed
+    while reached[chain[-1]][1] is not None:
+        chain.append(reached[chain[-1]][1])
+    chain = [reached[key][0] for key in chain]
+    assert chain[-1] == start
+    witness = result.path_to(result.goal_hit)
     assert replay(index, witness, start=start) == chain[::-1]
     with pytest.raises(ReplayError):  # the same labels are not concrete moves
         replay(canonicalize(system), witness)
