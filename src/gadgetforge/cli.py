@@ -17,7 +17,8 @@ Exit codes encode verdicts so shell harnesses need no JSON parsing:
   reach       0 Reachable, 3 UnreachableWithinCap, 2 Unknown
   verify-sim  0 Equivalent, 3 NotEquivalent, 2 InconclusiveAtCap
 
-and 1 for parse/usage/file errors, with diagnostics on stderr.
+and 1 for parse/usage/file errors, with diagnostics on stderr: input files are
+checked where ``machine``, ``gadgets`` and ``lower`` read them, never here.
 
 GADGETFORGE_LOG in {quiet, info, debug} controls diagnostic verbosity on
 stderr (default quiet).  Nothing here is randomized.
@@ -55,10 +56,12 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _parse_counter_values(text: str | None) -> list[int]:
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",")]
+def _initial_counters(program: machine.Program, text: str | None) -> dict[str, int]:
+    values = [int(tok) for tok in text.split(",")] if text else []
+    if len(values) > len(program.counters):
+        raise machine.ProgramError(
+            f"{len(values)} counter values for {len(program.counters)} counters")
+    return dict(zip(program.counters, values))
 
 
 def _jsonable(value):
@@ -72,11 +75,7 @@ def _jsonable(value):
 
 def cmd_run(args) -> int:
     program = machine.parse_program(_read(args.machine_file))
-    values = _parse_counter_values(args.counters)
-    if len(values) > len(program.counters):
-        raise machine.ProgramError(
-            f"{len(values)} counter values for {len(program.counters)} counters")
-    initial = dict(zip(program.counters, values))
+    initial = _initial_counters(program, args.counters)
     result = machine.run(program, initial, max_steps=args.max_steps)
     _emit({
         "status": result.status.value,
@@ -92,8 +91,7 @@ def cmd_run(args) -> int:
 
 def cmd_compile(args) -> int:
     program = machine.parse_program(_read(args.machine_file))
-    values = _parse_counter_values(args.counters)
-    initial = dict(zip(program.counters, values))
+    initial = _initial_counters(program, args.counters)
     range_params = None
     if args.range:
         parts = [int(tok) for tok in args.range.split(",")]
@@ -137,8 +135,7 @@ def _load_spec(ref: str) -> gadgets.GadgetSpec:
     if ref in cat:
         return cat[ref]
     if os.path.exists(ref):
-        doc = json.loads(_read(ref))
-        return gadgets.parse_spec(doc)
+        return gadgets.parse_spec(gadgets.read_json(_read(ref)))
     raise gadgets.SystemFormatError(
         f"unknown spec {ref!r}; catalog has {', '.join(sorted(cat))}")
 
@@ -146,20 +143,9 @@ def _load_spec(ref: str) -> gadgets.GadgetSpec:
 def cmd_verify_sim(args) -> int:
     system = gadgets.parse_system(_read(args.impl_file))
     spec = _load_spec(args.spec)
-    port_map, encoding, mode = None, None, args.mode
-    if args.map:
-        doc = json.loads(_read(args.map))
-        if not isinstance(doc, dict):
-            raise gadgets.SystemFormatError("sidecar must be a JSON object")
-        port_map = doc.get("ports")
-        if port_map is not None and not (isinstance(port_map, dict) and all(
-                isinstance(v, str) for v in port_map.values())):
-            raise gadgets.SystemFormatError(
-                "sidecar ports must map port names to spec locations")
-        if doc.get("encoding"):
-            encoding = lower.Encoding.from_json(doc["encoding"])
-        mode = mode or doc.get("mode")
-    mode = mode or "concrete"
+    port_map, encoding, sidecar_mode = (lower.read_sidecar(args.map) if args.map
+                                        else (None, None, None))
+    mode = args.mode or sidecar_mode or "concrete"
     report = verify.check_bisimulation(
         lower.LoweringArtifact(system, encoding=encoding), spec, port_map or None,
         cap=args.cap, mode=mode, impl_cap=args.impl_cap)

@@ -47,7 +47,8 @@ Instance ids are nonempty strings with no dots, and ``node`` (or a
 A ``SystemOfGadgets`` is validated when it is constructed, whether it comes
 from a document, a lowering pass or code: wrong types, unknown specs,
 instances, nodes or ports, and bad initial states raise SystemFormatError
-there, so every SystemOfGadgets value is well formed.
+there, so every SystemOfGadgets value is well formed, as are the specs,
+components and kinds it holds.  ``read_json`` reads every JSON document.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ __all__ = [
     "GadgetInstance", "SystemOfGadgets", "SystemFormatError",
     "Configuration", "Traversal", "SystemIndex", "KeyCodec",
     "node_endpoint", "port_endpoint", "split_endpoint", "boundary_port",
-    "check_state", "canonicalize", "successors", "initial_config",
-    "serialize_system", "parse_system", "parse_spec", "to_dot",
+    "check_integer", "check_state", "canonicalize", "successors", "initial_config",
+    "serialize_system", "read_json", "parse_system", "parse_spec", "to_dot",
     "spec_inc_dec_jz", "spec_inc_jzdec", "spec_inc_decnz", "spec_inc_decnz_pz",
     "spec_inc_decnz_pz_merged", "spec_inc_decnz_decnz", "spec_inc_ab",
     "spec_inc_ab_multi", "spec_sscd", "spec_two_tunnel", "catalog",
@@ -83,8 +84,15 @@ class SystemFormatError(ValueError):
 Interval = tuple[int, int]
 
 
+def check_integer(value) -> int:
+    """A range bound or a document number: an int (not a bool or a float)."""
+    if type(value) is not int:
+        raise SystemFormatError(f"{value!r} is not an integer")
+    return value
+
+
 def _check_range(lo: int, hi: int) -> None:
-    if not (1 <= lo <= hi):
+    if not (1 <= check_integer(lo) <= check_integer(hi)):
         raise SystemFormatError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
 
 
@@ -238,6 +246,12 @@ _PLAIN_TAGS = {"pz": PZ, "pnz": PNZ, "jz": JZSwitch, "jzdec": JZDecSwitch}
 # ---------------------------------------------------------------------------
 # specs
 
+def _check_names(what: str, names) -> None:
+    for name in names:
+        if not isinstance(name, str):
+            raise SystemFormatError(f"{what} must be a string, got {name!r}")
+
+
 @dataclass(frozen=True)
 class Component:
     """A kind with its port names.  Tunnels take exits=(out,); switches take
@@ -252,6 +266,7 @@ class Component:
             raise SystemFormatError(
                 f"{self.kind.tag} needs {self.kind.exits} exit port(s), "
                 f"got {self.exit_ports!r}")
+        _check_names("port name", (self.entry, *self.exit_ports))
 
 
 @dataclass(frozen=True)
@@ -260,6 +275,9 @@ class CounterGadgetSpec:
 
     name: str
     components: tuple[Component, ...]
+
+    def __post_init__(self) -> None:
+        _check_names("spec name", (self.name,))
 
     @property
     def locations(self) -> tuple[str, ...]:
@@ -282,6 +300,10 @@ class FiniteGadgetSpec:
     transitions: tuple[tuple[str, str, str, str], ...]
 
     def __post_init__(self) -> None:
+        _check_names("spec name", (self.name,))
+        _check_names(f"{self.name}: state or location", (*self.states, *self.locations))
+        if not self.states:
+            raise SystemFormatError(f"{self.name}: a finite gadget needs a state")
         for (s, a, s2, b) in self.transitions:
             if s not in self.states or s2 not in self.states:
                 raise SystemFormatError(f"{self.name}: unknown state in {(s, a, s2, b)}")
@@ -648,19 +670,13 @@ def _validate(system: SystemOfGadgets) -> None:
     Linear in specs, instances, nodes and endpoints."""
     specs: dict[str, GadgetSpec] = {}
     spec_locations: dict[str, frozenset[str]] = {}
-    for spec in system.specs:
-        if not isinstance(spec.name, str):
-            raise SystemFormatError(f"spec name must be a string, got {spec.name!r}")
+    for spec in system.specs:  # each spec checked itself when it was built
+        if not isinstance(spec, GadgetSpec):
+            raise SystemFormatError(f"not a gadget spec: {spec!r}")
         if spec.name in specs:
             raise SystemFormatError(f"duplicate spec name {spec.name!r}")
         specs[spec.name] = spec
-        # read the ports off the components: CounterGadgetSpec.locations
-        # hashes them, which fails on a malformed name before it is checked
-        locs = (spec.locations if isinstance(spec, FiniteGadgetSpec) else
-                [p for comp in spec.components for p in (comp.entry, *comp.exit_ports)])
-        if not all(isinstance(loc, str) for loc in locs):
-            raise SystemFormatError(f"{spec.name}: port names must be strings")
-        spec_locations[spec.name] = frozenset(locs)
+        spec_locations[spec.name] = frozenset(spec.locations)
     ports_of: dict[str, frozenset[str]] = {}  # instance id -> its locations
     for inst in system.instances:
         if not isinstance(inst.id, str) or "." in inst.id or not inst.id:
@@ -676,9 +692,7 @@ def _validate(system: SystemOfGadgets) -> None:
             raise SystemFormatError(f"no spec named {inst.spec!r}")
         check_state(spec, inst.initial, f"{inst.id}: initial state")
         ports_of[inst.id] = spec_locations[spec.name]
-    for name in system.nodes:
-        if not isinstance(name, str):
-            raise SystemFormatError(f"node name must be a string, got {name!r}")
+    _check_names("node name", system.nodes)
     node_set = set(system.nodes)
     if len(node_set) != len(system.nodes):
         raise SystemFormatError("duplicate node name")
@@ -750,7 +764,7 @@ def _kind_from_json(d: dict) -> ComponentKind:
     tag = d.get("kind")
     if tag in _RANGED_TAGS:
         try:
-            return _RANGED_TAGS[tag](int(d["lo"]), int(d["hi"]))
+            return _RANGED_TAGS[tag](d["lo"], d["hi"])
         except KeyError as exc:
             raise SystemFormatError(f"{tag} component needs lo/hi") from exc
     if tag in _PLAIN_TAGS:
@@ -777,27 +791,6 @@ def _spec_to_json(spec: GadgetSpec) -> dict:
     }
 
 
-def _spec_from_json(d: dict) -> GadgetSpec:
-    try:
-        name = d["name"]
-        if d["type"] == "counter":
-            comps = tuple(
-                Component(_kind_from_json(c), c["entry"], tuple(_list(c["exits"], "exits")))
-                for c in _list(d["components"], "components"))
-            return CounterGadgetSpec(name, comps)
-        if d["type"] == "finite":
-            return FiniteGadgetSpec(
-                name,
-                tuple(str(s) for s in _list(d["states"], "states")),
-                tuple(_list(d["locations"], "locations")),
-                tuple((str(a), b, str(c), e) for (a, b, c, e) in (
-                    _list(t, "transition") for t in _list(d["transitions"], "transitions"))),
-            )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SystemFormatError(f"bad spec entry: {exc}") from exc
-    raise SystemFormatError(f"unknown spec type {d.get('type')!r}")
-
-
 def serialize_system(system: SystemOfGadgets) -> str:
     """Deterministic JSON: equal systems serialize to identical bytes."""
     doc = {
@@ -815,11 +808,17 @@ def serialize_system(system: SystemOfGadgets) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def parse_system(text: str) -> SystemOfGadgets:
+def read_json(text: str):
+    """The one JSON reader (system documents, spec files, sidecars): bad JSON,
+    an integer too long to convert and too deep a nesting are all errors."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise SystemFormatError(f"not valid JSON: {exc}") from exc
+
+
+def parse_system(text: str) -> SystemOfGadgets:
+    doc = read_json(text)
     if not isinstance(doc, dict):
         raise SystemFormatError("top level must be an object")
 
@@ -828,7 +827,7 @@ def parse_system(text: str) -> SystemOfGadgets:
 
     try:
         return SystemOfGadgets(
-            specs=tuple(_spec_from_json(s) for s in entries("specs")),
+            specs=tuple(parse_spec(s) for s in entries("specs")),
             instances=tuple(
                 GadgetInstance(i["id"], i["spec"], i["initial"])
                 for i in entries("instances")),
@@ -848,11 +847,23 @@ def parse_spec(doc: dict) -> GadgetSpec:
     """Parse one gadget spec from its JSON object form (the shape used in a
     system document's ``specs`` list)."""
     try:
-        return _spec_from_json(doc)
+        name = doc["name"]
+        if doc["type"] == "counter":
+            comps = tuple(
+                Component(_kind_from_json(c), c["entry"], tuple(_list(c["exits"], "exits")))
+                for c in _list(doc["components"], "components"))
+            return CounterGadgetSpec(name, comps)
+        if doc["type"] == "finite":
+            return FiniteGadgetSpec(
+                name,
+                tuple(str(s) for s in _list(doc["states"], "states")),
+                tuple(_list(doc["locations"], "locations")),
+                tuple((str(a), b, str(c), e) for (a, b, c, e) in (
+                    _list(t, "transition") for t in _list(doc["transitions"], "transitions"))),
+            )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SystemFormatError):
-            raise
-        raise SystemFormatError(f"bad spec document: {exc}") from exc
+        raise SystemFormatError(f"bad spec entry: {exc}") from exc
+    raise SystemFormatError(f"unknown spec type {doc.get('type')!r}")
 
 
 # ---------------------------------------------------------------------------

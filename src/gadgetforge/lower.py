@@ -47,8 +47,10 @@ from .gadgets import (
     SystemFormatError,
     SystemOfGadgets,
     boundary_port,
+    check_integer,
     node_endpoint,
     port_endpoint,
+    read_json,
     spec_inc_ab,
     spec_inc_ab_multi,
     spec_inc_dec_jz,
@@ -70,7 +72,7 @@ __all__ = [
     "sim_incdecjz_via_incjzdec", "sim_incjzdec_via_incdecnzpz",
     "build_sscd_from_incdecnz", "build_edge_duplicator",
     "sim_incdecnzpz_via_incab", "emit_initializer", "pipeline",
-    "export_artifact", "PIPELINE_TARGETS",
+    "export_artifact", "read_sidecar", "PIPELINE_TARGETS",
 ]
 
 
@@ -120,32 +122,24 @@ class Encoding:
 
     @staticmethod
     def from_json(doc: dict) -> "Encoding":
+        n = check_integer
         try:
             kind = doc["kind"]
             if kind == "affine":
                 return Encoding("affine", affine=tuple(
-                    (_integer(s), _integer(o)) for (s, o) in doc["per_instance"]))
+                    (n(s), n(o)) for (s, o) in doc["per_instance"]))
             if kind == "table":
                 return Encoding("table", table=tuple(
                     (k, tuple(v)) for (k, v) in doc["map"]))
             if kind == "interval-affine":
                 return Encoding(
                     "interval-affine",
-                    iaffine=tuple(((_integer(a), _integer(b)), (_integer(c), _integer(d)))
+                    iaffine=tuple(((n(a), n(b)), (n(c), n(d)))
                                   for ((a, b), (c, d)) in doc["per_instance"]),
-                    concrete=tuple((_integer(s), _integer(o))
-                                   for (s, o) in doc["concrete"]))
+                    concrete=tuple((n(s), n(o)) for (s, o) in doc["concrete"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SystemFormatError(f"bad encoding document: {exc}") from exc
         raise SystemFormatError(f"unknown encoding kind {doc.get('kind')!r}")
-
-
-def _integer(value) -> int:
-    """A scale, offset or interval bound of an encoding document: a JSON
-    integer (not a bool, a float or a string)."""
-    if type(value) is not int:
-        raise SystemFormatError(f"bad encoding document: {value!r} is not an integer")
-    return value
 
 
 @dataclass
@@ -853,3 +847,17 @@ def export_artifact(artifact: LoweringArtifact, path: str) -> tuple[str, str]:
     with open(meta_path, "w") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return path, meta_path
+
+
+def read_sidecar(path: str) -> tuple[dict[str, str] | None, Encoding | None, str | None]:
+    """(port map, encoding, mode) from a sidecar that export_artifact wrote,
+    each None where it is left out; the mode is checked when indexing."""
+    with open(path) as fh:
+        doc = read_json(fh.read())
+    if not isinstance(doc, dict):
+        raise SystemFormatError("sidecar must be a JSON object")
+    ports, encoding = doc.get("ports"), doc.get("encoding")
+    if ports is not None and not (isinstance(ports, dict) and all(
+            isinstance(v, str) for v in ports.values())):
+        raise SystemFormatError("sidecar ports must map port names to spec locations")
+    return ports, Encoding.from_json(encoding) if encoding else None, doc.get("mode")

@@ -56,6 +56,7 @@ from .gadgets import (
     SystemOfGadgets,
     boundary_port,
     canonicalize,
+    catalog,
     check_state,
     node_endpoint,
     port_endpoint,
@@ -463,16 +464,6 @@ def trace_splits(impl_out: dict, spec_out: dict, x0, y0, trace: Iterable[Label]
 # ---------------------------------------------------------------------------
 # interval anchor invariant for the ranged-counter construction
 
-_OP_PORTS = {
-    False: {"inc": ("inc_in", "inc_out"),
-            "decnz": ("dec_in", "dec_out"),
-            "pz": ("pz_in", "pz_out")},
-    True: {"inc": ("inc_in", "inc_out"),
-           "decnz": ("jz_in", "jz_out_nonzero"),
-           "pz": ("jz_in", "jz_out_zero")},
-}
-
-
 def interval_step(artifact, vec: tuple, op: str, *,
                   counter_cap: int) -> list[tuple]:
     """All at-rest state vectors reachable by performing one simulated op
@@ -483,10 +474,14 @@ def interval_step(artifact, vec: tuple, op: str, *,
 
 
 def _op_classes(artifact, index: SystemIndex) -> dict[str, tuple[int, ...]]:
-    """op -> (entry class, exit class) of an Inc[a,b]-style artifact."""
-    ports = _OP_PORTS[bool(artifact.provenance.get("merged", False))]
-    return {op: tuple(index.endpoint_class(node_endpoint(p)) for p in pair)
-            for op, pair in ports.items()}
+    """op -> (entry class, exit class) of an Inc[a,b]-style artifact: the tag,
+    entry and first exit of each component of the spec it simulates."""
+    simulates = artifact.provenance.get("simulates")
+    comps = getattr(catalog().get(simulates), "components", ())  # none if finite
+    if sorted(c.kind.tag for c in comps) != ["decnz", "inc", "pz"]:
+        raise SystemFormatError(f"artifact simulates {simulates!r}, not an Inc-DecNZ-PZ spec")
+    return {c.kind.tag: tuple(index.endpoint_class(node_endpoint(p))
+                              for p in (c.entry, c.exit_ports[0])) for c in comps}
 
 
 def _interval_walk(index: SystemIndex, op_classes: dict, vec: tuple, op: str,

@@ -7,6 +7,7 @@ logging and cross-process determinism tests spawn real interpreters
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -146,6 +147,16 @@ def test_compile_rejects_a_negative_counter_value(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_compile_rejects_more_counter_values_than_counters(tmp_path, capsys):
+    src = _write(tmp_path, "one.cm", "0: INC c0\n1: HALT\n")
+    out_path = tmp_path / "one.json"
+    code, out, err = _run_cli(capsys, "compile", src, "--counters", "1,2,3",
+                              "-o", str(out_path))
+    assert code == 1 and out == ""
+    assert "3 counter values for 1 counters" in err
+    assert not out_path.exists()
+
+
 def test_compile_inc_ab_tunnel_multiplicities(tmp_path, capsys):
     # (a,b,c,d)=(1,2,1,2): the low-anchor counter carries 2 inc and 4
     # decnz tunnels, the high-anchor one the transpose
@@ -207,7 +218,11 @@ def test_reach_rejects_wrong_types_without_a_traceback(tmp_path, capsys):
     int_endpoint, int_id = json.loads(text), json.loads(text)
     int_endpoint["edges"][0][0] = 1
     int_id["instances"][0]["id"] = 1
-    for name, doc in (("endpoint", int_endpoint), ("id", int_id)):
+    docs = {"endpoint": int_endpoint, "id": int_id}
+    for bound, value in (("lo", 1.5), ("hi", True), ("hi", "2")):  # not coerced
+        docs[f"{bound}-{value}"] = doc = json.loads(text)
+        doc["specs"][0]["components"][0][bound] = value
+    for name, doc in docs.items():
         path = _write(tmp_path, f"bad-{name}.json", json.dumps(doc))
         code, out, err = _run_cli(capsys, "reach", path, "--cap", "4")
         assert code == 1 and out == ""
@@ -363,6 +378,43 @@ def test_verify_sim_rejects_an_encoding_number_that_is_not_an_integer(
     assert _rejected(code, out, err) and "not an integer" in err
 
 
+@pytest.mark.parametrize("where", ["reach", "dot", "verify-sim", "spec", "map"])
+def test_a_document_nested_too_deep_is_an_error(tmp_path, capsys, where):
+    impl, meta = _exported(tmp_path, lower.sim_incdecjz_via_incjzdec(), "q")
+    deep = _write(tmp_path, "deep.json", "[" * 200_000 + "]" * 200_000)
+    argv = {"reach": ["reach", deep, "--cap", "2"],
+            "dot": ["dot", deep],
+            "verify-sim": ["verify-sim", deep, "--spec", "inc-dec-jz", "--map", meta, "--cap", "2"],
+            "spec": ["verify-sim", impl, "--spec", deep, "--map", meta, "--cap", "2"],
+            "map": ["verify-sim", impl, "--spec", "inc-dec-jz", "--map", deep, "--cap", "2"],
+            }[where]
+    code, out, err = _run_cli(capsys, *argv)
+    assert _rejected(code, out, err) and "not valid JSON" in err
+
+
+def _catalog_spec_file(tmp_path, name, edit):
+    """A spec file holding the catalog spec ``name`` changed by ``edit``."""
+    system = gadgets.SystemOfGadgets(specs=(gadgets.catalog()[name],), instances=())
+    doc = json.loads(gadgets.serialize_system(system))["specs"][0]
+    edit(doc)
+    return _write(tmp_path, "spec.json", json.dumps(doc))
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("inc-decnz-pz", lambda doc: doc["components"][0].update(lo=1.5)),
+    ("inc-decnz-pz", lambda doc: doc["components"][0].update(entry=["inc_in"])),
+    ("sscd", lambda doc: doc.update(states=[], transitions=[])),
+], ids=["float-lo", "list-port", "no-states"])
+def test_verify_sim_rejects_a_malformed_spec_file(tmp_path, capsys, name, edit):
+    build = {"inc-decnz-pz": lambda: lower.sim_incdecnzpz_via_incab(1, 1, 1, 1),
+             "sscd": lower.build_sscd_from_incdecnz}[name]
+    impl, meta = _exported(tmp_path, build(), "impl")
+    spec = _catalog_spec_file(tmp_path, name, edit)
+    code, out, err = _run_cli(capsys, "verify-sim", impl, "--spec", spec,
+                              "--map", meta, "--cap", "2")
+    assert _rejected(code, out, err) and "bad spec entry" in err
+
+
 @pytest.mark.parametrize("command, flags", [
     ("reach", ["--cap", "-1"]),
     ("reach", ["--cap", "4", "--budget", "-3"]),
@@ -478,6 +530,65 @@ def test_compile_is_byte_identical_across_processes(tmp_path):
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / f"{target}-a.json.meta.json").read_bytes() \
             == (tmp_path / f"{target}-b.json.meta.json").read_bytes()
+
+
+_TWO_CM = """\
+# counters are declared implicitly by use, or explicitly:
+counters: c0
+0: INC c0
+1: INC c0
+2: HALT
+"""
+
+# sha256 of the system JSON and of the sidecar that `compile` writes, per
+# program and target: compile output is pinned across versions, not only
+# across processes
+_GOLDEN = {
+    ("p", "inc-dec-jz", ()): (
+        "1ebaa0d11fba23c1cb1791ed1edcbe57640942d5228a215996296e384832bf49",
+        "d260777b8b449e683292307b4142f47b768dcffde04f8475ea4ff7c6e24a6393"),
+    ("p", "inc-jzdec", ()): (
+        "08911ae0b39e774f93ca783800876ee71fc529ddf20df6bc8dbf6ffa6500eaf3",
+        "fa4e9e32eb3950c81c0ee167bd250adb1596361378a577bdf918f413d166f4eb"),
+    ("p", "inc-decnz-pz", ()): (
+        "b7854ddc68be5f7aad0268db48ceaf2b62fb1878166a89c6cbc99bd34786d78a",
+        "7112d06ab4cedc1fd8039c33757286719f17ff1af59d89641edb9516dd5ad723"),
+    ("p", "inc-ab", ("--range", "1,2,1,2", "--expand", "direct")): (
+        "1c136b6ddac2be7f8c9dbc1a1e89301931c09832a453180083115e512fdba3ec",
+        "ad1b698876abd99235060776aa9c30836ce419d489834bcf2ea21b324c02cda8"),
+    ("p", "inc-ab", ("--range", "1,2,1,2", "--expand", "via-duplicators")): (
+        "aa90a6ed79a3c588c9c9cc1f9c65c7b5d76460ceb47b035e86c267b285477fec",
+        "3f18e465e5da38561c869ebec08685a6779b1b9df47a5e6cd21ae68aba037728"),
+    ("two", "inc-dec-jz", ()): (
+        "b5c01f7b9c5c2565bb4f6112b8722a8af4429817caa24dcfbfcfb1d94a7b0dba",
+        "e579eeb2410fca2b250d3383ffa5860659676c0838e723473e851fe6e612e864"),
+    ("two", "inc-jzdec", ()): (
+        "be25e432efc87067d70d490211bcb2e86cd516fc9ddd26dfb5b6a41a1845a07c",
+        "6125b0d59ea16843708fe669f3dc41e3ea5ef2d881269e417d18011836c580a8"),
+    ("two", "inc-decnz-pz", ()): (
+        "0056057c8d81aec846566870743b44c64cc00c58ffd02a2efaa13af039c13c6a",
+        "bafa63e0989110d19cf161ecf6ee0a42a933f4507247511084e71df0d35dccd7"),
+    ("two", "inc-ab", ("--range", "1,2,1,2", "--expand", "direct")): (
+        "ea2836eed379c489c2c36cfec037a566a65b4766a965e5dcc1a797da555eec7a",
+        "c00c3c687f869b139fd2328d1fa82828974ae897c9baa7c59b8c8c8715072ca3"),
+    ("two", "inc-ab", ("--range", "1,2,1,2", "--expand", "via-duplicators")): (
+        "5e4ab827693a722fbf5cf8f73ea6bfc5fa145a01e2d6fc0d766b779c558fad2b",
+        "10a63346d7b8847615e9fc07495df1d413011818e444fcddc8dd1acbde456de1"),
+}
+
+
+@pytest.mark.parametrize("program, target, extra", list(_GOLDEN),
+                         ids=[f"{p}-{t}{'-' + x[-1] if x else ''}" for p, t, x in _GOLDEN])
+def test_compile_output_matches_its_golden_digests(tmp_path, capsys, program, target, extra):
+    text = {"p": "counters: c0 c1\n0: INC c0\n1: JZ c1 3\n2: DEC c0\n3: HALT\n",
+            "two": _TWO_CM}[program]
+    out_path = tmp_path / "out.json"
+    code, _, _ = _run_cli(capsys, "compile", _write(tmp_path, f"{program}.cm", text),
+                          "--target", target, *extra, "-o", str(out_path))
+    assert code == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out_path, tmp_path / "out.json.meta.json"))
+    assert digests == _GOLDEN[program, target, extra]
 
 
 def test_missing_subcommand_exits_with_usage():

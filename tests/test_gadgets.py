@@ -8,7 +8,9 @@ the acceptance suite runs (criterion: params <= 4, states 0..100, exact).
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,9 @@ def test_range_validation():
         DecNZRange(3, 2)
     with pytest.raises(SystemFormatError):
         DecRange(-1, 1)
+    for lo, hi in ((1.5, 2), (1, True), ("1", 2)):  # bounds are ints, not coerced
+        with pytest.raises(SystemFormatError, match="not an integer"):
+            IncRange(lo, hi)
 
 
 def test_component_arity_checked():
@@ -337,6 +342,10 @@ def test_parse_rejects_garbage():
                                         "exits": ["t_out"]}
     with pytest.raises(SystemFormatError, match="lo/hi"):
         parse_system(json.dumps(doc))
+    # what the json module cannot read: too deep a nesting, too long an integer
+    for text in ("[" * 200_000 + "]" * 200_000, '{"nodes": [' + "1" * 5_001 + "]}"):
+        with pytest.raises(SystemFormatError, match="not valid JSON"):
+            parse_system(text)
 
 
 def _set(path, value):
@@ -357,8 +366,15 @@ def _set(path, value):
     (_set(("boundary",), "node:src"), "boundary must be a list"),
     (_set(("specs", 0, "components", 0, "exits"), "t_out"), "exits must be a list"),
     (_set(("specs", 0, "components", 0, "hi"), float("inf")), "bad spec entry"),
+    (_set(("specs", 0, "components", 0, "lo"), 1.5), "not an integer"),
+    (_set(("specs", 0, "components", 0, "hi"), 1.5), "not an integer"),
+    (_set(("specs", 0, "components", 0, "lo"), True), "not an integer"),
+    (_set(("specs", 0, "components", 0, "hi"), True), "not an integer"),
+    (_set(("specs", 0, "components", 0, "lo"), "2"), "not an integer"),
+    (_set(("specs", 0, "components", 0, "hi"), "2"), "not an integer"),
 ], ids=["int-endpoint", "int-start", "int-instance-id", "list-node", "bool-initial",
-        "string-boundary", "string-exits", "infinite-hi"])
+        "string-boundary", "string-exits", "infinite-hi", "float-lo", "float-hi",
+        "bool-lo", "bool-hi", "string-lo", "string-hi"])
 def test_parse_rejects_wrong_types(mutate, message):
     doc = json.loads(serialize_system(_one_tunnel_system(IncRange(1, 1))))
     mutate(doc)
@@ -452,6 +468,46 @@ def test_parse_spec_accepts_catalog_dump():
         parse_spec({"type": "counter"})
     with pytest.raises(SystemFormatError):
         parse_spec({"type": "nonsense", "name": "x"})
+
+
+def _spec_document(name):
+    """The catalog spec ``name`` in the JSON form a spec file holds."""
+    system = SystemOfGadgets(specs=(catalog()[name],), instances=())
+    return json.loads(serialize_system(system))["specs"][0]
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("inc-decnz-pz", _set(("components", 0, "lo"), 1.5)),
+    ("inc-decnz-pz", _set(("components", 1, "hi"), True)),
+    ("inc-decnz-pz", _set(("components", 1, "hi"), "2")),
+    ("inc-decnz-pz", _set(("components", 2, "entry"), ["pz_in"])),
+    ("inc-decnz-pz", _set(("components", 0, "exits"), [1])),
+    ("inc-decnz-pz", _set(("name",), ["inc-decnz-pz"])),
+    ("sscd", lambda doc: doc.update(states=[], transitions=[])),
+    ("sscd", lambda doc: doc["locations"].append(["L3"])),
+], ids=["float-lo", "bool-hi", "string-hi", "list-entry", "int-exit", "list-name",
+        "no-states", "list-location"])
+def test_parse_spec_checks_every_field(name, mutate):
+    # the spec builds itself from checked parts, so no malformed spec gets
+    # as far as a system or a search
+    doc = _spec_document(name)
+    assert parse_spec(doc) == catalog()[name]
+    mutate(doc)
+    with pytest.raises(SystemFormatError, match="^bad spec entry: "):
+        parse_spec(doc)
+
+
+def test_json_is_read_in_one_place():
+    # every document reaches json through gadgets.read_json, the one place
+    # that turns its errors (bad JSON, deep nesting, long integers) into
+    # SystemFormatError
+    package = Path(G.__file__).parent
+    calls = [(path.stem, node.func.attr) for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("load", "loads")
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"]
+    assert calls == [("gadgets", "loads")]
 
 
 def test_catalog_contents():

@@ -485,6 +485,17 @@ def test_encoding_json_round_trip():
         assert back == enc
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "affine", "per_instance": [[2.7, 0]]},
+    {"kind": "interval-affine", "per_instance": [[[1, 0], [2.7, 0]]], "concrete": [[1, 0]]},
+    {"kind": "interval-affine", "per_instance": [[[1, 0], [1, 0]]], "concrete": [[2.7, 0]]},
+], ids=["affine", "interval-affine", "concrete"])
+def test_a_float_encoding_number_is_named_once(doc):
+    with pytest.raises(SystemFormatError) as exc:
+        Encoding.from_json(doc)
+    assert str(exc.value) == "bad encoding document: 2.7 is not an integer"
+
+
 def test_export_artifact(tmp_path):
     art = sim_incdecjz_via_incjzdec()
     path = tmp_path / "quintet.json"
@@ -510,6 +521,34 @@ def test_export_artifact(tmp_path):
     assert (tmp_path / "again.json").read_text() == body
     assert (tmp_path / "again.json.meta.json").read_text() \
         == (tmp_path / "quintet.json.meta.json").read_text()
+
+
+def _written_artifacts() -> list[LoweringArtifact]:
+    """Every artifact the criterion-3 lowering checks build, and one
+    pipeline output per target."""
+    program = parse_program("counters: c0 c1\n0: INC c0\n1: JZ c1 3\n2: DEC c0\n3: HALT\n")
+    return ([build_inc_decnz_decnz(), sim_incdecjz_via_incjzdec(),
+             sim_incjzdec_via_incdecnzpz(), build_sscd_from_incdecnz(),
+             build_edge_duplicator(1, 2, 1, 2)]
+            + [sim_incdecnzpz_via_incab(a, b, c, d) for a in (1, 2) for b in range(a, 3)
+               for c in (1, 2) for d in range(c, 3)]
+            + [pipeline(program, target, range_params=(1, 2, 1, 2))
+               for target in PIPELINE_TARGETS])
+
+
+def test_everything_written_reads_back(tmp_path):
+    # the readers check every field, and still take all the writers write
+    kinds = set()
+    for k, art in enumerate(_written_artifacts()):
+        system_path, meta_path = export_artifact(art, str(tmp_path / f"a{k}.json"))
+        assert G.parse_system(serialize_system(art.system)) == art.system
+        assert G.parse_system(Path(system_path).read_text()) == art.system
+        ports, encoding, mode = lower.read_sidecar(meta_path)
+        assert encoding == art.encoding
+        assert ports == {G.boundary_port(ep): G.boundary_port(ep) for ep in art.system.boundary}
+        assert mode == art.suggested_mode()
+        kinds.add(encoding and encoding.kind)
+    assert kinds == {"affine", "table", "interval-affine", None}
 
 
 def test_interval_artifact_suggests_interval_mode(tmp_path):

@@ -324,6 +324,17 @@ def test_interval_step_unit_ranges_track_exactly():
     assert interval_step(art, e0, "pz", counter_cap=6) == [e0]
 
 
+def test_interval_ops_come_from_the_simulated_spec():
+    # the op ports are read off the catalog spec the artifact names, so an
+    # artifact naming no Inc-DecNZ-PZ spec has no ops to walk
+    art = lower.sim_incdecnzpz_via_incab(1, 1, 1, 1)
+    e0 = art.encoding.state_for(0, "interval")
+    for simulates in ("warp-core", "inc-dec-jz", "sscd", None):
+        other = dataclasses.replace(art, provenance=dict(art.provenance, simulates=simulates))
+        with pytest.raises(SystemFormatError, match="not an Inc-DecNZ-PZ spec"):
+            interval_step(other, e0, "inc", counter_cap=6)
+
+
 def test_interval_step_growing_ranges():
     # (1,2,1,2): anchor 4; one simulated Inc lifts max(G0) from 0 to 4
     art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
