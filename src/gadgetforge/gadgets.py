@@ -56,7 +56,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from itertools import chain
+from typing import Iterator, NamedTuple, Union
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +66,8 @@ __all__ = [
     "ComponentKind", "Component", "CounterGadgetSpec", "FiniteGadgetSpec", "GadgetSpec",
     "GadgetInstance", "SystemOfGadgets", "SystemFormatError",
     "Configuration", "Traversal", "SystemIndex", "KeyCodec",
-    "node_endpoint", "port_endpoint", "split_endpoint", "boundary_port",
+    "node_endpoint", "port_endpoint", "split_endpoint", "split_for_prefix",
+    "boundary_port",
     "check_integer", "check_state", "canonicalize", "successors", "initial_config",
     "serialize_system", "read_json", "parse_system", "parse_spec", "to_dot",
     "spec_inc_dec_jz", "spec_inc_jzdec", "spec_inc_decnz", "spec_inc_decnz_pz",
@@ -352,6 +354,22 @@ def port_endpoint(instance_id: str, port: str) -> str:
     return f"{instance_id}.{port}"
 
 
+def _node_endpoints(names) -> Iterator[str]:
+    """``node_endpoint(name)`` for each of ``names``, in order."""
+    return map("node:".__add__, names)
+
+
+def _port_endpoints(instance_id: str, ports) -> Iterator[str]:
+    """``port_endpoint(instance_id, port)`` for each of ``ports``, in order."""
+    return map(f"{instance_id}.".__add__, ports)
+
+
+def split_for_prefix(ep: str) -> tuple[str, str]:
+    """(head, tail) such that ``head + prefix + tail`` is ``ep`` in a copy of
+    its system whose node names and instance ids all start with ``prefix``."""
+    return ("node:", ep[5:]) if ep.startswith("node:") else ("", ep)
+
+
 def split_endpoint(ep: str) -> tuple[str, str]:
     """-> ("node", name) or (instance_id, port)."""
     if ep.startswith("node:"):
@@ -387,26 +405,6 @@ class Traversal:
     after: int | str | Interval
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-
-    def add(self, x: str) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class _FiniteStep:
     """A finite transition as a one-exit kind; its index is the choice."""
@@ -440,21 +438,29 @@ class SystemIndex:
             raise SystemFormatError(f"mode must be concrete or interval, got {mode!r}")
         self.system = system
         self.interval = mode == "interval"
-        uf = _UnionFind()
-        for name in system.nodes:
-            uf.add(node_endpoint(name))
+        # union-find over the endpoint strings, with path halving
+        parent = {ep: ep for ep in _node_endpoints(system.nodes)}
         locations = {spec.name: spec.locations for spec in system.specs}
         for inst in system.instances:
-            for loc in locations[inst.spec]:
-                uf.add(port_endpoint(inst.id, loc))
+            for ep in _port_endpoints(inst.id, locations[inst.spec]):
+                parent[ep] = ep
         for (a, b) in system.edges:
-            uf.union(a, b)
+            while a != (up := parent[a]):
+                parent[a] = a = parent[up]
+            while b != (up := parent[b]):
+                parent[b] = b = parent[up]
+            if a != b:
+                parent[b] = a
 
         members: dict[str, list[str]] = {}
-        for ep in uf.parent:
-            members.setdefault(uf.find(ep), []).append(ep)
-        classes = sorted((sorted(eps) for eps in members.values()), key=lambda eps: eps[0])
-        self.classes: list[tuple[str, ...]] = [tuple(eps) for eps in classes]
+        for ep in parent:
+            root = ep
+            while root != (up := parent[root]):
+                parent[root] = root = parent[up]
+            members.setdefault(root, []).append(ep)
+        # classes are disjoint, so sorting by whole lists sorts by least endpoint
+        self.classes: list[tuple[str, ...]] = sorted(
+            tuple(sorted(eps)) for eps in members.values())
         self.class_of = {ep: cid for cid, eps in enumerate(self.classes) for ep in eps}
 
         # per spec, its entrances as (entry port, kind, exit ports)
@@ -670,14 +676,19 @@ def _validate(system: SystemOfGadgets) -> None:
     Linear in specs, instances, nodes and endpoints."""
     specs: dict[str, GadgetSpec] = {}
     spec_locations: dict[str, frozenset[str]] = {}
+    port_names: dict[str, list[str]] = {}
     for spec in system.specs:  # each spec checked itself when it was built
         if not isinstance(spec, GadgetSpec):
             raise SystemFormatError(f"not a gadget spec: {spec!r}")
         if spec.name in specs:
             raise SystemFormatError(f"duplicate spec name {spec.name!r}")
         specs[spec.name] = spec
-        spec_locations[spec.name] = frozenset(spec.locations)
+        locations = spec.locations
+        spec_locations[spec.name] = frozenset(locations)
+        # an empty location would make "ID.", which split_endpoint rejects
+        port_names[spec.name] = [loc for loc in locations if loc]
     ports_of: dict[str, frozenset[str]] = {}  # instance id -> its locations
+    legal: set[str] = set()  # every endpoint string check_ep below accepts
     for inst in system.instances:
         if not isinstance(inst.id, str) or "." in inst.id or not inst.id:
             raise SystemFormatError(f"bad instance id {inst.id!r} (no dots, nonempty)")
@@ -692,12 +703,24 @@ def _validate(system: SystemOfGadgets) -> None:
             raise SystemFormatError(f"no spec named {inst.spec!r}")
         check_state(spec, inst.initial, f"{inst.id}: initial state")
         ports_of[inst.id] = spec_locations[spec.name]
+        legal.update(_port_endpoints(inst.id, port_names[spec.name]))
     _check_names("node name", system.nodes)
     node_set = set(system.nodes)
     if len(node_set) != len(system.nodes):
         raise SystemFormatError("duplicate node name")
     if not node_set.isdisjoint(ports_of):
         raise SystemFormatError("node names and instance ids overlap")
+    legal.update(_node_endpoints(node_set))
+
+    # one set lookup per endpoint; only a failure walks the endpoints one by
+    # one, so that the first bad one is named
+    ends = [ep for ep in (system.start, system.goal) if ep is not None]
+    try:
+        if ({*map(len, system.edges)} <= {2} and legal.issuperset(
+                chain(chain.from_iterable(system.edges), ends, system.boundary))):
+            return
+    except TypeError:  # an unhashable or unsized value: the walk names it
+        pass
 
     def check_ep(ep: str) -> None:
         if not isinstance(ep, str):
@@ -791,21 +814,55 @@ def _spec_to_json(spec: GadgetSpec) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses
+
+
+def _write(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a valid
+    system holds (str, int, None, and lists and dicts of them), with every
+    line after the first indented by ``indent``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(k)}: {_write(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if not value:
+        return "[]"
+    items = [_write(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _top_list(items: list[str]) -> str:
+    """A top-level list of items already written at their indent."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def serialize_system(system: SystemOfGadgets) -> str:
-    """Deterministic JSON: equal systems serialize to identical bytes."""
-    doc = {
-        "specs": [_spec_to_json(s) for s in system.specs],
-        "instances": [
-            {"id": i.id, "spec": i.spec, "initial": i.initial}
-            for i in system.instances
-        ],
-        "nodes": list(system.nodes),
-        "edges": [list(e) for e in system.edges],
-        "start": system.start,
-        "goal": system.goal,
-        "boundary": list(system.boundary),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON: equal systems serialize to identical bytes.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``
+    plus a newline, written directly, because with an indent json.dumps runs
+    its pure-Python encoder."""
+    q = _quote
+    return "".join((
+        '{\n  "boundary": ', _top_list(list(map(q, system.boundary))),
+        ',\n  "edges": ', _top_list([f"[\n      {q(a)},\n      {q(b)}\n    ]"
+                                      for a, b in system.edges]),
+        ',\n  "goal": ', _write(system.goal, ""),
+        ',\n  "instances": ', _top_list([
+            f'{{\n      "id": {q(i.id)},\n      "initial": {_write(i.initial, "")},'
+            f'\n      "spec": {q(i.spec)}\n    }}' for i in system.instances]),
+        ',\n  "nodes": ', _top_list(list(map(q, system.nodes))),
+        ',\n  "specs": ', _write([_spec_to_json(s) for s in system.specs], "  "),
+        ',\n  "start": ', _write(system.start, ""),
+        "\n}\n"))
 
 
 def read_json(text: str):

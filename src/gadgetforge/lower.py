@@ -61,6 +61,7 @@ from .gadgets import (
     spec_sscd,
     spec_two_tunnel,
     split_endpoint,
+    split_for_prefix,
 )
 from .machine import Dec, Fragment, Halt, Inc, Jz, Program
 
@@ -74,6 +75,10 @@ __all__ = [
     "sim_incdecnzpz_via_incab", "emit_initializer", "pipeline",
     "export_artifact", "read_sidecar", "PIPELINE_TARGETS",
 ]
+
+# chained Inc and DecNZ tunnels per sim_incdecnzpz_via_incab part, which grow
+# with products of the range parameters (--range 1,300,1,1 needs 901)
+_MAX_TUNNELS = 1_000
 
 
 @dataclass(frozen=True)
@@ -432,6 +437,11 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
     if a > b or c > d:
         raise SystemFormatError(f"need a <= b and c <= d; got ({a},{b},{c},{d})")
     acd, abd, bcd, abc = a * c * d, a * b * d, b * c * d, a * b * c
+    tunnels = acd + abd + bcd + abc
+    if tunnels > _MAX_TUNNELS:
+        raise SystemFormatError(
+            f"range ({a},{b},{c},{d}) needs acd + abd + bcd + abc = {tunnels} "
+            f"tunnels per simulated counter; at most {_MAX_TUNNELS} are built")
     abcd = a * b * c * d
     p = port_endpoint
 
@@ -664,18 +674,17 @@ def substitute(host: LoweringArtifact, spec_name: str,
 
     replaced = [inst for inst in hsys.instances if inst.spec == spec_name]
     kept = [inst for inst in hsys.instances if inst.spec != spec_name]
-    replaced_ids = {inst.id for inst in replaced}
 
     out_instances: list[GadgetInstance] = list(kept)
     out_nodes: list[str] = list(hsys.nodes)
     out_edges: list[tuple[str, str]] = []
     roles = {i.id: host.roles.get(i.id, "") for i in kept}
 
-    def remap_host(ep: str) -> str:
-        inst_id, port = split_endpoint(ep)
-        if inst_id in replaced_ids:
-            return node_endpoint(f"{inst_id}/{port}")
-        return ep
+    # the replaced instances' ports become nodes named INSTANCE/PORT; the
+    # part's endpoints are copied under the prefix INSTANCE/
+    hoisted = {port_endpoint(x.id, loc): node_endpoint(f"{x.id}/{loc}")
+               for x in replaced for loc in target_spec.locations}
+    part_edges = [(*split_for_prefix(ea), *split_for_prefix(eb)) for ea, eb in psys.edges]
 
     for x in replaced:
         prefix = f"{x.id}/"
@@ -688,13 +697,10 @@ def substitute(host: LoweringArtifact, spec_name: str,
             roles[prefix + sub.id] = (
                 f"{host.roles.get(x.id, x.id)}/{sub_role}" if sub_role
                 else host.roles.get(x.id, x.id))
-        for n in psys.nodes:
-            out_nodes.append(prefix + n)
-        for (ea, eb) in psys.edges:
-            out_edges.append((_remap_part(ea, prefix), _remap_part(eb, prefix)))
+        out_nodes += [prefix + n for n in psys.nodes]
+        out_edges += [(ha + prefix + ta, hb + prefix + tb) for ha, ta, hb, tb in part_edges]
 
-    for (ea, eb) in hsys.edges:
-        out_edges.append((remap_host(ea), remap_host(eb)))
+    out_edges += [(hoisted.get(ea, ea), hoisted.get(eb, eb)) for ea, eb in hsys.edges]
 
     needed = {i.spec for i in out_instances}
     out_specs = _dedupe_specs(
@@ -706,9 +712,9 @@ def substitute(host: LoweringArtifact, spec_name: str,
         instances=tuple(out_instances),
         nodes=tuple(out_nodes),
         edges=tuple(out_edges),
-        start=remap_host(hsys.start) if hsys.start else None,
-        goal=remap_host(hsys.goal) if hsys.goal else None,
-        boundary=tuple(remap_host(ep) for ep in hsys.boundary),
+        start=hoisted.get(hsys.start, hsys.start),
+        goal=hoisted.get(hsys.goal, hsys.goal),
+        boundary=tuple(hoisted.get(ep, ep) for ep in hsys.boundary),
     )
     provenance = dict(host.provenance)
     subs = list(provenance.get("substitutions", []))
@@ -718,13 +724,6 @@ def substitute(host: LoweringArtifact, spec_name: str,
     provenance["substitutions"] = subs
     return LoweringArtifact(system, roles=roles, encoding=host.encoding,
                             provenance=provenance)
-
-
-def _remap_part(ep: str, prefix: str) -> str:
-    inst_id, port = split_endpoint(ep)
-    if inst_id == "node":
-        return node_endpoint(prefix + port)
-    return port_endpoint(prefix + inst_id, port)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ _PACKAGE_ROOT = os.path.dirname(
     os.path.dirname(os.path.abspath(gadgetforge.__file__)))
 
 
-def _cli_subprocess(*argv, env_extra=None):
+def _cli_subprocess(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("GADGETFORGE_LOG", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -49,7 +49,7 @@ def _cli_subprocess(*argv, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "gadgetforge", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 # ------------------------------------------------------------------ run
@@ -135,6 +135,21 @@ def test_compile_range_must_be_positive(tmp_path, capsys):
     code, _, err = _run_cli(capsys, "compile", src, "--target", "inc-ab",
                             "-o", str(tmp_path / "x.json"))
     assert code == 1 and "range_params" in err
+
+
+def test_compile_rejects_a_range_too_large_to_build(tmp_path):
+    # 1,1000000,1,1 chains three million tunnels per counter, minutes of work
+    # and gigabytes of output if built, so it runs in a child that a timeout
+    # kills; the bound must reject it before anything is built
+    src = _write(tmp_path, "two.cm", _TWO_CM)
+    out_path = tmp_path / "x.json"
+    began = time.perf_counter()
+    proc = _cli_subprocess("compile", src, "--target", "inc-ab", "--range", "1,1000000,1,1",
+                           "-o", str(out_path), timeout=5)
+    assert time.perf_counter() - began < 1.0
+    assert _rejected(proc.returncode, proc.stdout, proc.stderr)
+    assert "tunnels" in proc.stderr
+    assert not out_path.exists() and not (tmp_path / "x.json.meta.json").exists()
 
 
 def test_compile_rejects_a_negative_counter_value(tmp_path, capsys):

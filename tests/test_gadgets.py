@@ -41,6 +41,7 @@ from gadgetforge.gadgets import (
     port_endpoint,
     serialize_system,
     split_endpoint,
+    split_for_prefix,
     successors,
     to_dot,
 )
@@ -212,6 +213,9 @@ def test_endpoint_helpers():
     assert port_endpoint("g", "inc_in") == "g.inc_in"
     assert split_endpoint("node:x") == ("node", "x")
     assert split_endpoint("g.inc_in") == ("g", "inc_in")
+    # head + prefix + tail is the endpoint in a copy under the prefix
+    assert split_for_prefix("node:x") == ("node:", "x")
+    assert split_for_prefix("g.inc_in") == ("", "g.inc_in")
     # instance ids may not contain dots, so first-dot splitting is safe
     with pytest.raises(SystemFormatError):
         canonicalize(SystemOfGadgets(
@@ -327,6 +331,142 @@ def test_serialized_form_is_plain_sorted_json():
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# ------------------------------------------------ writer differential
+#
+# serialize_system writes its bytes directly; the serializer it replaced is
+# kept here verbatim as the oracle, and the two must agree byte for byte.
+
+def reference_serialize_system(system: SystemOfGadgets) -> str:
+    """Deterministic JSON: equal systems serialize to identical bytes."""
+    doc = {
+        "specs": [G._spec_to_json(s) for s in system.specs],
+        "instances": [
+            {"id": i.id, "spec": i.spec, "initial": i.initial}
+            for i in system.instances
+        ],
+        "nodes": list(system.nodes),
+        "edges": [list(e) for e in system.edges],
+        "start": system.start,
+        "goal": system.goal,
+        "boundary": list(system.boundary),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# names with every character class the writer must escape like json.dumps:
+# quote, backslash, control characters, non-ASCII and astral characters
+_ODD = '"\\\n\t\x00\x7fé 😀'
+_NAMES = st.text(alphabet=st.sampled_from("ab:/_ ." + _ODD), max_size=4)
+_IDS = _NAMES.filter(lambda s: s and "." not in s and s != "node"
+                     and not s.startswith("node:"))
+_BIG = st.one_of(st.integers(0, 3), st.integers(0, 2**70), st.just(10**400))
+_RANGED = st.sampled_from([IncRange, DecNZRange, DecRange])
+_PLAIN = st.sampled_from([PZ(), PNZ(), JZSwitch(), JZDecSwitch()])
+
+
+@st.composite
+def _components(draw):
+    if draw(st.booleans()):
+        lo = draw(st.one_of(st.integers(1, 3), st.integers(1, 2**70)))
+        kind = draw(_RANGED)(lo, lo + draw(_BIG))
+    else:
+        kind = draw(_PLAIN)
+    ports = draw(st.lists(_NAMES, min_size=1 + kind.exits, max_size=1 + kind.exits))
+    return Component(kind, ports[0], tuple(ports[1:]))
+
+
+@st.composite
+def _specs(draw, name):
+    if draw(st.booleans()):
+        return CounterGadgetSpec(name, tuple(draw(st.lists(_components(), max_size=4))))
+    states = tuple(draw(st.lists(_NAMES, min_size=1, max_size=3)))
+    locations = tuple(draw(st.lists(_NAMES, max_size=4)))
+    transitions = ()
+    if locations:
+        steps = st.tuples(st.sampled_from(states), st.sampled_from(locations),
+                          st.sampled_from(states), st.sampled_from(locations))
+        transitions = tuple(draw(st.lists(steps, max_size=4)))
+    return FiniteGadgetSpec(name, states, locations, transitions)
+
+
+@st.composite
+def systems(draw) -> SystemOfGadgets:
+    """Valid systems of every spec kind, with odd names and large numbers."""
+    names = draw(st.lists(_NAMES, unique=True, max_size=3))
+    specs = tuple(draw(_specs(name)) for name in names)
+    instances = []
+    if specs:
+        for inst_id in draw(st.lists(_IDS, unique=True, max_size=4)):
+            spec = draw(st.sampled_from(specs))
+            initial = draw(_BIG if isinstance(spec, CounterGadgetSpec)
+                           else st.sampled_from(spec.states))
+            instances.append(GadgetInstance(inst_id, spec.name, initial))
+    ids = {i.id for i in instances}
+    nodes = draw(st.lists(_NAMES.filter(lambda s: s not in ids), unique=True, max_size=4))
+    by_name = {spec.name: spec for spec in specs}
+    legal = [node_endpoint(n) for n in nodes] + [
+        port_endpoint(i.id, loc) for i in instances
+        for loc in by_name[i.spec].locations if loc]
+    ends = st.sampled_from(legal) if legal else st.nothing()
+    maybe = st.none() | ends if legal else st.none()
+    return SystemOfGadgets(
+        specs=specs, instances=tuple(instances), nodes=tuple(nodes),
+        edges=tuple(draw(st.lists(st.tuples(ends, ends), max_size=8))) if legal else (),
+        start=draw(maybe), goal=draw(maybe),
+        boundary=tuple(draw(st.lists(ends, max_size=3))) if legal else ())
+
+
+def _writer_cases():
+    """(name, system): every criterion-3 artifact, finite specs, the empty
+    system, odd names with large ints, and a corpus sample on every target."""
+    from gadgetforge import lower
+    from test_acceptance import _RANGE_PARAMS, _corpus, _spliced_duplicator
+
+    yield "flow-expanded", lower.build_inc_decnz_decnz().system
+    yield "quintet", lower.sim_incdecjz_via_incjzdec().system
+    yield "merged", lower.sim_incjzdec_via_incdecnzpz().system
+    yield "sscd", lower.build_sscd_from_incdecnz().system
+    yield "duplicator", lower.build_edge_duplicator(1, 2, 1, 2).system
+    yield "duplicator-no-leak", _spliced_duplicator(1, 2, 1, 2).system
+    for a, b, c, d in _RANGE_PARAMS:
+        # via-duplicators needs [a,b] and [c,d] to overlap
+        for expand in ("direct",) + (("via-duplicators",) if max(a, c) <= min(b, d) else ()):
+            for merged in (False, True):
+                yield f"incab-{a}{b}{c}{d}-{expand}-{merged}", lower.sim_incdecnzpz_via_incab(
+                    a, b, c, d, merged=merged, expand=expand).system
+    for name, state in (("sscd", "1"), ("two-tunnel", "idle")):
+        yield name, SystemOfGadgets(specs=(catalog()[name],),
+                                    instances=(GadgetInstance("d", name, state),))
+    yield "empty", SystemOfGadgets(specs=(), instances=())
+    odd = CounterGadgetSpec(_ODD, (Component(IncRange(1, 10**4000), _ODD, ('"',)),))
+    yield "odd-names-big-ints", SystemOfGadgets(
+        specs=(odd,), instances=(GadgetInstance("é\n", _ODD, 2**64),),
+        nodes=(_ODD, "\\"), edges=((node_endpoint(_ODD), port_endpoint("é\n", _ODD)),),
+        start=node_endpoint("\\"), goal=port_endpoint("é\n", '"'),
+        boundary=(node_endpoint(_ODD),))
+    targets = [(t, {}) for t in lower.PIPELINE_TARGETS if t != "inc-ab"] + [
+        ("inc-ab", {"range_params": (1, 2, 1, 2), "expand": expand})
+        for expand in ("direct", "via-duplicators")]
+    for k, (program, initial) in enumerate(_corpus()[::24]):
+        for target, kw in targets:
+            yield f"corpus-{k}-{target}-{kw.get('expand')}", lower.pipeline(
+                program, target, initial=initial, **kw).system
+
+
+def test_writer_matches_the_reference_serializer():
+    count = 0
+    for name, system in _writer_cases():
+        assert serialize_system(system) == reference_serialize_system(system), name
+        count += 1
+    assert count > 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_writer_matches_the_reference_on_generated_systems(system):
+    assert serialize_system(system) == reference_serialize_system(system)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(SystemFormatError):
         parse_system("not json")
@@ -372,9 +512,12 @@ def _set(path, value):
     (_set(("specs", 0, "components", 0, "hi"), True), "not an integer"),
     (_set(("specs", 0, "components", 0, "lo"), "2"), "not an integer"),
     (_set(("specs", 0, "components", 0, "hi"), "2"), "not an integer"),
+    # off the one-set-lookup path both ways: unhashable, and hashable but no string
+    (_set(("edges", 0, 1), ["g.t_in"]), r"^endpoint must be a string, got \['g.t_in'\]$"),
+    (_set(("goal",), 2.5), r"^endpoint must be a string, got 2.5$"),
 ], ids=["int-endpoint", "int-start", "int-instance-id", "list-node", "bool-initial",
         "string-boundary", "string-exits", "infinite-hi", "float-lo", "float-hi",
-        "bool-lo", "bool-hi", "string-lo", "string-hi"])
+        "bool-lo", "bool-hi", "string-lo", "string-hi", "list-endpoint", "float-goal"])
 def test_parse_rejects_wrong_types(mutate, message):
     doc = json.loads(serialize_system(_one_tunnel_system(IncRange(1, 1))))
     mutate(doc)
@@ -508,6 +651,17 @@ def test_json_is_read_in_one_place():
              and node.func.attr in ("load", "loads")
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"]
     assert calls == [("gadgets", "loads")]
+
+
+def test_endpoint_format_is_written_in_one_place():
+    # only gadgets spells out ``node:NAME``; every other module builds and
+    # takes endpoints apart through its helpers
+    package = Path(G.__file__).parent
+    spelled = sorted({path.stem for path in package.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value.startswith("node:")})
+    assert spelled == ["gadgets"]
 
 
 def test_catalog_contents():

@@ -20,6 +20,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from gadgetforge import gadgets as G, lower, reach
 from gadgetforge.gadgets import (
@@ -43,6 +45,7 @@ from gadgetforge.reach import SearchOutcome, SearchStats, Verdict
 from gadgetforge.verify import BoundaryLTS, derive_boundary_lts, spec_closure_lts
 
 from test_acceptance import _RANGE_PARAMS, _corpus, _spliced_duplicator
+from test_gadgets import systems
 
 
 # ------------------------------------------------------------- the oracle
@@ -460,3 +463,226 @@ def test_boundary_lts_matches_the_reference():
             truncated += got.truncated
             above_cap += impl_cap < seed_max
     assert truncated and above_cap
+
+
+# ------------------------------------------- index and validator oracles
+#
+# SystemIndex groups endpoints with an inlined union-find and _validate
+# checks endpoints against one set of legal strings.  The code they
+# replaced is kept below verbatim as the oracle: the tables must be equal,
+# and the validator must accept the same systems and reject the others with
+# the same exception and message.
+
+class _UnionFind:
+    def __init__(self) -> None:
+        self.parent: dict[str, str] = {}
+
+    def add(self, x: str) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x: str) -> str:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def reference_tables(system: SystemOfGadgets) -> tuple:
+    """(classes, class_of, moves, boundary_classes) as the _UnionFind index
+    built them."""
+    uf = _UnionFind()
+    for name in system.nodes:
+        uf.add(node_endpoint(name))
+    locations = {spec.name: spec.locations for spec in system.specs}
+    for inst in system.instances:
+        for loc in locations[inst.spec]:
+            uf.add(port_endpoint(inst.id, loc))
+    for (a, b) in system.edges:
+        uf.union(a, b)
+
+    members: dict[str, list[str]] = {}
+    for ep in uf.parent:
+        members.setdefault(uf.find(ep), []).append(ep)
+    classes = sorted((sorted(eps) for eps in members.values()), key=lambda eps: eps[0])
+    classes: list[tuple[str, ...]] = [tuple(eps) for eps in classes]
+    class_of = {ep: cid for cid, eps in enumerate(classes) for ep in eps}
+
+    # per spec, its entrances as (entry port, kind, exit ports)
+    spec_of = {spec.name: spec for spec in system.specs}
+    parts = {name: ([(c.entry, c.kind, c.exit_ports) for c in spec.components]
+                    if isinstance(spec, CounterGadgetSpec) else
+                    [(a, G._FiniteStep(s, s2, k), (b,))
+                     for k, (s, a, s2, b) in enumerate(spec.transitions)])
+             for name, spec in spec_of.items()}
+    cls = class_of
+    moves: dict[int, list[tuple]] = {}
+    for i, inst in enumerate(system.instances):
+        for entry, kind, exits in parts[inst.spec]:
+            moves.setdefault(cls[port_endpoint(inst.id, entry)], []).append(
+                (i, inst.id, entry, kind, exits,
+                 tuple([cls[port_endpoint(inst.id, p)] for p in exits])))
+
+    boundary_classes: dict[int, str] = {}
+    for ep in system.boundary:
+        cid = class_of[ep]
+        if cid in boundary_classes:
+            raise SystemFormatError(
+                f"boundary endpoints {boundary_classes[cid]!r} and {ep!r} "
+                "fell into the same connectivity class")
+        boundary_classes[cid] = ep
+    return classes, class_of, moves, boundary_classes
+
+
+def reference_validate(system: SystemOfGadgets) -> None:
+    """The one validity check, run by SystemOfGadgets on construction.
+    Linear in specs, instances, nodes and endpoints."""
+    specs: dict[str, G.GadgetSpec] = {}
+    spec_locations: dict[str, frozenset[str]] = {}
+    for spec in system.specs:  # each spec checked itself when it was built
+        if not isinstance(spec, G.GadgetSpec):
+            raise SystemFormatError(f"not a gadget spec: {spec!r}")
+        if spec.name in specs:
+            raise SystemFormatError(f"duplicate spec name {spec.name!r}")
+        specs[spec.name] = spec
+        spec_locations[spec.name] = frozenset(spec.locations)
+    ports_of: dict[str, frozenset[str]] = {}  # instance id -> its locations
+    for inst in system.instances:
+        if not isinstance(inst.id, str) or "." in inst.id or not inst.id:
+            raise SystemFormatError(f"bad instance id {inst.id!r} (no dots, nonempty)")
+        if inst.id == "node" or inst.id.startswith("node:"):
+            raise SystemFormatError(
+                f"instance id {inst.id!r} is reserved: its port endpoints "
+                "would read as connection nodes")
+        if inst.id in ports_of:
+            raise SystemFormatError(f"duplicate instance id {inst.id!r}")
+        spec = specs.get(inst.spec) if isinstance(inst.spec, str) else None
+        if spec is None:
+            raise SystemFormatError(f"no spec named {inst.spec!r}")
+        G.check_state(spec, inst.initial, f"{inst.id}: initial state")
+        ports_of[inst.id] = spec_locations[spec.name]
+    G._check_names("node name", system.nodes)
+    node_set = set(system.nodes)
+    if len(node_set) != len(system.nodes):
+        raise SystemFormatError("duplicate node name")
+    if not node_set.isdisjoint(ports_of):
+        raise SystemFormatError("node names and instance ids overlap")
+
+    def check_ep(ep: str) -> None:
+        if not isinstance(ep, str):
+            raise SystemFormatError(f"endpoint must be a string, got {ep!r}")
+        kind, rest = G.split_endpoint(ep)
+        if kind == "node":
+            if rest not in node_set:
+                raise SystemFormatError(f"unknown node in endpoint {ep!r}")
+        else:
+            locs = ports_of.get(kind)
+            if locs is None:
+                raise SystemFormatError(f"unknown instance in endpoint {ep!r}")
+            if rest not in locs:
+                raise SystemFormatError(f"unknown port in endpoint {ep!r}")
+
+    for (a, b) in system.edges:
+        check_ep(a)
+        check_ep(b)
+    for ep in (system.start, system.goal):
+        if ep is not None:
+            check_ep(ep)
+    for ep in system.boundary:
+        check_ep(ep)
+
+
+def _outcome(build):
+    """build()'s value, or the type and message of what it raised."""
+    try:
+        return build()
+    except Exception as exc:  # the oracle and the code under test must agree
+        return type(exc), str(exc)
+
+
+def _index_tables(system: SystemOfGadgets) -> tuple:
+    index = canonicalize(system)
+    return index.classes, index.class_of, index.moves, index.boundary_classes
+
+
+def _index_cases():
+    for target in lower.PIPELINE_TARGETS:
+        kw = {"range_params": (1, 2, 1, 2)} if target == "inc-ab" else {}
+        for program, initial in _corpus()[::12]:
+            yield lower.pipeline(program, target, initial=initial, **kw).system
+    for _, system, _, _ in _criterion_3_derivations():
+        yield system
+    yield lower.sim_incdecnzpz_via_incab(1, 2, 1, 2, expand="via-duplicators").system
+    # chains joined root to root grow deep trees, which path halving shortens
+    nodes = tuple(f"n{k}" for k in range(12))
+    chain = [(node_endpoint(f"n{k + 1}"), node_endpoint(f"n{k}")) for k in range(8)]
+    for edges in (chain, [(b, a) for a, b in chain]):
+        for tail in ((("node:n0", "node:n9"),), (("node:n9", "node:n0"),),
+                     (("node:n0", "node:n10"), ("node:n11", "node:n3"))):
+            yield SystemOfGadgets(specs=(), instances=(), nodes=nodes,
+                                  edges=tuple(edges) + tail, boundary=("node:n10",))
+
+
+def test_index_tables_match_the_union_find_reference():
+    count = 0
+    for system in _index_cases():
+        assert _index_tables(system) == reference_tables(system)
+        count += 1
+    assert count > 150
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_index_tables_match_the_reference_on_generated_systems(system):
+    # a boundary collision must raise the same error in both
+    assert _outcome(lambda: _index_tables(system)) == _outcome(lambda: reference_tables(system))
+
+
+class _Unchecked(SystemOfGadgets):
+    """A system built without the validator, to hand to either validator."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
+_BAD_ENDPOINTS = ["", "node", "node:", "node:zz", ".x", "a..b", "zz.a", 1, True, 2.5,
+                  ("node:a",), ["node:a"], b"node:a", None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_validator_matches_the_reference(system, data):
+    """Replace one endpoint or edge of a valid system, legal or not: the
+    set-lookup validator and the reference agree on every outcome."""
+    legal = sorted({ep for edge in system.edges for ep in edge} | set(system.boundary))
+    ids = [inst.id for inst in system.instances]
+    endpoint = st.sampled_from(_BAD_ENDPOINTS + legal
+                               + [f"{i}." for i in ids] + [f"{i}.zz" for i in ids]
+                               + [node_endpoint(n) + "x" for n in system.nodes])
+    field = data.draw(st.sampled_from(["edge-end", "edge-shape", "start", "goal",
+                                       "boundary"]))
+    edges, boundary = list(system.edges), list(system.boundary)
+    start, goal = system.start, system.goal
+    if field == "edge-end" and edges:
+        k, side = data.draw(st.integers(0, len(edges) - 1)), data.draw(st.integers(0, 1))
+        pair = list(edges[k])
+        pair[side] = data.draw(endpoint)
+        edges[k] = tuple(pair)
+    elif field == "edge-shape":
+        a, b = data.draw(endpoint), data.draw(endpoint)
+        edges.insert(data.draw(st.integers(0, len(edges))), data.draw(
+            st.sampled_from([(a,), (a, b, a), [a, b], (), "ab", a])))
+    elif field == "start":
+        start = data.draw(endpoint)
+    elif field == "goal":
+        goal = data.draw(endpoint)
+    elif field == "boundary":
+        boundary.insert(data.draw(st.integers(0, len(boundary))), data.draw(endpoint))
+    mutant = _Unchecked(system.specs, system.instances, system.nodes, tuple(edges),
+                        start, goal, tuple(boundary))
+    assert _outcome(lambda: G._validate(mutant)) == _outcome(lambda: reference_validate(mutant))

@@ -249,6 +249,15 @@ def test_incab_range_validation():
         sim_incdecnzpz_via_incab(1, 1, 2, 1)
 
 
+def test_incab_tunnel_count_is_bounded():
+    # a = c = d = 1 chains 1 + 3b tunnels: b = 333 makes exactly 1,000
+    art = sim_incdecnzpz_via_incab(1, 333, 1, 1)
+    assert sum(len(s.components) - 1 for s in art.system.specs) == 1_000
+    for expand in ("direct", "via-duplicators"):
+        with pytest.raises(SystemFormatError, match="1003 tunnels"):
+            sim_incdecnzpz_via_incab(1, 334, 1, 1, expand=expand)
+
+
 # ------------------------------------------------------- edge duplicator
 
 def _spliced_duplicator(a, b, c, d):
