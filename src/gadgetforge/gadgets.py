@@ -56,6 +56,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple, Union
 
@@ -281,7 +282,7 @@ class CounterGadgetSpec:
     def __post_init__(self) -> None:
         _check_names("spec name", (self.name,))
 
-    @property
+    @cached_property  # computed on first read; not a field, so eq and hash ignore it
     def locations(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
         for comp in self.components:
@@ -510,6 +511,19 @@ class SystemIndex:
             return tuple(vec)
         return tuple((v, v) if isinstance(v, int) else v for v in vec)
 
+    def top(self, states: tuple) -> int:
+        """The largest counter value in ``states`` (hi of an interval), or 0."""
+        interval = self.interval
+        return max([s[1] if interval else s for s, c in zip(states, self.counter) if c],
+                   default=0)
+
+    def slots_above(self, states: tuple, cap: int) -> frozenset[int]:
+        """The slots of ``states`` whose counter value (hi of an interval)
+        exceeds ``cap``."""
+        interval = self.interval
+        return frozenset(i for i, (s, c) in enumerate(zip(states, self.counter))
+                         if c and (s[1] if interval else s) > cap)
+
     def initial_states(self) -> tuple:
         return self.at_rest(inst.initial for inst in self.system.instances)
 
@@ -600,13 +614,14 @@ class KeyCodec:
         # a vector is often swept from several positions in turn (one per
         # boundary port in verify): its slots are packed once for all of them
         if states is not self._last[0]:
-            self._last = (states, self._pack_states(states))
+            self._last = (states, self.pack_states(states))
         try:
             return config.position.to_bytes(self.pos_width, "big") + self._last[1]
         except (AttributeError, OverflowError) as exc:
             raise SystemFormatError(f"position {config.position!r} does not fit") from exc
 
-    def _pack_states(self, states: tuple) -> bytes:
+    def pack_states(self, states: tuple) -> bytes:
+        """The state slots of a key: ``pack`` without the position."""
         w = self.width
         code = self.index.finite_code
         try:
@@ -781,6 +796,13 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _edge(value) -> tuple:
+    """A document's edge entry as a pair; anything but a two-item list is
+    an error."""
+    a, b = _list(value, "edge")
+    return a, b
+
+
 def _kind_from_json(d: dict) -> ComponentKind:
     if not isinstance(d, dict):
         raise SystemFormatError(f"component must be an object, got {type(d).__name__}")
@@ -889,7 +911,8 @@ def parse_system(text: str) -> SystemOfGadgets:
                 GadgetInstance(i["id"], i["spec"], i["initial"])
                 for i in entries("instances")),
             nodes=tuple(entries("nodes")),
-            edges=tuple((a, b) for (a, b) in (_list(e, "edge") for e in entries("edges"))),
+            edges=tuple([tuple(e) if type(e) is list and len(e) == 2 else _edge(e)
+                         for e in entries("edges")]),
             start=doc.get("start"),
             goal=doc.get("goal"),
             boundary=tuple(entries("boundary")),

@@ -79,6 +79,9 @@ __all__ = [
 # chained Inc and DecNZ tunnels per sim_incdecnzpz_via_incab part, which grow
 # with products of the range parameters (--range 1,300,1,1 needs 901)
 _MAX_TUNNELS = 1_000
+# instances plus edges of that part: a direct part has at most 1,007, a
+# part expanded via duplicators 14 more per tunnel past the first four
+_MAX_PARTS = 2_000
 
 
 @dataclass(frozen=True)
@@ -442,6 +445,14 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
         raise SystemFormatError(
             f"range ({a},{b},{c},{d}) needs acd + abd + bcd + abc = {tunnels} "
             f"tunnels per simulated counter; at most {_MAX_TUNNELS} are built")
+    # each tunnel past one per chain costs a duplicator: two wrappers, 12 edges
+    duplicators = tunnels - 4 if expand == "via-duplicators" else 0
+    n_instances, n_edges = 2 + 2 * duplicators, tunnels + 5 + 12 * duplicators
+    if n_instances + n_edges > _MAX_PARTS:
+        raise SystemFormatError(
+            f"range ({a},{b},{c},{d}) expanded {expand} needs {n_instances} instances "
+            f"and {n_edges} edges for {tunnels} tunnels per simulated counter; at most "
+            f"{_MAX_PARTS} instances and edges are built")
     abcd = a * b * c * d
     p = port_endpoint
 

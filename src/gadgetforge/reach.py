@@ -29,14 +29,15 @@ the number of finite-gadget states.  A successor is its parent key with one
 slot and the position spliced in, and the visited map keeps (parent key,
 move, choice, exit) per key.  Traversal labels are built only for a path
 asked for (``Sweep.path_to``: the witness), and Configurations only for the
-keys a caller reads (``Sweep.configurations``).
+keys a caller reads (``Sweep.configurations``).  The loop itself is
+``_bfs``, which ``sweep`` and the boundary closure of ``verify`` both call.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -131,16 +132,14 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
     """Bounded BFS from ``starts``, in the index's state mode.  Stops early
     when a configuration at ``goal_class`` is dequeued.  Start configurations
     are admitted without a cap check (they were given, not found)."""
-    counter, interval = index.counter, index.interval
     tops = {}  # start -> its largest counter value (hi of an interval), first first
     for cfg in starts:
         if cfg not in tops:
-            tops[cfg] = max([s[1] if interval else s
-                             for s, c in zip(cfg.states, counter) if c], default=0)
-    max_counter = max(tops.values(), default=0)
+            tops[cfg] = index.top(cfg.states)
+    start_max = max(tops.values(), default=0)
     # ranged moves stop one amount past this: nothing they skip could be
     # admitted, or be a start
-    move_cap = max(counter_cap, max_counter)
+    move_cap = max(counter_cap, start_max)
     codec = index.codec(move_cap)
     start_configs: dict[bytes, Configuration] = {}
     over_cap: dict[bytes, frozenset[int]] = {}  # start above the cap -> those slots
@@ -148,20 +147,39 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
         key = codec.pack(cfg)
         start_configs[key] = cfg
         if high > counter_cap:
-            over_cap[key] = frozenset(
-                i for i, (s, c) in enumerate(zip(cfg.states, counter))
-                if c and (s[1] if interval else s) > counter_cap)
-    visited: dict[bytes, tuple | None] = dict.fromkeys(start_configs)
+            over_cap[key] = index.slots_above(cfg.states, counter_cap)
+    goal = None if goal_class is None else goal_class.to_bytes(codec.pos_width, "big")
+    (visited, goal_hit, overflowed, budget_exhausted, start_revisited, explored,
+     frontier_peak, max_counter) = _bfs(codec, start_configs, over_cap, counter_cap,
+                                        move_cap, visit_budget, goal)
+    return Sweep(codec, visited, goal_hit, overflowed, budget_exhausted,
+                 SearchStats(explored, frontier_peak, max(start_max, max_counter)),
+                 start_revisited, start_configs)
+
+
+def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozenset[int]],
+         counter_cap: int, move_cap: int, visit_budget: int, goal: bytes | None) -> tuple:
+    """The one BFS loop on packed keys, under ``sweep`` and the boundary
+    closure of ``verify``.  ``codec`` must hold every start and ``move_cap``.
+
+    ``over_cap`` maps each start above ``counter_cap`` to those slots;
+    ranged moves stop one amount past ``move_cap``; ``goal`` is a position
+    prefix or None.  Returns (visited, goal_hit, overflowed,
+    budget_exhausted, start_revisited, explored, frontier_peak,
+    max_counter), as ``Sweep`` and ``SearchStats`` hold them, except that
+    max_counter counts only admitted successors.
+    """
+    visited: dict[bytes, tuple | None] = dict.fromkeys(starts)
     queue: deque[bytes] = deque(visited)
     pw, w, top, moves = codec.pos_width, codec.width, codec.top, codec.moves
     base, w2 = top + 1, 2 * w
-    goal = None if goal_class is None else goal_class.to_bytes(pw, "big")
     from_bytes, join = int.from_bytes, b"".join
     overflowed = False
     budget_exhausted = False
     start_revisited = False
     goal_hit: bytes | None = None
     explored = 0
+    max_counter = 0
     frontier_peak = len(queue)
 
     while queue:
@@ -216,9 +234,8 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
         if len(queue) > frontier_peak:
             frontier_peak = len(queue)
 
-    return Sweep(codec, visited, goal_hit, overflowed, budget_exhausted,
-                 SearchStats(explored, frontier_peak, max_counter), start_revisited,
-                 start_configs)
+    return (visited, goal_hit, overflowed, budget_exhausted, start_revisited, explored,
+            frontier_peak, max_counter)
 
 
 def bfs_reach(system: SystemOfGadgets | SystemIndex, counter_cap: int,

@@ -17,6 +17,14 @@ both sides.
 Everything is bounded by a cap on gadget states.  States from which some
 excursion was cap-pruned are collected in ``cap_frontier``.
 
+The closure is one loop over one key layout (``gadgets.KeyCodec``, chosen
+once from the cap and the seeds): each at-rest state is kept as its packed
+slots, the key without its position, and interned to an int; each
+excursion is one run of the BFS kernel that ``reach.sweep`` also runs
+(``reach._bfs``), from the port's position prefix plus those slots, and
+the boundary keys it reached are read by their prefix.  States become
+tuples once, for the returned ``BoundaryLTS``.
+
 The bisimulation relation maps each implementation state to the set of spec
 states related to it (as in Henzinger, Henzinger & Kopke, "Computing
 Simulations on Finite and Infinite Graphs", FOCS 1995).  A pair stays
@@ -24,7 +32,10 @@ while both states offer the same labels and each move of either side is
 matched, under its label, by a move of the other into a related pair.
 Refinement starts from the pairs whose label sets agree, checks each pair
 once, and then, as a worklist, re-checks only the predecessors of each
-removed pair under the same label.  Frontier rule: a pair whose
+removed pair under the same label.  It runs on int ids: impl states,
+spec states and labels are interned once, and each impl state holds its
+related spec states as one bitmask over spec ids, so a match is an ``&``
+test.  Frontier rule: a pair whose
 implementation or spec state is on the cap frontier is never removed, and
 the report counts these skipped pairs, so an Equivalent verdict is an
 explicit up-to-the-cap claim and a cap too small to decide anything yields
@@ -61,7 +72,7 @@ from .gadgets import (
     node_endpoint,
     port_endpoint,
 )
-from .reach import sweep
+from .reach import _bfs, sweep
 
 log = logging.getLogger(__name__)
 
@@ -114,44 +125,81 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     if not index.boundary_classes:
         raise SystemFormatError("system has no boundary endpoints")
     # boundary_classes is in system.boundary order
-    boundary = {cid: boundary_port(ep) for cid, ep in index.boundary_classes.items()}
-    ports = tuple(boundary.values())
+    ports = tuple(map(boundary_port, index.boundary_classes.values()))
+    vecs = list(dict.fromkeys(map(index.at_rest, seeds)))
+    tops = list(map(index.top, vecs))
+    # every state the closure finds is within the cap, so one codec holds all
+    codec = index.codec(max([impl_cap, *tops]))
+    pw = codec.pos_width
+    prefixes = [cid.to_bytes(pw, "big") for cid in index.boundary_classes]
+    port_of = {prefix: k for k, prefix in enumerate(prefixes)}
+    # an excursion from a port that no move leaves expands its start, and ends
+    entered = [(p, prefix) for p, prefix in enumerate(prefixes)
+               if prefix in codec.moves or inner_budget < 1]
+    idle = len(prefixes) - len(entered)
 
-    todo: deque[tuple] = deque(dict.fromkeys(map(index.at_rest, seeds)))
-    seen: set[tuple] = set(todo)
+    # at-rest states as packed keys without their position, interned in
+    # discovery order; a seed above the cap keeps those slots and its own
+    # move cap (see reach.sweep)
+    bodies = [codec.pack_states(vec) for vec in vecs]
+    ids = {body: k for k, body in enumerate(bodies)}
+    above = {k: (high, index.slots_above(vec, impl_cap))
+             for k, (vec, high) in enumerate(zip(vecs, tops)) if high > impl_cap}
 
-    transitions: set = set()
+    transitions: set = set()  # (state id, entry port, exit port, state id)
     frontier: set = set()
     truncated = False
-
-    while todo:
-        if len(seen) > _STATE_BUDGET:
+    expanded = 0
+    k = 0
+    while k < len(bodies):
+        if len(bodies) > _STATE_BUDGET:
             raise SystemFormatError(
                 f"boundary closure exceeded {_STATE_BUDGET} at-rest states")
-        vec = todo.popleft()
-        for cid, pname in boundary.items():
-            result = sweep(index, [Configuration(cid, vec)], counter_cap=impl_cap,
-                           visit_budget=inner_budget)
-            if result.overflowed or result.budget_exhausted:
-                frontier.add(vec)
-            if result.budget_exhausted:
+        body = bodies[k]
+        expanded += idle
+        for p, prefix in entered:
+            start = prefix + body
+            if k in above:
+                high, slots = above[k]
+                result = _bfs(codec, (start,), {start: slots}, impl_cap, high,
+                              inner_budget, None)
+            else:
+                result = _bfs(codec, (start,), {}, impl_cap, impl_cap, inner_budget, None)
+            visited, _, overflowed, budget_exhausted, start_revisited, explored = result[:6]
+            expanded += explored
+            if overflowed or budget_exhausted:
+                frontier.add(k)
+            if budget_exhausted:
                 truncated = True
-                log.warning("inner sweep truncated at %s from port %s", vec, pname)
-            # a sweep that reached only its start (the zero-traversal
-            # excursion) has no transition to read
-            reached = result.configurations(boundary) if len(result.visited) > 1 else {}
-            for cfg, parent in reached.values():
-                if parent is None:
-                    continue
-                transitions.add((vec, pname, boundary[cfg.position], cfg.states))
-                if cfg.states not in seen:
-                    seen.add(cfg.states)
-                    todo.append(cfg.states)
-            if result.start_revisited:  # a cycle straight back to the start
-                transitions.add((vec, pname, pname, vec))
+                log.warning("inner sweep truncated at %s from port %s",
+                            codec.unpack(start).states, ports[p])
+            # the start comes first, and an excursion that reached only it
+            # (the zero-traversal one) has no transition to read
+            reached = iter(visited)
+            next(reached)
+            for key in reached:
+                q = port_of.get(key[:pw])
+                if q is not None:
+                    body2 = key[pw:]
+                    k2 = ids.get(body2)
+                    if k2 is None:
+                        k2 = ids[body2] = len(bodies)
+                        bodies.append(body2)
+                    transitions.add((k, p, q, k2))
+            if start_revisited:  # a cycle straight back to the start
+                transitions.add((k, p, p, k))
+        k += 1
 
-    return BoundaryLTS(frozenset(seen), ports, frozenset(transitions),
-                       frozenset(frontier), impl_cap, truncated)
+    log.info("boundary closure: %d at-rest states, %d excursions, %d configurations "
+             "expanded, %d frontier states, truncated: %s", len(bodies),
+             len(bodies) * len(ports), expanded, len(frontier), truncated)
+    pad = prefixes[0]  # any position: unpack reads the states after it
+    states = [codec.unpack(pad + body).states for body in bodies]
+    return BoundaryLTS(
+        frozenset(states), ports,
+        frozenset([(states[k], ports[p], ports[q], states[k2])
+                   for k, p, q, k2 in transitions]),
+        frozenset([states[k] for k in frontier]), impl_cap, truncated)
 
 
 def spec_closure_lts(spec: GadgetSpec, cap: int) -> BoundaryLTS:
@@ -298,23 +346,40 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
             f"port_map covers no implementation port for spec locations "
             f"{sorted(uncovered)}")
 
-    impl_out: dict = {s: {} for s in impl_lts.states}
+    # states and labels as ints, once: impl successors as id lists, spec
+    # successors and the spec frontier as bitmasks over spec ids
+    impl_ids = {x: k for k, x in enumerate(impl_lts.states)}
+    spec_ids = {y: k for k, y in enumerate(spec_lts.states)}
+    labels: dict = {}
+    impl_succ: list[dict] = [{} for _ in impl_ids]
     for (s, a, b, s2) in impl_lts.transitions:
-        impl_out[s].setdefault((port_map[a], port_map[b]), set()).add(s2)
-    spec_out = spec_lts.out_map()
-    fx, fy = impl_lts.cap_frontier, spec_lts.cap_frontier
-    relation = _refine(impl_out, spec_out, fx, fy)
+        lab = labels.setdefault((port_map[a], port_map[b]), len(labels))
+        impl_succ[impl_ids[s]].setdefault(lab, []).append(impl_ids[s2])
+    spec_succ: list[dict] = [{} for _ in spec_ids]
+    for (s, a, b, s2) in spec_lts.transitions:
+        lab = labels.setdefault((a, b), len(labels))
+        out = spec_succ[spec_ids[s]]
+        out[lab] = out.get(lab, 0) | 1 << spec_ids[s2]
+    fx = {impl_ids[x] for x in impl_lts.cap_frontier}
+    fy = sum(1 << spec_ids[y] for y in spec_lts.cap_frontier)
+    relation = _refine(impl_succ, spec_succ, fx, fy)
 
-    skipped = sum(len(ys) if x in fx else len(ys & fy) for x, ys in relation.items())
+    skipped = sum((r if x in fx else r & fy).bit_count() for x, r in enumerate(relation))
     seed_pairs = list(zip(seed_vectors, spec_seed_states))
-    dead = [(x, y) for x, y in seed_pairs if y not in relation[x]]
+    dead = [(x, y) for x, y in seed_pairs if not relation[impl_ids[x]] >> spec_ids[y] & 1]
     counterexample = None
     if dead:
         x0, y0 = dead[0]
         log.info("not equivalent: seed %s / %s", x0, y0)
         verdict, note = BisimVerdict.NOT_EQUIVALENT, "first dead seed pair shown"
-        counterexample = ((x0, y0), distinguishing_trace(impl_out, spec_out, fx, fy, x0, y0))
-    elif all(x in fx or y in fy for x, y in seed_pairs):
+        impl_out: dict = {s: {} for s in impl_lts.states}
+        for (s, a, b, s2) in impl_lts.transitions:
+            impl_out[s].setdefault((port_map[a], port_map[b]), set()).add(s2)
+        counterexample = ((x0, y0), distinguishing_trace(
+            impl_out, spec_lts.out_map(), impl_lts.cap_frontier, spec_lts.cap_frontier,
+            x0, y0))
+    elif all(x in impl_lts.cap_frontier or y in spec_lts.cap_frontier
+             for x, y in seed_pairs):
         verdict, note = (BisimVerdict.INCONCLUSIVE_AT_CAP,
                          "every seed pair touches the cap frontier")
     elif impl_lts.truncated or spec_lts.truncated:
@@ -324,68 +389,89 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
         note = (f"bounded claim at cap {cap} (impl cap {impl_cap}); "
                 f"{skipped} frontier pair(s) skipped")
     return BisimReport(
-        verdict, cap, impl_cap, sum(map(len, relation.values())), len(seed_pairs),
+        verdict, cap, impl_cap, sum(r.bit_count() for r in relation), len(seed_pairs),
         skipped, len(impl_lts.states), len(spec_lts.states), counterexample, note)
 
 
-def _refine(impl_out: dict, spec_out: dict, fx: frozenset, fy: frozenset) -> dict:
-    """impl state -> set of related spec states, by the refinement and the
-    frontier rule of the module docstring."""
+def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
+            ) -> list[int]:
+    """Each impl state's related spec states, by the refinement and the
+    frontier rule of the module docstring, on int ids.  ``impl_succ[x]``
+    maps a label id to x's successor ids, ``spec_succ[y]`` a label id to
+    y's successors as a bitmask over spec ids; ``fx`` holds the impl ids on
+    the frontier and the bitmask ``fy`` the spec ids.  The result is one
+    bitmask of related spec ids per impl id."""
     # label sets never change, so pairs that differ in them go at the start
     by_labels: dict = {}
-    for y, yo in spec_out.items():
-        by_labels.setdefault(frozenset(yo), set()).add(y)
-    relation = {x: set(spec_out) if x in fx else by_labels.get(frozenset(xo), set()) | fy
-                for x, xo in impl_out.items()}
-    initial = sum(map(len, relation.values()))
+    for y, yo in enumerate(spec_succ):
+        key = frozenset(yo)
+        by_labels[key] = by_labels.get(key, 0) | 1 << y
+    every = (1 << len(spec_succ)) - 1
+    relation = [every if x in fx else by_labels.get(frozenset(xo), 0) | fy
+                for x, xo in enumerate(impl_succ)]
+    initial = sum(r.bit_count() for r in relation)
 
     # predecessors by label; frontier sources are never re-checked
-    impl_pred: dict = {}
-    for x, xo in impl_out.items():
+    impl_pred: list[list] = [[] for _ in impl_succ]
+    for x, xo in enumerate(impl_succ):
         if x not in fx:
             for lab, xs in xo.items():
                 for x2 in xs:
-                    impl_pred.setdefault(x2, []).append((x, lab))
-    spec_pred: dict = {}
-    for y, yo in spec_out.items():
-        if y not in fy:
+                    impl_pred[x2].append((x, lab))
+    spec_pred: list[dict] = [{} for _ in spec_succ]  # y2 -> label -> bitmask of y
+    for y, yo in enumerate(spec_succ):
+        if not fy >> y & 1:
             for lab, ys in yo.items():
-                for y2 in ys:
-                    spec_pred.setdefault(y2, {}).setdefault(lab, set()).add(y)
+                while ys:
+                    low = ys & -ys
+                    ys ^= low
+                    into = spec_pred[low.bit_length() - 1]
+                    into[lab] = into.get(lab, 0) | 1 << y
 
-    # one full pass; a pair that fails goes on the worklist.  The union of an
-    # impl move's related sets is taken once per x: if it goes stale, the
-    # removal that staled it is on the worklist and re-checks the pair.
+    # one full pass; a pair that fails goes on the worklist.  The union and
+    # the intersection of an impl move's related sets are taken once per x:
+    # if they go stale, the removal that staled them is on the worklist and
+    # re-checks the pair.
     removed = []  # pairs taken out whose predecessors are not yet re-checked
-    for x, ys in relation.items():
+    for x, ys in enumerate(relation):
         if x in fx:
             continue
         moves = []
-        for lab, xs in impl_out[x].items():
+        for lab, xs in impl_succ[x].items():
             related = [relation[x2] for x2 in xs]
-            moves.append((lab, related, set().union(*related)))
-        for y in list(ys):
-            if y in fy:
-                continue
-            yo = spec_out[y]
-            # every spec move is matched by an impl move, and every impl move
-            # by a spec move
-            if any(not yo[lab] <= union or any(r.isdisjoint(yo[lab]) for r in related)
-                   for lab, related, union in moves):
-                ys.discard(y)
-                removed.append((x, y))
+            union = inter = related[0]
+            for r in related:
+                union |= r
+                inter &= r
+            moves.append((lab, ~inter, ~union, related))
+        live, gone = ys & ~fy, 0
+        while live:
+            low = live & -live
+            live ^= low
+            yo = spec_succ[low.bit_length() - 1]
+            # every spec move is matched by an impl move (its targets lie in
+            # the union), and every impl move by a spec move (each related
+            # set meets the targets); targets inside the intersection pass both
+            for lab, outside_inter, outside_union, related in moves:
+                ym = yo[lab]
+                if ym & outside_inter and (ym & outside_union
+                                           or any(not r & ym for r in related)):
+                    gone |= low
+                    removed.append((x, low.bit_length() - 1))
+                    break
+        relation[x] = ys & ~gone
     rechecks = 0
     while removed:
         x2, y2 = removed.pop()
-        spec_in = spec_pred.get(y2)
-        if spec_in is None:
+        spec_in = spec_pred[y2]
+        if not spec_in:
             continue
-        r2 = relation[x2]
+        bit2 = 1 << y2
         # (x, y) with x -lab-> x2 and y -lab-> y2 lost a match through
         # (x2, y2).  It fails if none of x's lab-moves is still related to
         # y2 (the same for every such y), or if x2 is now related to none
         # of y's lab-moves.
-        for x, lab in impl_pred.get(x2, ()):
+        for x, lab in impl_pred[x2]:
             ys = spec_in.get(lab)
             if ys is None:
                 continue
@@ -393,13 +479,23 @@ def _refine(impl_out: dict, spec_out: dict, fx: frozenset, fy: frozenset) -> dic
             hit = ys & rx
             if not hit:
                 continue
-            rechecks += len(hit)
-            if any(y2 in relation[x3] for x3 in impl_out[x][lab]):
-                hit = [y for y in hit if r2.isdisjoint(spec_out[y][lab])]
-            rx.difference_update(hit)
-            removed.extend((x, y) for y in hit)
+            rechecks += hit.bit_count()
+            for x3 in impl_succ[x][lab]:
+                if relation[x3] & bit2:
+                    r2, keep = relation[x2], hit
+                    while keep:
+                        low = keep & -keep
+                        keep ^= low
+                        if r2 & spec_succ[low.bit_length() - 1][lab]:
+                            hit ^= low
+                    break
+            relation[x] = rx & ~hit
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                removed.append((x, low.bit_length() - 1))
     log.info("refinement: %d initial pairs, %d removed, %d local re-checks",
-             initial, initial - sum(map(len, relation.values())), rechecks)
+             initial, initial - sum(r.bit_count() for r in relation), rechecks)
     return relation
 
 

@@ -11,17 +11,32 @@ single-edge mutant, and a case that is NotEquivalent only through the
 spec-to-impl direction of the match.  The worklist step of ``_refine``,
 which re-checks only the predecessors of a removed pair, is also compared
 with the oracle's relation on 2,000 small seeded random transition systems.
+
+A second oracle, ``worklist_refine``, is the earlier ``_refine`` kept
+verbatim: the same worklist on tuple states, ``frozenset`` labels and sets
+of related spec states.  ``_refine`` now runs on int ids, with one bitmask
+of related spec ids per impl state; it must give the same relation, and
+its log line the same initial and removed pair counts.  The local re-check
+count is the work the worklist did, which follows the order removals are
+taken in (set iteration order in the oracle, ascending ids now), so it is
+not compared.
 """
 
 from __future__ import annotations
 
+import logging
 import random
+import re
 from typing import Callable
 
 from gadgetforge import gadgets as G, lower, verify
 from gadgetforge.gadgets import (
+    PZ,
+    Component,
     CounterGadgetSpec,
+    DecNZRange,
     GadgetSpec,
+    IncRange,
     SystemFormatError,
     SystemOfGadgets,
     canonicalize,
@@ -86,6 +101,114 @@ def reference_relation(impl_states, spec_states, impl_out: dict, spec_out: dict,
                 relation.discard(pair)
                 changed = True
     return relation
+
+
+def worklist_refine(impl_out: dict, spec_out: dict, fx: frozenset, fy: frozenset) -> dict:
+    """impl state -> set of related spec states, by the refinement and the
+    frontier rule of the module docstring."""
+    # label sets never change, so pairs that differ in them go at the start
+    by_labels: dict = {}
+    for y, yo in spec_out.items():
+        by_labels.setdefault(frozenset(yo), set()).add(y)
+    relation = {x: set(spec_out) if x in fx else by_labels.get(frozenset(xo), set()) | fy
+                for x, xo in impl_out.items()}
+    initial = sum(map(len, relation.values()))
+
+    # predecessors by label; frontier sources are never re-checked
+    impl_pred: dict = {}
+    for x, xo in impl_out.items():
+        if x not in fx:
+            for lab, xs in xo.items():
+                for x2 in xs:
+                    impl_pred.setdefault(x2, []).append((x, lab))
+    spec_pred: dict = {}
+    for y, yo in spec_out.items():
+        if y not in fy:
+            for lab, ys in yo.items():
+                for y2 in ys:
+                    spec_pred.setdefault(y2, {}).setdefault(lab, set()).add(y)
+
+    # one full pass; a pair that fails goes on the worklist.  The union of an
+    # impl move's related sets is taken once per x: if it goes stale, the
+    # removal that staled it is on the worklist and re-checks the pair.
+    removed = []  # pairs taken out whose predecessors are not yet re-checked
+    for x, ys in relation.items():
+        if x in fx:
+            continue
+        moves = []
+        for lab, xs in impl_out[x].items():
+            related = [relation[x2] for x2 in xs]
+            moves.append((lab, related, set().union(*related)))
+        for y in list(ys):
+            if y in fy:
+                continue
+            yo = spec_out[y]
+            # every spec move is matched by an impl move, and every impl move
+            # by a spec move
+            if any(not yo[lab] <= union or any(r.isdisjoint(yo[lab]) for r in related)
+                   for lab, related, union in moves):
+                ys.discard(y)
+                removed.append((x, y))
+    rechecks = 0
+    while removed:
+        x2, y2 = removed.pop()
+        spec_in = spec_pred.get(y2)
+        if spec_in is None:
+            continue
+        r2 = relation[x2]
+        # (x, y) with x -lab-> x2 and y -lab-> y2 lost a match through
+        # (x2, y2).  It fails if none of x's lab-moves is still related to
+        # y2 (the same for every such y), or if x2 is now related to none
+        # of y's lab-moves.
+        for x, lab in impl_pred.get(x2, ()):
+            ys = spec_in.get(lab)
+            if ys is None:
+                continue
+            rx = relation[x]
+            hit = ys & rx
+            if not hit:
+                continue
+            rechecks += len(hit)
+            if any(y2 in relation[x3] for x3 in impl_out[x][lab]):
+                hit = [y for y in hit if r2.isdisjoint(spec_out[y][lab])]
+            rx.difference_update(hit)
+            removed.extend((x, y) for y in hit)
+    log.info("refinement: %d initial pairs, %d removed, %d local re-checks",
+             initial, initial - sum(map(len, relation.values())), rechecks)
+    return relation
+
+
+def _bits(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _int_tables(impl_out: dict, spec_out: dict, fx, fy) -> tuple:
+    """The int-id arguments of _refine for out maps on any states, and the
+    impl and spec states in id order."""
+    xs, ys = list(impl_out), list(spec_out)
+    x_id, y_id = {x: k for k, x in enumerate(xs)}, {y: k for k, y in enumerate(ys)}
+    labels: dict = {}
+    impl_succ = [{labels.setdefault(lab, len(labels)): [x_id[x2] for x2 in targets]
+                  for lab, targets in impl_out[x].items()} for x in xs]
+    spec_succ = [{labels.setdefault(lab, len(labels)): sum(1 << y_id[y2] for y2 in targets)
+                  for lab, targets in spec_out[y].items()} for y in ys]
+    return (impl_succ, spec_succ, {x_id[x] for x in fx}, sum(1 << y_id[y] for y in fy)), xs, ys
+
+
+def _out_maps(impl_succ: list, spec_succ: list, fx: set, fy: int) -> tuple:
+    """The out maps, on int states, that _refine's arguments stand for."""
+    impl_out = {x: {lab: set(targets) for lab, targets in xo.items()}
+                for x, xo in enumerate(impl_succ)}
+    spec_out = {y: {lab: set(_bits(mask)) for lab, mask in yo.items()}
+                for y, yo in enumerate(spec_succ)}
+    return impl_out, spec_out, frozenset(fx), frozenset(_bits(fy))
+
+
+def _counts(caplog) -> tuple[int, int]:
+    """The initial and removed pair counts of the last refinement log line."""
+    line = [r.getMessage() for r in caplog.records if "refinement" in r.getMessage()][-1]
+    initial, removed, rechecks = map(int, re.findall(r"\d+", line))
+    return initial, removed
 
 
 def reference_check_bisimulation(impl, spec: GadgetSpec,
@@ -212,37 +335,67 @@ def _cases():
         for cap in (0, 3, 8):
             yield (f"mutant-{k}-{cap}", mutant, cat["inc-dec-jz"],
                    {"cap": cap, "encoding": lambda q, mode: (q, q, 0, 0, 0)})
+    # seeds above an explicit small impl cap
+    yield ("quintet-impl-cap-4", lower.sim_incdecjz_via_incjzdec(), cat["inc-dec-jz"],
+           {"impl_cap": 4})
+    # a PZ tunnel from a port straight back to it: at 0 each side's
+    # excursion from "a" revisits its start
+    loop = CounterGadgetSpec("loop", (Component(PZ(), "a", ("a",)),
+                                      Component(IncRange(1, 1), "a", ("b",)),
+                                      Component(DecNZRange(1, 1), "b", ("a",))))
+    yield "pz-loop", identity_subsystem(loop), loop, {"encoding": lambda q, mode: (q,)}
     # an Inc[1,1] gadget against Inc[1,2]: every impl move has its match,
     # but the spec's +2 increment has none
     yield ("inc-decnz-pz-vs-inc[1,2]", identity_subsystem(G.spec_inc_decnz_pz()),
            G.spec_inc_ab(1, 2, 1, 1), {"encoding": lambda q, mode: (q,)})
 
 
-def test_refinement_matches_the_reference(monkeypatch):
+def test_refinement_matches_the_reference(monkeypatch, caplog):
     refined = []  # (arguments, result) of each _refine call
 
     def recording_refine(*args):
         relation = real_refine(*args)
-        refined.append((args, relation))
+        refined.append((args, relation, _counts(caplog)))
         return relation
 
     real_refine = verify._refine
     monkeypatch.setattr(verify, "_refine", recording_refine)
+    caplog.set_level(logging.INFO, logger="gadgetforge.verify")
     verdicts, skipped = {}, 0
     for name, impl, spec, kwargs in _cases():
         kwargs = {"cap": 8, **kwargs}
         got = check_bisimulation(impl, spec, **kwargs)
         want = reference_check_bisimulation(impl, spec, **kwargs)
         assert got == want, name
-        (args, relation), = refined
+        (args, relation, counts), = refined
         refined.clear()
-        impl_out, spec_out = args[:2]
-        pairs = {(x, y) for x, ys in relation.items() for y in ys}
-        assert pairs == reference_relation(impl_out, spec_out, *args), name
+        pairs = {(x, y) for x, ys in enumerate(relation) for y in _bits(ys)}
+        out_maps = _out_maps(*args)
+        assert pairs == reference_relation(*out_maps[:2], *out_maps), name
+        assert pairs == {(x, y) for x, ys in worklist_refine(*out_maps).items()
+                         for y in ys}, name
+        assert counts == _counts(caplog), name
         verdicts.setdefault(got.verdict, []).append(name)
         skipped += got.skipped_pairs
     assert set(verdicts) == set(BisimVerdict) and skipped
     assert verdicts[BisimVerdict.NOT_EQUIVALENT][-1] == "inc-decnz-pz-vs-inc[1,2]"
+    assert "pz-loop" in verdicts[BisimVerdict.EQUIVALENT]
+
+
+def test_truncated_closures_give_the_reference_report(monkeypatch):
+    # derive_boundary_lts with an inner budget too small for one excursion
+    real_derive = verify.derive_boundary_lts
+    truncated = 0
+    for budget in (1, 3):
+        monkeypatch.setattr(verify, "derive_boundary_lts", lambda *args, **kw: real_derive(
+            *args, **kw, inner_budget=budget))
+        for name, impl, spec, kwargs in list(_cases())[:4]:
+            kwargs = {"cap": 6, **kwargs}
+            got = check_bisimulation(impl, spec, **kwargs)
+            assert got == reference_check_bisimulation(impl, spec, **kwargs,
+                                                       inner_budget=budget), name
+            truncated += got.note == "inner search truncated"
+    assert truncated
 
 
 def _random_out(rng, states, labels) -> dict:
@@ -262,7 +415,10 @@ def test_refinement_matches_the_reference_on_random_systems():
         spec_out = _random_out(rng, spec_states, labels)
         fx = frozenset(x for x in impl_states if rng.random() < 0.2)
         fy = frozenset(y for y in spec_states if rng.random() < 0.2)
-        relation = verify._refine(impl_out, spec_out, fx, fy)
-        pairs = {(x, y) for x, ys in relation.items() for y in ys}
+        args, xs, ys = _int_tables(impl_out, spec_out, fx, fy)
+        relation = verify._refine(*args)
+        pairs = {(xs[x], ys[y]) for x, mask in enumerate(relation) for y in _bits(mask)}
         assert pairs == reference_relation(impl_states, spec_states, impl_out,
                                            spec_out, fx, fy), k
+        assert pairs == {(x, y) for x, related in worklist_refine(
+            impl_out, spec_out, fx, fy).items() for y in related}, k

@@ -152,6 +152,23 @@ def test_compile_rejects_a_range_too_large_to_build(tmp_path):
     assert not out_path.exists() and not (tmp_path / "x.json.meta.json").exists()
 
 
+def test_compile_bounds_the_system_a_duplicator_expansion_builds(tmp_path, capsys):
+    # 1,300,1,1 chains 901 tunnels, under the tunnel bound; expanded via
+    # duplicators they need 1,794 wrapper instances and over 11,000 edges
+    src = _write(tmp_path, "two.cm", _TWO_CM)
+    out_path = tmp_path / "x.json"
+    began = time.perf_counter()
+    proc = _cli_subprocess("compile", src, "--target", "inc-ab", "--range", "1,300,1,1",
+                           "--expand", "via-duplicators", "-o", str(out_path), timeout=5)
+    assert time.perf_counter() - began < 1.0
+    assert _rejected(proc.returncode, proc.stdout, proc.stderr)
+    assert "instances and edges" in proc.stderr
+    assert not out_path.exists() and not (tmp_path / "x.json.meta.json").exists()
+    code, _, _ = _run_cli(capsys, "compile", src, "--target", "inc-ab", "--range", "1,300,1,1",
+                          "-o", str(out_path))
+    assert code == 0 and out_path.exists()
+
+
 def test_compile_rejects_a_negative_counter_value(tmp_path, capsys):
     src = _write(tmp_path, "p.cm", "0: INC c0\n1: HALT\n")
     out_path = tmp_path / "neg.json"

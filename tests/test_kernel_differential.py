@@ -11,6 +11,12 @@ statistics, overflow and start-revisit flags, and the same boundary LTSs.
 The cases cover caps at which the slot width changes (255, 256, 65,536),
 finite gadgets (whose interned states can set the width), interval-mode
 indexes, starts above the cap, and sweeps cut short by a tiny budget.
+
+The boundary closure has a second oracle, ``sweep_derive_boundary_lts``:
+the earlier ``derive_boundary_lts``, kept verbatim, which ran one whole
+``reach.sweep`` per (at-rest state, boundary port).  The closure now runs
+the shared BFS kernel on packed keys and interns states as ints; it must
+return equal boundary LTSs.
 """
 
 from __future__ import annotations
@@ -41,8 +47,15 @@ from gadgetforge.gadgets import (
     node_endpoint,
     port_endpoint,
 )
-from gadgetforge.reach import SearchOutcome, SearchStats, Verdict
-from gadgetforge.verify import BoundaryLTS, derive_boundary_lts, spec_closure_lts
+from gadgetforge.reach import SearchOutcome, SearchStats, Verdict, sweep
+from gadgetforge.verify import (
+    _INNER_BUDGET,
+    _STATE_BUDGET,
+    BoundaryLTS,
+    derive_boundary_lts,
+    log,
+    spec_closure_lts,
+)
 
 from test_acceptance import _RANGE_PARAMS, _corpus, _spliced_duplicator
 from test_gadgets import systems
@@ -229,6 +242,61 @@ def reference_derive_boundary_lts(index: ReferenceIndex, seeds, *, impl_cap: int
                        frozenset(frontier), impl_cap, truncated)
 
 
+def sweep_derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
+                              seeds, *, impl_cap: int,
+                              inner_budget: int = _INNER_BUDGET) -> BoundaryLTS:
+    """Compute the boundary LTS of a system with boundary endpoints.
+
+    ``seeds`` are at-rest state vectors to start from (e.g. encodings of the
+    spec states); every vector reachable at a boundary port is explored in
+    turn until closure.  Gadget states above ``impl_cap`` prune the excursion
+    and put the source vector on the cap frontier.  Runs in the index's
+    state mode (concrete for a plain system).
+    """
+    index = system if isinstance(system, SystemIndex) else canonicalize(system)
+    if not index.boundary_classes:
+        raise SystemFormatError("system has no boundary endpoints")
+    # boundary_classes is in system.boundary order
+    boundary = {cid: boundary_port(ep) for cid, ep in index.boundary_classes.items()}
+    ports = tuple(boundary.values())
+
+    todo: deque[tuple] = deque(dict.fromkeys(map(index.at_rest, seeds)))
+    seen: set[tuple] = set(todo)
+
+    transitions: set = set()
+    frontier: set = set()
+    truncated = False
+
+    while todo:
+        if len(seen) > _STATE_BUDGET:
+            raise SystemFormatError(
+                f"boundary closure exceeded {_STATE_BUDGET} at-rest states")
+        vec = todo.popleft()
+        for cid, pname in boundary.items():
+            result = sweep(index, [Configuration(cid, vec)], counter_cap=impl_cap,
+                           visit_budget=inner_budget)
+            if result.overflowed or result.budget_exhausted:
+                frontier.add(vec)
+            if result.budget_exhausted:
+                truncated = True
+                log.warning("inner sweep truncated at %s from port %s", vec, pname)
+            # a sweep that reached only its start (the zero-traversal
+            # excursion) has no transition to read
+            reached = result.configurations(boundary) if len(result.visited) > 1 else {}
+            for cfg, parent in reached.values():
+                if parent is None:
+                    continue
+                transitions.add((vec, pname, boundary[cfg.position], cfg.states))
+                if cfg.states not in seen:
+                    seen.add(cfg.states)
+                    todo.append(cfg.states)
+            if result.start_revisited:  # a cycle straight back to the start
+                transitions.add((vec, pname, pname, vec))
+
+    return BoundaryLTS(frozenset(seen), ports, frozenset(transitions),
+                       frozenset(frontier), impl_cap, truncated)
+
+
 # ------------------------------------------------------------ comparisons
 
 def _assert_same_sweep(index: SystemIndex, ref: ReferenceIndex, starts, **bounds) -> None:
@@ -262,6 +330,15 @@ def _assert_same_search(system: SystemOfGadgets, cap: int, mode: str = "concrete
     for budget in budgets:
         _assert_same_sweep(index, ref, [start], counter_cap=cap, visit_budget=budget,
                            goal_class=index.goal_class)
+
+
+def _assert_same_closure(index: SystemIndex, ref: ReferenceIndex, seeds,
+                         **bounds) -> BoundaryLTS:
+    """The closure equals both oracles: the per-sweep one and the tuple kernel's."""
+    got = derive_boundary_lts(index, seeds, **bounds)
+    assert got == sweep_derive_boundary_lts(index, seeds, **bounds)
+    assert got == reference_derive_boundary_lts(ref, seeds, **bounds)
+    return got
 
 
 def _shift_above_cap(system: SystemOfGadgets, cap: int) -> SystemOfGadgets:
@@ -314,10 +391,8 @@ def test_ranged_system_matches_the_reference(initial):
     index, ref = canonicalize(system), ReferenceIndex(system)
     for impl_cap in (cap, 4):
         for inner_budget in (1, 2, 3, 200_000):
-            assert derive_boundary_lts(
-                index, [(initial,)], impl_cap=impl_cap, inner_budget=inner_budget
-            ) == reference_derive_boundary_lts(
-                ref, [(initial,)], impl_cap=impl_cap, inner_budget=inner_budget)
+            _assert_same_closure(index, ref, [(initial,)], impl_cap=impl_cap,
+                                 inner_budget=inner_budget)
 
 
 @pytest.mark.parametrize("cap", [255, 256, 65_536])
@@ -337,10 +412,8 @@ def test_searches_match_where_the_slot_width_changes(cap):
         system = _inc_dec_system(initial, dec=False)
         index, ref = canonicalize(system), ReferenceIndex(system)
         for inner_budget in (1, 3, 200_000):
-            assert derive_boundary_lts(
-                index, [(initial,)], impl_cap=cap, inner_budget=inner_budget
-            ) == reference_derive_boundary_lts(
-                ref, [(initial,)], impl_cap=cap, inner_budget=inner_budget)
+            _assert_same_closure(index, ref, [(initial,)], impl_cap=cap,
+                                 inner_budget=inner_budget)
     assert widths == {255: {1, 2}, 256: {2}, 65_536: {3}}[cap]
 
 
@@ -444,10 +517,24 @@ def _criterion_3_derivations():
             edges=quintet.edges[:k] + quintet.edges[k + 1:], boundary=quintet.boundary)
         yield f"mutant-{k}", mutant, [(q, q, 0, 0, 0) for q in range(cap + 1)], "concrete"
     yield "finite", _finite_system(3), [("1", "s0", q) for q in range(cap + 1)], "concrete"
+    yield "pz-loop", _pz_loop_system(), [(q,) for q in range(cap + 1)], "concrete"
+
+
+def _pz_loop_system() -> SystemOfGadgets:
+    """An Inc-DecNZ-PZ counter whose PZ tunnel leads from the hub straight
+    back to it: at 0 the excursion from the hub revisits its start."""
+    spec = G.spec_inc_decnz_pz()
+    hub, out = node_endpoint("hub"), node_endpoint("out")
+    return SystemOfGadgets(
+        specs=(spec,), instances=(GadgetInstance("g", spec.name, 0),),
+        nodes=("hub", "out"),
+        edges=((hub, "g.pz_in"), ("g.pz_out", hub), (hub, "g.inc_in"), ("g.inc_out", out),
+               (out, "g.dec_in"), ("g.dec_out", hub)),
+        boundary=(hub, out))
 
 
 def test_boundary_lts_matches_the_reference():
-    truncated = above_cap = 0
+    truncated = above_cap = cycles = 0
     for name, system, seeds, mode in _criterion_3_derivations():
         index, ref = canonicalize(system, mode), ReferenceIndex(system, mode)
         seed_max = max(m for vec in seeds for m in map(_magnitude, index.at_rest(vec))
@@ -455,14 +542,12 @@ def test_boundary_lts_matches_the_reference():
         # impl caps with and without headroom over the seeds, full and tiny budgets
         for impl_cap, inner_budget in ((seed_max + 4, 200_000), (4, 200_000),
                                        (seed_max + 4, 1), (seed_max + 4, 3)):
-            got = derive_boundary_lts(index, seeds, impl_cap=impl_cap,
-                                      inner_budget=inner_budget)
-            want = reference_derive_boundary_lts(ref, seeds, impl_cap=impl_cap,
-                                                 inner_budget=inner_budget)
-            assert got == want, (name, impl_cap, inner_budget)
+            got = _assert_same_closure(index, ref, seeds, impl_cap=impl_cap,
+                                       inner_budget=inner_budget)
             truncated += got.truncated
             above_cap += impl_cap < seed_max
-    assert truncated and above_cap
+            cycles += any(s == t and a == b for s, a, b, t in got.transitions)
+    assert truncated and above_cap and cycles
 
 
 # ------------------------------------------- index and validator oracles

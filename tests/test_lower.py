@@ -258,6 +258,21 @@ def test_incab_tunnel_count_is_bounded():
             sim_incdecnzpz_via_incab(1, 334, 1, 1, expand=expand)
 
 
+def test_incab_size_is_bounded_before_it_is_built():
+    for params in ((1, 2, 1, 2), (2, 2, 1, 2), (1, 40, 1, 1)):
+        for expand in ("direct", "via-duplicators"):
+            for merged in (False, True):
+                system = sim_incdecnzpz_via_incab(*params, expand=expand, merged=merged).system
+                assert len(system.instances) + len(system.edges) <= lower._MAX_PARTS
+    # (1, 45, 1, 1) chains 136 tunnels: 1,991 instances and edges via
+    # duplicators; (1, 46, 1, 1) chains 139, which would make 2,036
+    system = sim_incdecnzpz_via_incab(1, 45, 1, 1, expand="via-duplicators").system
+    assert (len(system.instances), len(system.edges)) == (266, 1725)
+    with pytest.raises(SystemFormatError, match="272 instances and 1764 edges"):
+        sim_incdecnzpz_via_incab(1, 46, 1, 1, expand="via-duplicators")
+    assert len(sim_incdecnzpz_via_incab(1, 46, 1, 1).system.edges) == 144
+
+
 # ------------------------------------------------------- edge duplicator
 
 def _spliced_duplicator(a, b, c, d):

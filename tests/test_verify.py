@@ -195,6 +195,26 @@ def test_refinement_logs_what_it_did(caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_closure_logs_what_it_did(caplog, capsys):
+    art = lower.sim_incdecjz_via_incjzdec()
+    index = canonicalize(art.system)
+    for seeds, impl_cap, budget in (([art.encoding.state_for(q) for q in range(9)], 12, 10**6),
+                                    ([art.encoding.state_for(q) for q in range(9)], 5, 10**6),
+                                    ([art.encoding.state_for(3)], 12, 2)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="gadgetforge.verify"):
+            lts = derive_boundary_lts(index, seeds, impl_cap=impl_cap, inner_budget=budget)
+        line, = (r.getMessage() for r in caplog.records if "closure" in r.getMessage())
+        states, excursions, expanded, frontier = map(int, re.findall(r"\d+", line))
+        assert states == len(lts.states) and frontier == len(lts.cap_frontier)
+        assert excursions == states * len(lts.ports)
+        # each excursion expands its start, and at most the budget
+        assert excursions <= expanded <= excursions * budget
+        assert line.endswith(f"truncated: {lts.truncated}")
+    assert lts.truncated and frontier
+    assert capsys.readouterr().out == ""
+
+
 def test_port_map_must_be_a_bijection():
     spec = G.spec_inc_decnz()
     impl = identity_subsystem(spec)
