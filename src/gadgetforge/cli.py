@@ -64,12 +64,6 @@ def _initial_counters(program: machine.Program, text: str | None) -> dict[str, i
     return dict(zip(program.counters, values))
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -113,8 +107,7 @@ def cmd_reach(args) -> int:
     if outcome.witness is not None:
         witness = [{
             "instance": t.instance, "entry": t.entry, "exit": t.exit,
-            "choice": _jsonable(t.choice),
-            "before": _jsonable(t.before), "after": _jsonable(t.after),
+            "choice": t.choice, "before": t.before, "after": t.after,
         } for t in outcome.witness]
     _emit({
         "verdict": outcome.verdict.value,
@@ -152,8 +145,7 @@ def cmd_verify_sim(args) -> int:
     ce = None
     if report.counterexample is not None:
         (x0, y0), trace = report.counterexample
-        ce = {"seed_impl": _jsonable(x0), "seed_spec": _jsonable(y0),
-              "trace": None if trace is None else [list(lab) for lab in trace]}
+        ce = {"seed_impl": x0, "seed_spec": y0, "trace": trace}
     _emit({
         "verdict": report.verdict.value,
         "cap": report.cap,

@@ -367,14 +367,16 @@ def _port_endpoints(instance_id: str, ports) -> Iterator[str]:
 
 def split_for_prefix(ep: str) -> tuple[str, str]:
     """(head, tail) such that ``head + prefix + tail`` is ``ep`` in a copy of
-    its system whose node names and instance ids all start with ``prefix``."""
+    its system whose node names and instance ids all start with ``prefix``;
+    the one place the ``node:`` prefix is taken off an endpoint."""
     return ("node:", ep[5:]) if ep.startswith("node:") else ("", ep)
 
 
 def split_endpoint(ep: str) -> tuple[str, str]:
     """-> ("node", name) or (instance_id, port)."""
-    if ep.startswith("node:"):
-        return ("node", ep[5:])
+    head, name = split_for_prefix(ep)
+    if head:
+        return ("node", name)
     inst, dot, port = ep.partition(".")
     if not dot or not inst or not port:
         raise SystemFormatError(f"bad endpoint {ep!r}")
@@ -384,7 +386,7 @@ def split_endpoint(ep: str) -> tuple[str, str]:
 def boundary_port(ep: str) -> str:
     """The port name a boundary endpoint stands for: NAME for ``node:NAME``,
     the endpoint itself for an instance port."""
-    return ep[5:] if ep.startswith("node:") else ep
+    return split_for_prefix(ep)[1]
 
 
 class Configuration(NamedTuple):
@@ -438,6 +440,7 @@ class SystemIndex:
         if mode not in ("concrete", "interval"):
             raise SystemFormatError(f"mode must be concrete or interval, got {mode!r}")
         self.system = system
+        self.mode = mode
         self.interval = mode == "interval"
         # union-find over the endpoint strings, with path halving
         parent = {ep: ep for ep in _node_endpoints(system.nodes)}
@@ -511,18 +514,20 @@ class SystemIndex:
             return tuple(vec)
         return tuple((v, v) if isinstance(v, int) else v for v in vec)
 
-    def top(self, states: tuple) -> int:
-        """The largest counter value in ``states`` (hi of an interval), or 0."""
+    def counter_values(self, states: tuple) -> dict[int, int]:
+        """Slot -> counter value, for each counter gadget's slot of ``states``:
+        the int, or hi of an interval.  A finite gadget has no value."""
         interval = self.interval
-        return max([s[1] if interval else s for s, c in zip(states, self.counter) if c],
-                   default=0)
+        return {i: s[1] if interval else s
+                for i, (s, c) in enumerate(zip(states, self.counter)) if c}
+
+    def top(self, states: tuple) -> int:
+        """The largest counter value in ``states``, or 0."""
+        return max(self.counter_values(states).values(), default=0)
 
     def slots_above(self, states: tuple, cap: int) -> frozenset[int]:
-        """The slots of ``states`` whose counter value (hi of an interval)
-        exceeds ``cap``."""
-        interval = self.interval
-        return frozenset(i for i, (s, c) in enumerate(zip(states, self.counter))
-                         if c and (s[1] if interval else s) > cap)
+        """The slots of ``states`` whose counter value exceeds ``cap``."""
+        return frozenset(i for i, v in self.counter_values(states).items() if v > cap)
 
     def initial_states(self) -> tuple:
         return self.at_rest(inst.initial for inst in self.system.instances)
@@ -532,9 +537,8 @@ class SystemIndex:
             raise SystemFormatError("system has no start endpoint")
         return Configuration(self.start_class, self.initial_states())
 
-    def successors(self, config: Configuration, cap: int | None = None
-                   ) -> list[tuple[Traversal, Configuration]]:
-        """Every move from ``config``; under a ``cap`` ranged kinds stop early."""
+    def successors(self, config: Configuration) -> list[tuple[Traversal, Configuration]]:
+        """Every move from ``config``."""
         states = config.states
         interval = self.interval
         out: list[tuple[Traversal, Configuration]] = []
@@ -542,7 +546,7 @@ class SystemIndex:
                 config.position, ()):
             state = states[i]
             for (choice, s2, e) in (kind.interval_moves(state) if interval
-                                    else kind.moves(state, cap)):
+                                    else kind.moves(state)):
                 out.append((Traversal(inst_id, entry, exit_ports[e], choice, state, s2),
                             Configuration(exit_classes[e],
                                           states[:i] + (s2,) + states[i + 1:])))
@@ -595,7 +599,6 @@ class KeyCodec:
             self.layout.append((off, pair, counted))
             off += width * (2 if pair else 1)
         self.size = off  # bytes per key
-        self._last: tuple = (None, b"")  # the last states packed, and their bytes
         code = index.finite_code
         self.moves: dict[bytes, list[tuple]] = {}
         for cid, rows in index.moves.items():
@@ -610,13 +613,10 @@ class KeyCodec:
                                pair, counted, i, inst_id, entry, exit_ports))
 
     def pack(self, config: Configuration) -> bytes:
-        states = config.states
-        # a vector is often swept from several positions in turn (one per
-        # boundary port in verify): its slots are packed once for all of them
-        if states is not self._last[0]:
-            self._last = (states, self.pack_states(states))
+        """The key of ``config``: its position, then ``pack_states``."""
+        states = self.pack_states(config.states)
         try:
-            return config.position.to_bytes(self.pos_width, "big") + self._last[1]
+            return config.position.to_bytes(self.pos_width, "big") + states
         except (AttributeError, OverflowError) as exc:
             raise SystemFormatError(f"position {config.position!r} does not fit") from exc
 
@@ -761,9 +761,15 @@ def _validate(system: SystemOfGadgets) -> None:
         check_ep(ep)
 
 
-def canonicalize(system: SystemOfGadgets, mode: str = "concrete") -> SystemIndex:
-    """Compute a system's connectivity classes and move table, once."""
-    return SystemIndex(system, mode)
+def canonicalize(system: SystemOfGadgets | SystemIndex, mode: str | None = None
+                 ) -> SystemIndex:
+    """Index a system in ``mode`` (concrete when None), once.  An index is
+    returned as it is; an explicit ``mode`` must then be its own."""
+    if isinstance(system, SystemIndex):
+        if mode is not None and mode != system.mode:
+            raise SystemFormatError(f"index is in {system.mode} mode, not {mode!r}")
+        return system
+    return SystemIndex(system, "concrete" if mode is None else mode)
 
 
 def initial_config(system: SystemOfGadgets) -> Configuration:
@@ -773,8 +779,7 @@ def initial_config(system: SystemOfGadgets) -> Configuration:
 def successors(system: SystemOfGadgets | SystemIndex, config: Configuration
                ) -> list[tuple[Traversal, Configuration]]:
     """Convenience wrapper; build a SystemIndex once for bulk exploration."""
-    index = system if isinstance(system, SystemIndex) else canonicalize(system)
-    return index.successors(config)
+    return canonicalize(system).successors(config)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,13 @@ from .gadgets import (
     node_endpoint,
     port_endpoint,
     read_json,
+    serialize_system,
     spec_inc_ab,
     spec_inc_ab_multi,
     spec_inc_dec_jz,
     spec_inc_decnz,
     spec_inc_decnz_decnz,
+    spec_inc_decnz_pz,
     spec_inc_decnz_pz_merged,
     spec_inc_jzdec,
     spec_sscd,
@@ -150,7 +152,7 @@ class Encoding:
         raise SystemFormatError(f"unknown encoding kind {doc.get('kind')!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoweringArtifact:
     """A lowered system plus its audit trail."""
 
@@ -523,7 +525,6 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
         _chain(edges, node_endpoint("inc_in"), inc_hops, node_endpoint("inc_out"))
         _chain(edges, node_endpoint("dec_in"), dec_hops, node_endpoint("dec_out"))
         _chain(edges, node_endpoint("pz_in"), pz_hops, node_endpoint("pz_out"))
-        from .gadgets import spec_inc_decnz_pz
         simulates = spec_inc_decnz_pz().name
 
     n_wrappers = len(instances) - 2
@@ -572,6 +573,8 @@ def compile_machine_to_incdecjz(program: Program,
     instances; flow="expanded" builds each from three more Inc-Dec-JZ
     gadgets (build_inc_decnz_decnz), leaving a pure Inc-Dec-JZ system.
     """
+    if flow not in ("primitive", "expanded"):
+        raise SystemFormatError(f"unknown flow mode {flow!r}")
     initial = dict(initial or {})
     unknown = set(initial) - set(program.counters)
     if unknown:
@@ -649,12 +652,8 @@ def compile_machine_to_incdecjz(program: Program,
                     "instructions": len(program.instructions),
                     "counters": list(program.counters)},
     )
-    if flow == "expanded":
-        if flows:
-            artifact = substitute(artifact, flow_spec.name, build_inc_decnz_decnz())
-        artifact.provenance["flow"] = "expanded"
-    elif flow != "primitive":
-        raise SystemFormatError(f"unknown flow mode {flow!r}")
+    if flow == "expanded" and flows:
+        artifact = substitute(artifact, flow_spec.name, build_inc_decnz_decnz())
     return artifact
 
 
@@ -843,7 +842,6 @@ def export_artifact(artifact: LoweringArtifact, path: str) -> tuple[str, str]:
     """Write system JSON to ``path`` and the audit sidecar (roles, encoding,
     provenance, identity port map, suggested verification mode) next to it.
     Returns (system_path, meta_path)."""
-    from .gadgets import serialize_system
     with open(path, "w") as fh:
         fh.write(serialize_system(artifact.system))
     meta = {

@@ -7,10 +7,11 @@ here is bounded two ways:
   the cap are not enqueued (the search notes that pruning happened);
 - a visit budget: a hard limit on dequeued configurations.
 
-Start configurations are admitted unchecked, so a start may hold a state
-above the cap; a successor that keeps such a state is pruned.  Every other
-admitted configuration is within the cap in every slot, so a move from it
-needs only the slot it changed checked, however many instances there are.
+Start configurations are admitted unchecked, in the kernel (``_bfs``), so
+a start may hold a state above the cap; a successor that keeps such a state
+is pruned.  Every other admitted configuration is within the cap in every
+slot, so a move from it needs only the slot it changed checked, however
+many instances there are.
 
 The verdict discipline keeps the bounds honest.  Reachable comes with a
 replayable witness.  UnreachableWithinCap is only reported when the frontier
@@ -101,7 +102,6 @@ class Sweep:
     budget_exhausted: bool
     stats: SearchStats
     start_revisited: bool
-    start_configs: dict[bytes, Configuration]  # each start's key -> the start
 
     def path_to(self, key: bytes) -> tuple[Traversal, ...]:
         """The labels on the BFS path from a start to ``key``, first first."""
@@ -122,8 +122,7 @@ class Sweep:
         out = {}
         for key, edge in self.visited.items():
             if int.from_bytes(key[:pw], "big") in at:
-                out[key] = ((self.start_configs[key], None) if edge is None
-                            else (unpack(key), edge[0]))
+                out[key] = (unpack(key), None if edge is None else edge[0])
         return out
 
 
@@ -132,43 +131,32 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
     """Bounded BFS from ``starts``, in the index's state mode.  Stops early
     when a configuration at ``goal_class`` is dequeued.  Start configurations
     are admitted without a cap check (they were given, not found)."""
-    tops = {}  # start -> its largest counter value (hi of an interval), first first
-    for cfg in starts:
-        if cfg not in tops:
-            tops[cfg] = index.top(cfg.states)
-    start_max = max(tops.values(), default=0)
-    # ranged moves stop one amount past this: nothing they skip could be
-    # admitted, or be a start
-    move_cap = max(counter_cap, start_max)
-    codec = index.codec(move_cap)
-    start_configs: dict[bytes, Configuration] = {}
-    over_cap: dict[bytes, frozenset[int]] = {}  # start above the cap -> those slots
-    for cfg, high in tops.items():
-        key = codec.pack(cfg)
-        start_configs[key] = cfg
-        if high > counter_cap:
-            over_cap[key] = index.slots_above(cfg.states, counter_cap)
+    tops = [index.top(cfg.states) for cfg in starts]
+    start_max = max(tops, default=0)
+    codec = index.codec(max(counter_cap, start_max))  # holds every start and successor
+    keys = [codec.pack(cfg) for cfg in starts]
+    over_cap = {key: index.slots_above(cfg.states, counter_cap)
+                for key, cfg, high in zip(keys, starts, tops) if high > counter_cap}
     goal = None if goal_class is None else goal_class.to_bytes(codec.pos_width, "big")
     (visited, goal_hit, overflowed, budget_exhausted, start_revisited, explored,
-     frontier_peak, max_counter) = _bfs(codec, start_configs, over_cap, counter_cap,
-                                        move_cap, visit_budget, goal)
+     frontier_peak, max_counter) = _bfs(codec, keys, over_cap, counter_cap,
+                                        start_max, visit_budget, goal)
     return Sweep(codec, visited, goal_hit, overflowed, budget_exhausted,
-                 SearchStats(explored, frontier_peak, max(start_max, max_counter)),
-                 start_revisited, start_configs)
+                 SearchStats(explored, frontier_peak, max_counter), start_revisited)
 
 
 def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozenset[int]],
-         counter_cap: int, move_cap: int, visit_budget: int, goal: bytes | None) -> tuple:
+         counter_cap: int, start_max: int, visit_budget: int, goal: bytes | None) -> tuple:
     """The one BFS loop on packed keys, under ``sweep`` and the boundary
-    closure of ``verify``.  ``codec`` must hold every start and ``move_cap``.
-
-    ``over_cap`` maps each start above ``counter_cap`` to those slots;
-    ranged moves stop one amount past ``move_cap``; ``goal`` is a position
-    prefix or None.  Returns (visited, goal_hit, overflowed,
-    budget_exhausted, start_revisited, explored, frontier_peak,
-    max_counter), as ``Sweep`` and ``SearchStats`` hold them, except that
-    max_counter counts only admitted successors.
+    closure of ``verify``; it admits the starts.  ``over_cap`` maps each
+    start above ``counter_cap`` to those slots, ``start_max`` is the largest
+    start value, and ``codec`` must hold both caps.  Ranged moves stop one
+    amount past the larger cap: nothing they skip could be admitted, or be
+    a start.  ``goal`` is a position prefix or None.  Returns (visited,
+    goal_hit, overflowed, budget_exhausted, start_revisited, explored,
+    frontier_peak, max_counter), as ``Sweep`` and ``SearchStats`` hold them.
     """
+    move_cap = max(counter_cap, start_max)
     visited: dict[bytes, tuple | None] = dict.fromkeys(starts)
     queue: deque[bytes] = deque(visited)
     pw, w, top, moves = codec.pos_width, codec.width, codec.top, codec.moves
@@ -179,7 +167,7 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
     start_revisited = False
     goal_hit: bytes | None = None
     explored = 0
-    max_counter = 0
+    max_counter = start_max
     frontier_peak = len(queue)
 
     while queue:
@@ -249,7 +237,7 @@ def bfs_reach(system: SystemOfGadgets | SystemIndex, counter_cap: int,
     if counter_cap < 0 or visit_budget < 0:
         raise SystemFormatError(
             f"cap and budget must be naturals, got {counter_cap} and {visit_budget}")
-    index = system if isinstance(system, SystemIndex) else canonicalize(system)
+    index = canonicalize(system)
     if index.goal_class is None:
         raise SystemFormatError("goal required: system document has no goal endpoint")
     start = index.start_config()
@@ -288,7 +276,7 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
     ReplayError at the first label that does not match exactly one legal
     successor with the recorded states.
     """
-    index = system if isinstance(system, SystemIndex) else canonicalize(system)
+    index = canonicalize(system)
     cfg = index.start_config() if start is None else start
     trace = [cfg]
     for i, label in enumerate(witness):

@@ -121,7 +121,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     and put the source vector on the cap frontier.  Runs in the index's
     state mode (concrete for a plain system).
     """
-    index = system if isinstance(system, SystemIndex) else canonicalize(system)
+    index = canonicalize(system)
     if not index.boundary_classes:
         raise SystemFormatError("system has no boundary endpoints")
     # boundary_classes is in system.boundary order
@@ -139,8 +139,8 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     idle = len(prefixes) - len(entered)
 
     # at-rest states as packed keys without their position, interned in
-    # discovery order; a seed above the cap keeps those slots and its own
-    # move cap (see reach.sweep)
+    # discovery order; a seed above the cap keeps its largest value and
+    # those slots (see reach._bfs)
     bodies = [codec.pack_states(vec) for vec in vecs]
     ids = {body: k for k, body in enumerate(bodies)}
     above = {k: (high, index.slots_above(vec, impl_cap))
@@ -157,14 +157,11 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
                 f"boundary closure exceeded {_STATE_BUDGET} at-rest states")
         body = bodies[k]
         expanded += idle
+        high, slots = above.get(k, (0, None))
         for p, prefix in entered:
             start = prefix + body
-            if k in above:
-                high, slots = above[k]
-                result = _bfs(codec, (start,), {start: slots}, impl_cap, high,
-                              inner_budget, None)
-            else:
-                result = _bfs(codec, (start,), {}, impl_cap, impl_cap, inner_budget, None)
+            result = _bfs(codec, (start,), {start: slots} if slots else {}, impl_cap, high,
+                          inner_budget, None)
             visited, _, overflowed, budget_exhausted, start_revisited, explored = result[:6]
             expanded += explored
             if overflowed or budget_exhausted:
@@ -254,22 +251,12 @@ class InvariantViolation(AssertionError):
     pass
 
 
-def _magnitude(state) -> int | None:
-    if isinstance(state, bool):  # bools are ints; refuse silently weird input
-        return None
-    if isinstance(state, int):
-        return state
-    if isinstance(state, tuple):
-        return state[1]  # interval (lo, hi): cap applies to hi
-    return None  # finite-gadget state
-
-
-def _default_impl_cap(seed_vectors: list[tuple], cap: int) -> int:
-    """Headroom rule: largest seed component + largest per-spec-step jump
-    + slack for transient spikes inside a protocol."""
+def _default_impl_cap(index: SystemIndex, seed_vectors: list[tuple], cap: int) -> int:
+    """Headroom rule: largest seed counter value + largest per-spec-step
+    jump + slack for transient spikes inside a protocol."""
     seed_max, step_max, prev = 0, 1, None
     for vec in seed_vectors:
-        m = [x for x in map(_magnitude, vec) if x is not None]
+        m = list(index.counter_values(vec).values())
         if m:
             seed_max = max(seed_max, max(m))
         if prev is not None and m:
@@ -324,7 +311,7 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
             check_state(specs[inst.spec], state, f"encoding of {q!r}: {inst.id} state", mode)
 
     if impl_cap is None:
-        impl_cap = _default_impl_cap(seed_vectors, cap)
+        impl_cap = _default_impl_cap(index, seed_vectors, cap)
 
     spec_lts = spec_closure_lts(spec, cap)
     impl_lts = derive_boundary_lts(index, seed_vectors, impl_cap=impl_cap)

@@ -246,11 +246,12 @@ def reference_check_bisimulation(impl, spec: GadgetSpec,
     if any(len(vec) != len(system.instances) for vec in seed_vectors):
         raise SystemFormatError("encoding vectors must have one state per instance")
 
+    index = canonicalize(system, mode)
     if impl_cap is None:
-        impl_cap = _default_impl_cap(seed_vectors, cap)
+        impl_cap = _default_impl_cap(index, seed_vectors, cap)
 
     spec_lts = spec_closure_lts(spec, cap)
-    impl_lts = derive_boundary_lts(canonicalize(system, mode), seed_vectors,
+    impl_lts = derive_boundary_lts(index, seed_vectors,
                                    impl_cap=impl_cap, inner_budget=inner_budget)
 
     # the map must be a bijection: boundary ports <-> spec locations

@@ -664,6 +664,56 @@ def test_endpoint_format_is_written_in_one_place():
     assert spelled == ["gadgets"]
 
 
+def _functions(predicate) -> list[str]:
+    """The outermost functions in the package with some AST node that
+    ``predicate`` holds for (a nested function counts as its parent's)."""
+    package = Path(G.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        todo = [ast.parse(path.read_text())]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(predicate, ast.walk(node))):
+                    found.append(f"{path.stem}.{node.name}")
+            else:
+                todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_node_prefix_is_taken_off_in_one_place():
+    # a slice of an endpoint that starts with "node:" is the prefix coming
+    # off; split_endpoint and boundary_port call split_for_prefix for it
+    def strips(node) -> bool:
+        return (isinstance(node, (ast.If, ast.IfExp))
+                and any(isinstance(n, ast.Constant) and n.value == "node:"
+                        for n in ast.walk(node.test))
+                and any(isinstance(n, ast.Slice) for n in ast.walk(node)))
+    assert _functions(strips) == ["gadgets.split_for_prefix"]
+
+
+def test_a_system_is_told_from_an_index_in_one_place():
+    def tells(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Name) and node.args[1].id == "SystemIndex")
+    assert _functions(tells) == ["gadgets.canonicalize"]
+
+
+def test_canonicalize_keeps_an_index_in_its_own_mode():
+    system = _mixed_system()
+    for mode in ("concrete", "interval"):
+        index = canonicalize(system, mode)
+        assert canonicalize(index) is index
+        assert canonicalize(index, mode) is index
+        assert index.interval == (mode == "interval")
+    interval = canonicalize(system, "interval")
+    with pytest.raises(SystemFormatError, match="interval mode"):
+        canonicalize(interval, "concrete")
+    with pytest.raises(SystemFormatError):
+        canonicalize(canonicalize(system), "interval")
+
+
 def test_catalog_contents():
     cat = catalog()
     assert set(cat) == {

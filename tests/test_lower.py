@@ -177,6 +177,18 @@ def test_expanded_flow_is_pure_inc_dec_jz():
         assert prim.verdict == expa.verdict
 
 
+def test_an_unknown_flow_is_rejected_before_anything_is_built(monkeypatch):
+    program = parse_program("0: INC c0\n1: HALT\n")
+    assert compile_machine_to_incdecjz(program, flow="expanded").provenance["flow"] \
+        == "expanded"
+
+    def build(*args, **kwargs):
+        raise AssertionError("a system was built for an unknown flow")
+    monkeypatch.setattr(lower, "SystemOfGadgets", build)
+    with pytest.raises(SystemFormatError, match="unknown flow mode 'sideways'"):
+        compile_machine_to_incdecjz(program, flow="sideways")
+
+
 # ------------------------------------------------------ artifact bisims
 
 def test_flow_gadget_meets_its_spec():
