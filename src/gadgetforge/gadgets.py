@@ -410,30 +410,26 @@ class Traversal:
 
 @dataclass(frozen=True)
 class _FiniteStep:
-    """A finite transition as a one-exit kind; its index is the choice."""
+    """A finite transition as a one-exit kind over interned state codes;
+    its index is the choice."""
 
-    before: str
-    after: str
+    before: int
+    after: int
     index: int
 
-    def moves(self, s: str, cap: int | None = None) -> list[tuple[int, str, int]]:
+    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(self.index, self.after, 0)] if s == self.before else []
-
-    interval_moves = moves
 
 
 class SystemIndex:
-    """canonicalize() result: connectivity classes + the move table, in one
-    state mode ("concrete" or "interval").
+    """canonicalize() result: connectivity classes and the tables every
+    search reads, in one state mode ("concrete" or "interval").
 
     Classes are numbered deterministically (sorted by their lexicographically
-    least endpoint).  ``moves`` maps each class to one row per component
-    (or finite transition) entered there, in (instance declaration order,
-    component order), so successor enumeration is reproducible byte for
-    byte.  A row is (slot, instance id, entry port, kind, exit ports, exit
-    classes): everything a move needs but the state, fixed once here.
-    ``codec(limit)`` gives the packed-key layout of the same table that
-    ``reach.sweep`` runs on (see KeyCodec).
+    least endpoint).  ``prefix[cid]`` is class ``cid`` as a key prefix and
+    ``spec_of`` maps a spec name to its spec.  The one move table is built
+    by the codec (``codec(limit)``, see KeyCodec) and read by the BFS
+    kernel, the boundary closure and ``successors`` alike.
     """
 
     def __init__(self, system: SystemOfGadgets, mode: str = "concrete") -> None:
@@ -444,9 +440,9 @@ class SystemIndex:
         self.interval = mode == "interval"
         # union-find over the endpoint strings, with path halving
         parent = {ep: ep for ep in _node_endpoints(system.nodes)}
-        locations = {spec.name: spec.locations for spec in system.specs}
+        self.spec_of = spec_of = {spec.name: spec for spec in system.specs}
         for inst in system.instances:
-            for ep in _port_endpoints(inst.id, locations[inst.spec]):
+            for ep in _port_endpoints(inst.id, spec_of[inst.spec].locations):
                 parent[ep] = ep
         for (a, b) in system.edges:
             while a != (up := parent[a]):
@@ -467,30 +463,17 @@ class SystemIndex:
             tuple(sorted(eps)) for eps in members.values())
         self.class_of = {ep: cid for cid, eps in enumerate(self.classes) for ep in eps}
 
-        # per spec, its entrances as (entry port, kind, exit ports)
-        spec_of = {spec.name: spec for spec in system.specs}
-        parts = {name: ([(c.entry, c.kind, c.exit_ports) for c in spec.components]
-                        if isinstance(spec, CounterGadgetSpec) else
-                        [(a, _FiniteStep(s, s2, k), (b,))
-                         for k, (s, a, s2, b) in enumerate(spec.transitions)])
-                 for name, spec in spec_of.items()}
-        cls = self.class_of
-        self.moves: dict[int, list[tuple]] = {}
-        for i, inst in enumerate(system.instances):
-            for entry, kind, exits in parts[inst.spec]:
-                self.moves.setdefault(cls[port_endpoint(inst.id, entry)], []).append(
-                    (i, inst.id, entry, kind, exits,
-                     tuple([cls[port_endpoint(inst.id, p)] for p in exits])))
-
         # the codec's fixed part: which instances hold counters, every
-        # finite-gadget state interned to a small int, the position width
-        self.counter = tuple(isinstance(spec, CounterGadgetSpec) for spec in
-                             (spec_of[inst.spec] for inst in system.instances))
+        # finite-gadget state interned to a small int, each class as a key
+        # prefix of the position width
+        self.counter = tuple(isinstance(spec_of[inst.spec], CounterGadgetSpec)
+                             for inst in system.instances)
         self.finite_states = tuple(dict.fromkeys(
             s for spec in system.specs if isinstance(spec, FiniteGadgetSpec)
             for s in spec.states))
         self.finite_code = {s: k for k, s in enumerate(self.finite_states)}
-        self.pos_width = _bytes_for(len(self.classes) - 1)
+        self.pos_width = pw = _bytes_for(len(self.classes) - 1)
+        self.prefix = [cid.to_bytes(pw, "big") for cid in range(len(self.classes))]
         self._codecs: dict[int, KeyCodec] = {}
 
         self.start_class = self.class_of[system.start] if system.start else None
@@ -538,17 +521,21 @@ class SystemIndex:
         return Configuration(self.start_class, self.initial_states())
 
     def successors(self, config: Configuration) -> list[tuple[Traversal, Configuration]]:
-        """Every move from ``config``."""
-        states = config.states
-        interval = self.interval
+        """Every move from ``config``, by the codec's rows applied to tuple
+        states; a position that is no class id has none."""
+        pos, states = config.position, config.states
+        if not 0 <= pos < len(self.prefix):
+            return []
+        code, names = self.finite_code, self.finite_states
         out: list[tuple[Traversal, Configuration]] = []
-        for (i, inst_id, entry, kind, exit_ports, exit_classes) in self.moves.get(
-                config.position, ()):
+        for move in self.codec(0).moves.get(self.prefix[pos], ()):
+            _, _, step, exits, _, counted, i, inst_id, entry, exit_ports = move
             state = states[i]
-            for (choice, s2, e) in (kind.interval_moves(state) if interval
-                                    else kind.moves(state)):
+            for (choice, s2, e) in step(state) if counted else step(code.get(state)):
+                if not counted:
+                    s2 = names[s2]
                 out.append((Traversal(inst_id, entry, exit_ports[e], choice, state, s2),
-                            Configuration(exit_classes[e],
+                            Configuration(int.from_bytes(exits[e], "big"),
                                           states[:i] + (s2,) + states[i + 1:])))
         return out
 
@@ -579,38 +566,41 @@ class KeyCodec:
     so a move costs the same however many instances there are.  Only
     ``state`` and ``unpack`` turn keys back into states.
 
-    ``moves`` is SystemIndex.moves laid out for keys: position prefix ->
-    one row per move, (first byte of the state's slots, one past its last,
-    kind.moves or kind.interval_moves, exit positions as key prefixes, two
-    slots?, a counter?, slot, instance id, entry port, exit ports).  A
-    finite step's row compares interned codes.
+    ``moves`` is the system's one move table: position prefix -> one row
+    per component (or finite transition) entered there, in (instance
+    declaration order, component order), so successor enumeration is
+    reproducible byte for byte.  A row is (first byte of the state's slots,
+    one past its last, kind.moves or kind.interval_moves, exit positions as
+    key prefixes, two slots?, a counter?, slot, instance id, entry port,
+    exit ports): everything a move needs but the state.  A finite step's
+    row compares interned codes.
     """
 
     def __init__(self, index: SystemIndex, width: int) -> None:
         self.index = index
         self.width = width
-        self.pos_width = pw = index.pos_width
+        self.pos_width = off = index.pos_width
         self.top = (1 << 8 * width) - 1  # the largest value a slot holds
+        code, prefix, cls = index.finite_code, index.prefix, index.class_of
         # per instance: (first byte, two slots?, counter?)
         self.layout: list[tuple[int, bool, bool]] = []
-        off = pw
-        for counted in index.counter:
+        self.moves: dict[bytes, list[tuple]] = {}
+        for i, (inst, counted) in enumerate(zip(index.system.instances, index.counter)):
             pair = counted and index.interval
             self.layout.append((off, pair, counted))
-            off += width * (2 if pair else 1)
+            end = off + width * (2 if pair else 1)
+            spec = index.spec_of[inst.spec]
+            # its entrances as (entry port, kind, exit ports)
+            parts = ([(c.entry, c.kind, c.exit_ports) for c in spec.components] if counted
+                     else [(a, _FiniteStep(code[s], code[s2], k), (b,))
+                           for k, (s, a, s2, b) in enumerate(spec.transitions)])
+            for entry, kind, exit_ports in parts:
+                self.moves.setdefault(prefix[cls[port_endpoint(inst.id, entry)]], []).append(
+                    (off, end, kind.interval_moves if pair else kind.moves,
+                     tuple([prefix[cls[port_endpoint(inst.id, p)]] for p in exit_ports]),
+                     pair, counted, i, inst.id, entry, exit_ports))
+            off = end
         self.size = off  # bytes per key
-        code = index.finite_code
-        self.moves: dict[bytes, list[tuple]] = {}
-        for cid, rows in index.moves.items():
-            packed = self.moves[cid.to_bytes(pw, "big")] = []
-            for (i, inst_id, entry, kind, exit_ports, exit_classes) in rows:
-                off, pair, counted = self.layout[i]
-                if not counted:
-                    kind = _FiniteStep(code[kind.before], code[kind.after], kind.index)
-                packed.append((off, off + width * (2 if pair else 1),
-                               kind.interval_moves if pair else kind.moves,
-                               tuple(c.to_bytes(pw, "big") for c in exit_classes),
-                               pair, counted, i, inst_id, entry, exit_ports))
 
     def pack(self, config: Configuration) -> bytes:
         """The key of ``config``: its position, then ``pack_states``."""

@@ -137,7 +137,9 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
     keys = [codec.pack(cfg) for cfg in starts]
     over_cap = {key: index.slots_above(cfg.states, counter_cap)
                 for key, cfg, high in zip(keys, starts, tops) if high > counter_cap}
-    goal = None if goal_class is None else goal_class.to_bytes(codec.pos_width, "big")
+    if goal_class is not None and not 0 <= goal_class < len(index.prefix):
+        raise SystemFormatError(f"goal class {goal_class!r} is no class of this system")
+    goal = None if goal_class is None else index.prefix[goal_class]
     (visited, goal_hit, overflowed, budget_exhausted, start_revisited, explored,
      frontier_peak, max_counter) = _bfs(codec, keys, over_cap, counter_cap,
                                         start_max, visit_budget, goal)
@@ -273,8 +275,9 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
     """Re-execute a traversal sequence, checking each step is legal.
 
     Returns the configuration sequence (len(witness) + 1 entries).  Raises
-    ReplayError at the first label that does not match exactly one legal
-    successor with the recorded states.
+    ReplayError at the first label that matches no legal successor with the
+    recorded states.  Moves that agree on every field of the label reach
+    the same configuration, so the first of them is taken.
     """
     index = canonicalize(system)
     cfg = index.start_config() if start is None else start
@@ -287,13 +290,12 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
         ]
         if not matches:
             raise ReplayError(i, f"no legal traversal matches {label}")
-        if len(matches) > 1:
-            raise ReplayError(i, f"ambiguous traversal {label}")
-        lab, nxt = matches[0]
-        if lab.before != label.before or lab.after != label.after:
+        cfg = next((nxt for lab, nxt in matches
+                    if lab.before == label.before and lab.after == label.after), None)
+        if cfg is None:
+            lab = matches[0][0]
             raise ReplayError(
                 i, f"state change mismatch: recorded {label.before}->{label.after}, "
                    f"replayed {lab.before}->{lab.after}")
-        cfg = nxt
         trace.append(cfg)
     return trace

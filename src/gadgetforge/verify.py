@@ -45,8 +45,9 @@ Interval mode runs the same machinery over (lo, hi) possible-value states;
 see gadgets module docs.  This is how constructions with drawn amounts
 (Inc[a,b] etc.) are verified: their per-visit nondeterminism is absorbed
 into exact possible-value intervals.  ``check_bisimulation`` takes the mode
-and indexes the system in it once; a caller of ``derive_boundary_lts`` in
-interval mode passes ``canonicalize(system, "interval")``.
+and indexes the system in it once, or takes an index in its own mode; a
+caller of ``derive_boundary_lts`` in interval mode passes
+``canonicalize(system, "interval")``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .gadgets import (
     node_endpoint,
     port_endpoint,
 )
+from .lower import LoweringArtifact
 from .reach import _bfs, sweep
 
 log = logging.getLogger(__name__)
@@ -131,7 +133,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     # every state the closure finds is within the cap, so one codec holds all
     codec = index.codec(max([impl_cap, *tops]))
     pw = codec.pos_width
-    prefixes = [cid.to_bytes(pw, "big") for cid in index.boundary_classes]
+    prefixes = [index.prefix[cid] for cid in index.boundary_classes]
     port_of = {prefix: k for k, prefix in enumerate(prefixes)}
     # an excursion from a port that no move leaves expands its start, and ends
     entered = [(p, prefix) for p, prefix in enumerate(prefixes)
@@ -266,14 +268,14 @@ def _default_impl_cap(index: SystemIndex, seed_vectors: list[tuple], cap: int) -
 
 
 def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None = None,
-                       *, cap: int, mode: str = "concrete",
+                       *, cap: int, mode: str | None = None,
                        encoding: Callable | None = None,
                        impl_cap: int | None = None) -> BisimReport:
     """Is the implementation system bisimilar (through its boundary ports,
     up to the cap) to the spec gadget?
 
-    ``impl`` is a system with boundary endpoints, or any object carrying
-    ``.system`` and ``.encoding`` (a lowering artifact).  ``port_map``
+    ``impl`` is a system with boundary endpoints, its SystemIndex, or a
+    lowering artifact (``.system`` and ``.encoding``).  ``port_map``
     translates implementation boundary port names to spec locations; by
     convention artifacts name their boundary nodes after the spec locations,
     so identity (None) usually works.  ``encoding`` maps each spec state to
@@ -282,7 +284,8 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     Seeds are (encoding(q), q) for every spec state q (0..cap for counter
     specs).  The verdict is Equivalent only if every seed pair survives
     refinement and at least one seed pair is clear of the cap frontier.
-    The system is indexed once, in state mode ``mode``.
+    The system is indexed once, by ``canonicalize(impl, mode)``, so an index
+    keeps its own mode.
     """
     counter = isinstance(spec, CounterGadgetSpec)
     if cap < 0 or (impl_cap is not None and impl_cap < 0):
@@ -290,25 +293,27 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     if counter and cap + 1 > _STATE_BUDGET:  # spec_closure_lts could never close
         raise SystemFormatError(
             f"cap {cap} gives more spec states than the closure budget {_STATE_BUDGET}")
-    system = getattr(impl, "system", impl)
-    index = canonicalize(system, mode)
-    if encoding is None:
-        encoding = getattr(impl, "encoding", None)
+    if isinstance(impl, LoweringArtifact):
+        if encoding is None:
+            encoding = impl.encoding
+        impl = impl.system
+    index = canonicalize(impl, mode)
     if encoding is None:
         raise SystemFormatError("no encoding given and impl carries none")
     enc = encoding.state_for if hasattr(encoding, "state_for") else encoding
 
     spec_seed_states = list(range(cap + 1) if counter else spec.states)
     try:
-        seed_vectors = [index.at_rest(enc(q, mode)) for q in spec_seed_states]
+        seed_vectors = [index.at_rest(enc(q, index.mode)) for q in spec_seed_states]
     except KeyError as exc:  # a table encoding that lacks a spec state
         raise SystemFormatError(*exc.args) from exc
-    specs = {s.name: s for s in system.specs}
+    system = index.system
     for q, vec in zip(spec_seed_states, seed_vectors):
         if len(vec) != len(system.instances):
             raise SystemFormatError("encoding vectors must have one state per instance")
         for inst, state in zip(system.instances, vec):
-            check_state(specs[inst.spec], state, f"encoding of {q!r}: {inst.id} state", mode)
+            check_state(index.spec_of[inst.spec], state,
+                        f"encoding of {q!r}: {inst.id} state", index.mode)
 
     if impl_cap is None:
         impl_cap = _default_impl_cap(index, seed_vectors, cap)

@@ -98,6 +98,22 @@ def test_component_semantics_table():
             assert got == oracle_transitions(tag, params, s), (tag, params, s)
 
 
+def test_interval_moves_are_the_hull_of_concrete_moves():
+    # per exit, the interval rule gives (min, max) of the concrete moves
+    # from every state in [lo, hi], and no move where there is none
+    for tag, params, kind in _all_kinds():
+        for lo in range(13):
+            for hi in range(lo, 13):
+                got = [(e, iv) for (_, iv, e) in kind.interval_moves((lo, hi))]
+                want = []
+                for e in range(kind.exits):
+                    after = [s2 for s in range(lo, hi + 1)
+                             for (_, s2, ex) in kind.moves(s) if ex == e]
+                    if after:
+                        want.append((e, (min(after), max(after))))
+                assert got == want, (tag, params, lo, hi)
+
+
 def test_choices_are_distinct_per_move():
     # the choice tag makes each nondeterministic branch replayable
     for _, _, kind in _all_kinds():
@@ -168,6 +184,10 @@ def test_inc_range_offers_every_amount():
     for t, _ in succ:
         assert (t.entry, t.exit, t.before) == ("t_in", "t_out", 5)
     assert {t.choice for t, _ in succ} == {1, 2}
+    # a position that is no class id has no moves, and does not wrap around
+    classes = len(canonicalize(sys0).classes)
+    for pos in (-1, -classes, classes):
+        assert successors(sys0, Configuration(pos, (5,))) == []
 
 
 def test_decnz_blocked_below_threshold():
@@ -263,6 +283,12 @@ def test_validation_errors():
         canonicalize(SystemOfGadgets((), (good,)))
     with pytest.raises(SystemFormatError, match="overlap"):
         canonicalize(SystemOfGadgets((spec,), (good,), nodes=("a",)))
+    with pytest.raises(SystemFormatError, match="not a gadget spec"):
+        SystemOfGadgets((spec.components[0],), ())
+    with pytest.raises(SystemFormatError, match="duplicate spec name"):
+        SystemOfGadgets((spec, CounterGadgetSpec("inc-dec-jz", ())), ())
+    with pytest.raises(SystemFormatError, match="duplicate node name"):
+        SystemOfGadgets((spec,), (good,), nodes=("n", "n"))
 
 
 def test_initial_config_requires_start():
@@ -666,18 +692,21 @@ def test_endpoint_format_is_written_in_one_place():
 
 def _functions(predicate) -> list[str]:
     """The outermost functions in the package with some AST node that
-    ``predicate`` holds for (a nested function counts as its parent's)."""
+    ``predicate`` holds for (a nested function counts as its parent's), as
+    ``module.function`` or ``module.Class.method``."""
     package = Path(G.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
-        todo = [ast.parse(path.read_text())]
+        todo = [(ast.parse(path.read_text()), path.stem)]
         while todo:
-            node = todo.pop()
+            node, where = todo.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(map(predicate, ast.walk(node))):
-                    found.append(f"{path.stem}.{node.name}")
+                    found.append(f"{where}.{node.name}")
             else:
-                todo.extend(ast.iter_child_nodes(node))
+                if isinstance(node, ast.ClassDef):
+                    where = f"{where}.{node.name}"
+                todo.extend((child, where) for child in ast.iter_child_nodes(node))
     return found
 
 
@@ -698,6 +727,28 @@ def test_a_system_is_told_from_an_index_in_one_place():
                 and node.func.id == "isinstance" and len(node.args) == 2
                 and isinstance(node.args[1], ast.Name) and node.args[1].id == "SystemIndex")
     assert _functions(tells) == ["gadgets.canonicalize"]
+
+
+def test_a_finite_step_is_built_in_one_place():
+    # one move table: the codec's rows, over interned state codes
+    def builds(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_FiniteStep")
+    assert _functions(builds) == ["gadgets.KeyCodec.__init__"]
+
+
+def test_a_class_becomes_a_key_prefix_in_one_place():
+    # index.prefix holds every class's prefix; only pack checks a caller's
+    # position, which may be out of range
+    def packs_position(node) -> bool:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "to_bytes" and node.args):
+            return False
+        width = node.args[0]
+        return ((isinstance(width, ast.Name) and width.id in ("pw", "pos_width"))
+                or (isinstance(width, ast.Attribute) and width.attr == "pos_width"))
+    assert sorted(_functions(packs_position)) == ["gadgets.KeyCodec.pack",
+                                                  "gadgets.SystemIndex.__init__"]
 
 
 def test_canonicalize_keeps_an_index_in_its_own_mode():

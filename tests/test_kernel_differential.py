@@ -64,7 +64,12 @@ from test_gadgets import systems
 # ------------------------------------------------------------- the oracle
 
 class ReferenceIndex(SystemIndex):
-    """A SystemIndex whose successors are the tuple kernel's."""
+    """A SystemIndex whose successors are the tuple kernel's, over the tuple
+    move table of ``reference_tables``."""
+
+    def __init__(self, system: SystemOfGadgets, mode: str = "concrete") -> None:
+        super().__init__(system, mode)
+        self.moves = reference_tables(system)[2]
 
     def successors(self, config: Configuration, cap: int | None = None
                    ) -> list[tuple[Traversal, Configuration]]:
@@ -690,8 +695,21 @@ def _outcome(build):
 
 
 def _index_tables(system: SystemOfGadgets) -> tuple:
+    """The index's tables in the shape ``reference_tables`` returns: the
+    codec's rows read back to class -> (slot, instance, entry, kind, exit
+    ports, exit classes), a finite step's codes turned back into names."""
     index = canonicalize(system)
-    return index.classes, index.class_of, index.moves, index.boundary_classes
+    names, cid = index.finite_states, lambda prefix: int.from_bytes(prefix, "big")
+    moves = {}
+    for prefix, rows in index.codec(0).moves.items():
+        for (_, _, step, exits, _, counted, i, inst_id, entry, exit_ports) in rows:
+            kind = step.__self__
+            if not counted:
+                kind = dataclasses.replace(kind, before=names[kind.before],
+                                           after=names[kind.after])
+            moves.setdefault(cid(prefix), []).append(
+                (i, inst_id, entry, kind, exit_ports, tuple(map(cid, exits))))
+    return index.classes, index.class_of, moves, index.boundary_classes
 
 
 def _index_cases():

@@ -8,6 +8,7 @@ their contracts through the bisimulation checker and reachability.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -390,6 +391,26 @@ def test_substitute_validation():
     with pytest.raises(SystemFormatError, match="needs an encoding"):
         substitute(host, "inc-dec-jz", stripped)
 
+    psys = part.system
+    port_bound = LoweringArtifact(
+        dataclasses.replace(psys, boundary=psys.boundary[:-1] + (
+            G.port_endpoint(psys.instances[0].id, "inc_in"),)), encoding=part.encoding)
+    with pytest.raises(SystemFormatError, match="boundary must be nodes"):
+        substitute(host, "inc-dec-jz", port_bound)
+
+    short = dataclasses.replace(part, encoding=Encoding("affine", affine=((1, 0),)))
+    with pytest.raises(SystemFormatError, match="encoding arity"):
+        substitute(host, "inc-dec-jz", short)
+
+    # the part names its gadget like the host's flow gadget, with other components
+    (jzdec,) = psys.specs
+    clash = dataclasses.replace(jzdec, name="inc-decnz-decnz")
+    renamed = dataclasses.replace(part, system=dataclasses.replace(
+        psys, specs=(clash,), instances=tuple(
+            dataclasses.replace(i, spec=clash.name) for i in psys.instances)))
+    with pytest.raises(SystemFormatError, match="conflicting definitions"):
+        substitute(host, "inc-dec-jz", renamed)
+
 
 # ------------------------------------------------------------- pipeline
 
@@ -442,6 +463,8 @@ def test_pipeline_argument_checks():
         pipeline(program, "inc-xyz")
     with pytest.raises(SystemFormatError, match="range_params"):
         pipeline(program, "inc-ab")
+    with pytest.raises(SystemFormatError, match="unknown expand mode"):
+        pipeline(program, "inc-ab", range_params=(1, 1, 1, 1), expand="sideways")
     assert PIPELINE_TARGETS == ("inc-dec-jz", "inc-jzdec", "inc-decnz-pz", "inc-ab")
 
 
@@ -493,6 +516,9 @@ def test_initializer_reserves_its_scratch_names():
         emit_initializer({"init_tmp": 3})
     with pytest.raises(SystemFormatError, match="reserved"):
         emit_initializer({"init_zero": 0})
+    for value in (-1, 2.5):
+        with pytest.raises(SystemFormatError, match="must be naturals"):
+            emit_initializer({"c0": value})
 
 
 # ------------------------------------------------------ encoding/export
@@ -509,6 +535,10 @@ def test_encoding_kinds():
                   concrete=((4, 0),))
     assert ia.state_for(2, "interval") == ((4, 8),)
     assert ia.state_for(2, "concrete") == (8,)
+    with pytest.raises(SystemFormatError, match="unknown encoding kind 'bogus'"):
+        Encoding("bogus").state_for(1)
+    with pytest.raises(SystemFormatError, match="unknown encoding kind 'bogus'"):
+        Encoding.from_json({"kind": "bogus"})
 
 
 def test_encoding_json_round_trip():

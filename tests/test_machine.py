@@ -176,6 +176,11 @@ def test_parse_comments_and_blank_lines():
     ("counters: c0 c0\n0: HALT\n", "duplicate counter"),
     ("0: HALT\ncounters: c0\n", "must precede"),
     ("INC c0\n", "expected 'INDEX: MNEMONIC"),
+    ("counters: c0\ncounters: c1\n0: HALT\n", "duplicate counters header"),
+    ("counters: 1x\n0: HALT\n", "bad counter name '1x'"),
+    ("0: INC 1x\n", "bad counter name '1x'"),
+    ("0:\n", "missing mnemonic"),
+    ("0: HALT now\n", "HALT takes no arguments"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ProgramError) as exc:
@@ -188,6 +193,10 @@ def test_program_validates_jz_targets():
         Program(("c0",), (Jz("c0", 1),))
     with pytest.raises(ProgramError):
         Program(("c0",), (Inc("c1"),))
+    with pytest.raises(ProgramError, match="bad counter name"):
+        Program(("c-0",), ())
+    with pytest.raises(ProgramError, match="duplicate counter"):
+        Program(("c0", "c0"), ())
 
 
 def test_validate_program_warns_on_missing_halt():

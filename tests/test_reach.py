@@ -231,6 +231,11 @@ def test_goal_required():
     )
     with pytest.raises(SystemFormatError, match="goal required"):
         bfs_reach(sys0, counter_cap=4)
+    index = G.canonicalize(sys0)
+    for goal_class in (-1, len(index.classes)):  # no wrap-around either
+        with pytest.raises(SystemFormatError, match="no class"):
+            sweep(index, [index.start_config()], counter_cap=4, visit_budget=10,
+                  goal_class=goal_class)
 
 
 def test_start_on_goal_is_immediately_reachable():
@@ -299,6 +304,21 @@ def test_replay_checks_intermediate_blocked_tunnels():
     with pytest.raises(ReplayError) as exc:
         replay(empty, out.witness)
     assert exc.value.step == 0
+
+
+def test_replay_accepts_a_witness_through_twin_components():
+    # two identical Inc[1,1] tunnels from a to b: either move is the label
+    twin = {"name": "twin", "type": "counter", "components": [
+        {"kind": "inc", "lo": 1, "hi": 1, "entry": "a", "exits": ["b"]}] * 2}
+    sys0 = G.parse_system(json.dumps({
+        "specs": [twin], "instances": [{"id": "g", "spec": "twin", "initial": 0}],
+        "nodes": ["start", "goal"],
+        "edges": [["node:start", "g.a"], ["g.b", "node:goal"]],
+        "start": "node:start", "goal": "node:goal"}))
+    out = bfs_reach(sys0, counter_cap=4)
+    assert out.verdict is Verdict.REACHABLE and len(out.witness) == 1
+    trace = replay(sys0, out.witness)
+    assert trace[-1] == Configuration(G.canonicalize(sys0).goal_class, (1,))
 
 
 # ---------------------------------------------------------- monotonicity

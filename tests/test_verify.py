@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from gadgetforge import gadgets as G, lower
+from gadgetforge import gadgets as G, lower, verify
 from gadgetforge.gadgets import (
     GadgetInstance,
     SystemFormatError,
@@ -117,13 +117,18 @@ def test_cap_zero_puts_state_zero_on_frontier():
     assert all(a != "inc_in" for (_, a, _, _) in lts.transitions)
 
 
-def test_derive_requires_boundary():
+def test_derive_requires_boundary(monkeypatch):
     sys0 = SystemOfGadgets(
         specs=(G.spec_inc_dec_jz(),),
         instances=(GadgetInstance("g", "inc-dec-jz", 0),),
     )
     with pytest.raises(SystemFormatError, match="no boundary"):
         derive_boundary_lts(sys0, [(0,)], impl_cap=3)
+    # and a closure that finds more at-rest states than its budget stops
+    monkeypatch.setattr(verify, "_STATE_BUDGET", 20)
+    with pytest.raises(SystemFormatError, match="exceeded 20 at-rest states"):
+        check_bisimulation(lower.sim_incdecjz_via_incjzdec(), G.catalog()["inc-dec-jz"],
+                           cap=4)
 
 
 # ------------------------------------------------------- flow gadget LTS
@@ -183,6 +188,18 @@ def test_an_unknown_mode_is_an_error():
         check_bisimulation(art, G.catalog()["inc-dec-jz"], cap=4, mode="sideways")
     with pytest.raises(SystemFormatError, match="bogus"):
         canonicalize(art.system, "bogus")
+
+
+def test_an_index_is_checked_in_its_own_mode():
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    spec = G.catalog()["inc-decnz-pz"]
+    index = canonicalize(art.system, "interval")
+    report = check_bisimulation(index, spec, cap=4, encoding=art.encoding)
+    assert report.verdict is BisimVerdict.EQUIVALENT
+    assert (report.relation_size, report.impl_states) == (151, 49)
+    assert report == check_bisimulation(art, spec, cap=4, mode="interval")
+    with pytest.raises(SystemFormatError, match="interval mode"):
+        check_bisimulation(index, spec, cap=4, encoding=art.encoding, mode="concrete")
 
 
 def test_refinement_logs_what_it_did(caplog, capsys):
