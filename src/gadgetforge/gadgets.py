@@ -48,7 +48,9 @@ A ``SystemOfGadgets`` is validated when it is constructed, whether it comes
 from a document, a lowering pass or code: wrong types, unknown specs,
 instances, nodes or ports, and bad initial states raise SystemFormatError
 there, so every SystemOfGadgets value is well formed, as are the specs,
-components and kinds it holds.  ``read_json`` reads every JSON document.
+components and kinds it holds.  The one exception is ``lower.substitute``,
+whose splice of valid systems is valid by the checks it makes on its
+inputs.  ``read_json`` reads every JSON document.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple, Union
 
@@ -340,6 +342,14 @@ class SystemOfGadgets:
     def __post_init__(self) -> None:
         _validate(self)
 
+    @classmethod
+    def _spliced(cls, **fields) -> SystemOfGadgets:
+        """The system ``lower.substitute`` spliced from valid parts, built
+        without ``_validate``: the splice rule it checks makes it valid."""
+        system = object.__new__(cls)
+        system.__dict__.update(fields)
+        return system
+
     def spec_named(self, name: str) -> GadgetSpec:
         for s in self.specs:
             if s.name == name:
@@ -512,6 +522,19 @@ class SystemIndex:
         """The slots of ``states`` whose counter value exceeds ``cap``."""
         return frozenset(i for i, v in self.counter_values(states).items() if v > cap)
 
+    def check_states(self, states, where: str) -> None:
+        """The one check of a state vector given from outside (a sweep's
+        start, a ``successors`` or replay configuration, a bisimulation
+        seed): a tuple of one state per instance, each a state of its
+        gadget in this index's mode."""
+        instances = self.system.instances
+        if not isinstance(states, tuple) or len(states) != len(instances):
+            raise SystemFormatError(
+                f"{where} must have one state per instance ({len(instances)}), "
+                f"got {states!r:.200}")
+        for inst, state in zip(instances, states):
+            check_state(self.spec_of[inst.spec], state, f"{where}: {inst.id} state", self.mode)
+
     def initial_states(self) -> tuple:
         return self.at_rest(inst.initial for inst in self.system.instances)
 
@@ -523,6 +546,12 @@ class SystemIndex:
     def successors(self, config: Configuration) -> list[tuple[Traversal, Configuration]]:
         """Every move from ``config``, by the codec's rows applied to tuple
         states; a position that is no class id has none."""
+        self.check_states(config.states, "configuration")
+        return self._successors(config)
+
+    def _successors(self, config: Configuration) -> list[tuple[Traversal, Configuration]]:
+        """``successors`` of a configuration whose states are known to be
+        valid: one that ``successors`` returned."""
         pos, states = config.position, config.states
         if not 0 <= pos < len(self.prefix):
             return []
@@ -668,9 +697,10 @@ def check_state(spec: GadgetSpec, state, where: str, mode: str = "concrete") -> 
         if state not in spec.states:
             raise SystemFormatError(f"{where} {state!r} is not a state of {spec.name}")
         return
-    pair = mode == "interval" and isinstance(state, tuple) and len(state) == 2
+    pair = isinstance(state, tuple) and len(state) == 2
     lo, hi = state if pair else (state, state)
-    if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi):  # no bools
+    if pair != (mode == "interval") or not (
+            type(lo) is int and type(hi) is int and 0 <= lo <= hi):  # no bools
         want = "an interval of naturals" if mode == "interval" else "a natural"
         raise SystemFormatError(
             f"{where} of a counter gadget must be {want}, got {state!r}")
@@ -678,7 +708,9 @@ def check_state(spec: GadgetSpec, state, where: str, mode: str = "concrete") -> 
 
 def _validate(system: SystemOfGadgets) -> None:
     """The one validity check, run by SystemOfGadgets on construction.
-    Linear in specs, instances, nodes and endpoints."""
+    Linear in specs, instances, nodes and endpoints.  A ``lower.substitute``
+    output skips it: it is valid by the splice rule, and this check is its
+    test oracle."""
     specs: dict[str, GadgetSpec] = {}
     spec_locations: dict[str, frozenset[str]] = {}
     port_names: dict[str, list[str]] = {}
@@ -974,8 +1006,9 @@ def to_dot(system: SystemOfGadgets) -> str:
 
 
 # ---------------------------------------------------------------------------
-# standard specs
+# standard specs; a spec is immutable, so each fixed one is built once
 
+@cache
 def spec_inc_dec_jz() -> CounterGadgetSpec:
     """Inc[1,1] + Dec[1,1] (saturating) + JZ switch, separate entrances."""
     return CounterGadgetSpec("inc-dec-jz", (
@@ -985,6 +1018,7 @@ def spec_inc_dec_jz() -> CounterGadgetSpec:
     ))
 
 
+@cache
 def spec_inc_jzdec() -> CounterGadgetSpec:
     """Inc[1,1] + JZDec switch (decrement folded into the nonzero branch)."""
     return CounterGadgetSpec("inc-jzdec", (
@@ -993,6 +1027,7 @@ def spec_inc_jzdec() -> CounterGadgetSpec:
     ))
 
 
+@cache
 def spec_inc_decnz() -> CounterGadgetSpec:
     """Inc[1,1] + DecNZ[1,1]: decrement refuses to cross at zero."""
     return CounterGadgetSpec("inc-decnz", (
@@ -1001,6 +1036,7 @@ def spec_inc_decnz() -> CounterGadgetSpec:
     ))
 
 
+@cache
 def spec_inc_decnz_pz() -> CounterGadgetSpec:
     """Inc[1,1] + DecNZ[1,1] + PZ, all with their own entrances."""
     return CounterGadgetSpec("inc-decnz-pz", (
@@ -1010,6 +1046,7 @@ def spec_inc_decnz_pz() -> CounterGadgetSpec:
     ))
 
 
+@cache
 def spec_inc_decnz_pz_merged() -> CounterGadgetSpec:
     """Inc + DecNZ + PZ with the DecNZ and PZ entrances merged.  Port names
     deliberately match spec_inc_jzdec(): the shared entrance behaves exactly
@@ -1022,6 +1059,7 @@ def spec_inc_decnz_pz_merged() -> CounterGadgetSpec:
     ))
 
 
+@cache
 def spec_inc_decnz_decnz() -> CounterGadgetSpec:
     """Inc[1,1] + two DecNZ[1,1] tunnels: the "flow" gadget that sequences
     instruction execution in the machine reduction."""
@@ -1054,6 +1092,7 @@ def spec_inc_ab_multi(a: int, b: int, c: int, d: int,
         f"inc[{a},{b}]x{n_inc}-decnz[{c},{d}]x{n_dec}-pz", tuple(comps))
 
 
+@cache
 def spec_sscd() -> FiniteGadgetSpec:
     """Symmetric self-closing door: crossing L1->R1 closes tunnel 1 and
     opens tunnel 2, and vice versa."""
@@ -1065,6 +1104,7 @@ def spec_sscd() -> FiniteGadgetSpec:
     )
 
 
+@cache
 def spec_two_tunnel() -> FiniteGadgetSpec:
     """Two always-open independent tunnels, no state change; the contract a
     tunnel duplicator has to meet."""

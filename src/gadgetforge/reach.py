@@ -131,6 +131,8 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
     """Bounded BFS from ``starts``, in the index's state mode.  Stops early
     when a configuration at ``goal_class`` is dequeued.  Start configurations
     are admitted without a cap check (they were given, not found)."""
+    for cfg in starts:
+        index.check_states(cfg.states, "start")
     tops = [index.top(cfg.states) for cfg in starts]
     start_max = max(tops, default=0)
     codec = index.codec(max(counter_cap, start_max))  # holds every start and successor
@@ -281,10 +283,11 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
     """
     index = canonicalize(system)
     cfg = index.start_config() if start is None else start
+    index.check_states(cfg.states, "start")  # each later step is a successor
     trace = [cfg]
     for i, label in enumerate(witness):
         matches = [
-            (lab, nxt) for (lab, nxt) in index.successors(cfg)
+            (lab, nxt) for (lab, nxt) in index._successors(cfg)
             if (lab.instance, lab.entry, lab.exit, lab.choice)
             == (label.instance, label.entry, label.exit, label.choice)
         ]

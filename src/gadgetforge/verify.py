@@ -69,7 +69,6 @@ from .gadgets import (
     boundary_port,
     canonicalize,
     catalog,
-    check_state,
     node_endpoint,
     port_endpoint,
 )
@@ -307,13 +306,8 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
         seed_vectors = [index.at_rest(enc(q, index.mode)) for q in spec_seed_states]
     except KeyError as exc:  # a table encoding that lacks a spec state
         raise SystemFormatError(*exc.args) from exc
-    system = index.system
     for q, vec in zip(spec_seed_states, seed_vectors):
-        if len(vec) != len(system.instances):
-            raise SystemFormatError("encoding vectors must have one state per instance")
-        for inst, state in zip(system.instances, vec):
-            check_state(index.spec_of[inst.spec], state,
-                        f"encoding of {q!r}: {inst.id} state", index.mode)
+        index.check_states(vec, f"encoding of {q!r}")
 
     if impl_cap is None:
         impl_cap = _default_impl_cap(index, seed_vectors, cap)

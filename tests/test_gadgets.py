@@ -751,6 +751,13 @@ def test_a_class_becomes_a_key_prefix_in_one_place():
                                                   "gadgets.SystemIndex.__init__"]
 
 
+def test_only_substitute_builds_a_system_past_the_validator():
+    # every other system, a parsed document above all, runs _validate
+    def splices(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "_spliced"
+    assert _functions(splices) == ["lower.substitute"]
+
+
 def test_canonicalize_keeps_an_index_in_its_own_mode():
     system = _mixed_system()
     for mode in ("concrete", "interval"):

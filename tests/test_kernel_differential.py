@@ -17,6 +17,11 @@ the earlier ``derive_boundary_lts``, kept verbatim, which ran one whole
 ``reach.sweep`` per (at-rest state, boundary port).  The closure now runs
 the shared BFS kernel on packed keys and interns states as ints; it must
 return equal boundary LTSs.
+
+``reference_validate`` is the validator before its set lookups.  With
+``gadgets._validate`` it is also the oracle of the splice rule: every
+``lower.substitute`` output, which is built without a validator, must
+pass both.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from gadgetforge.gadgets import (
     node_endpoint,
     port_endpoint,
 )
+from gadgetforge.machine import Dec, Halt, Inc, Jz, Program
 from gadgetforge.reach import SearchOutcome, SearchStats, Verdict, sweep
 from gadgetforge.verify import (
     _INNER_BUDGET,
@@ -788,3 +794,93 @@ def test_validator_matches_the_reference(system, data):
     mutant = _Unchecked(system.specs, system.instances, system.nodes, tuple(edges),
                         start, goal, tuple(boundary))
     assert _outcome(lambda: G._validate(mutant)) == _outcome(lambda: reference_validate(mutant))
+
+
+# ------------------------------------------------------------- splice rule
+#
+# lower.substitute builds its output without _validate: a splice of valid
+# systems is valid once the copies' names are fresh and their seeds are
+# states.  Both validators are the oracle on every output.
+
+def _spliced_systems(build) -> list[SystemOfGadgets]:
+    """The system of every ``lower.substitute`` output ``build()`` makes."""
+    outputs, real = [], lower.substitute
+
+    def recording(*args):
+        out = real(*args)
+        outputs.append(out.system)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lower, "substitute", recording)
+        build()
+    return outputs
+
+
+def _assert_both_accept(systems) -> None:
+    for system in systems:
+        G._validate(system)
+        reference_validate(system)
+
+
+@pytest.mark.parametrize("target", ["inc-jzdec", "inc-decnz-pz"])
+def test_corpus_splices_pass_both_validators(target):
+    outputs = _spliced_systems(lambda: [lower.pipeline(program, target, initial)
+                                        for program, initial in _corpus()])
+    assert len(outputs) >= len(_corpus())
+    _assert_both_accept(outputs)
+
+
+def _two_instance_host(spec) -> lower.LoweringArtifact:
+    """Two instances of ``spec`` in different states, port joined to port,
+    with a kept node, a start, a goal and a boundary on their ports."""
+    locs = spec.locations
+    states = (0, 2) if isinstance(spec, CounterGadgetSpec) else (spec.states[0], spec.states[-1])
+    return lower.LoweringArtifact(SystemOfGadgets(
+        specs=(spec,),
+        instances=(GadgetInstance("x0", spec.name, states[0]),
+                   GadgetInstance("x1", spec.name, states[1])),
+        nodes=("hub",),
+        edges=tuple((port_endpoint("x0", loc), port_endpoint("x1", loc)) for loc in locs)
+        + ((node_endpoint("hub"), port_endpoint("x0", locs[0])),),
+        start=port_endpoint("x1", locs[0]), goal=node_endpoint("hub"),
+        boundary=(port_endpoint("x0", locs[-1]),)))
+
+
+def test_criterion_3_splices_pass_both_validators():
+    cat = G.catalog()
+    parts = [(lower.build_inc_decnz_decnz(), cat["inc-decnz-decnz"]),
+             (lower.sim_incdecjz_via_incjzdec(), cat["inc-dec-jz"]),
+             (lower.sim_incjzdec_via_incdecnzpz(), cat["inc-jzdec"]),
+             (lower.build_sscd_from_incdecnz(), cat["sscd"]),
+             (_spliced_duplicator(1, 2, 1, 2), cat["two-tunnel"])]
+    parts += [(lower.sim_incdecnzpz_via_incab(*params), cat["inc-decnz-pz"])
+              for params in _RANGE_PARAMS]
+    for part, spec in parts:
+        out = lower.substitute(_two_instance_host(spec), spec.name, part)
+        assert len(out.system.instances) == 2 * len(part.system.instances)
+        _assert_both_accept([out.system])
+
+
+@st.composite
+def _programs(draw):
+    counters = ("c0", "c1")[:draw(st.integers(1, 2))]
+    n = draw(st.integers(1, 4))
+    ops = st.one_of(st.builds(Inc, st.sampled_from(counters)),
+                    st.builds(Dec, st.sampled_from(counters)),
+                    st.builds(Jz, st.sampled_from(counters), st.integers(0, n - 1)),
+                    st.just(Halt()))
+    program = Program(counters, tuple(draw(st.lists(ops, min_size=n, max_size=n))))
+    return program, {c: draw(st.integers(0, 3)) for c in counters}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_programs(), st.sampled_from(lower.PIPELINE_TARGETS),
+       st.sampled_from(_RANGE_PARAMS), st.sampled_from(["direct", "via-duplicators"]))
+def test_pipeline_splices_pass_both_validators(case, target, params, expand):
+    program, initial = case
+    a, b, c, d = params
+    if max(a, c) > min(b, d):  # duplicators need [a,b] and [c,d] to overlap
+        expand = "direct"
+    _assert_both_accept(_spliced_systems(lambda: lower.pipeline(
+        program, target, initial, range_params=params, expand=expand)))

@@ -412,6 +412,28 @@ def test_substitute_validation():
         substitute(host, "inc-dec-jz", renamed)
 
 
+def test_substitute_checks_the_splice_rule():
+    # substitute builds its output without _validate, so it must itself
+    # refuse what would make an invalid system
+    host = compile_machine_to_incdecjz(parse_program("0: INC c0\n1: HALT\n"))
+    part = sim_incdecjz_via_incjzdec()
+
+    # a host node named like a copy of the part's instance g0
+    crowded = dataclasses.replace(host, system=dataclasses.replace(
+        host.system, nodes=host.system.nodes + ("c:c0/g0",)))
+    with pytest.raises(SystemFormatError,
+                       match=r"reuses instance ids or node names: \['c:c0/g0'\]"):
+        substitute(crowded, "inc-dec-jz", part)
+
+    # an encoding that seeds a counter below zero, or with a string
+    for encoding, bad in (
+            (Encoding("affine", affine=((1, -5),) + part.encoding.affine[1:]), "-5"),
+            (Encoding("table", table=((0, ("0", 0, 0, 0, 0)),)), "'0'")):
+        with pytest.raises(SystemFormatError, match=(
+                f"^c:c0/g0: initial state of a counter gadget must be a natural, got {bad}$")):
+            substitute(host, "inc-dec-jz", dataclasses.replace(part, encoding=encoding))
+
+
 # ------------------------------------------------------------- pipeline
 
 def test_pipeline_instance_counts():
@@ -475,6 +497,38 @@ def test_pipeline_is_deterministic():
         a = serialize_system(pipeline(program, target, **kw).system)
         b = serialize_system(pipeline(program, target, **kw).system)
         assert a == b
+
+
+def test_a_builders_dicts_are_its_callers_own(tmp_path):
+    # pipeline builds its constant parts once; a caller that writes into the
+    # roles or provenance a public builder hands out changes nothing later
+    program = parse_program("0: INC c0\n1: JZ c0 0\n2: HALT\n")
+
+    def written(name: str) -> list[bytes]:
+        paths = export_artifact(pipeline(program, "inc-decnz-pz"), str(tmp_path / name))
+        return [Path(p).read_bytes() for p in paths]
+
+    before = written("before.json")
+    for build in (build_inc_decnz_decnz, sim_incdecjz_via_incjzdec,
+                  sim_incjzdec_via_incdecnzpz):
+        art = build()
+        art.roles.clear()
+        art.roles["g0"] = art.roles["top"] = art.roles["g"] = "mutated"
+        art.provenance["construction"] = "mutated"
+    assert written("after.json") == before
+
+
+@pytest.mark.parametrize("target", ["inc-jzdec", "inc-decnz-pz"])
+def test_a_compiled_system_is_validated_twice(monkeypatch, target):
+    # once when compile builds the machine's system and once when the
+    # written document is parsed; the splices and the constant parts
+    # (built on first use) are not validated again
+    program = parse_program("0: INC c0\n1: DEC c1\n2: JZ c0 0\n3: HALT\n")
+    pipeline(program, target)
+    seen, real = [], G._validate
+    monkeypatch.setattr(G, "_validate", lambda system: seen.append(system) or real(system))
+    G.parse_system(serialize_system(pipeline(program, target).system))
+    assert len(seen) == 2
 
 
 # ---------------------------------------------------------- initializer

@@ -285,6 +285,40 @@ def test_replay_rejects_illegal_and_mismatched_steps():
         replay(sys0, (lie,))
 
 
+_BAD_VECTORS = [
+    (("x",) * 5, "g0 state of a counter gadget must be a natural, got 'x'"),
+    ((0,), r"one state per instance \(5\)"),
+    ((0,) * 6, r"one state per instance \(5\)"),
+    ([0] * 5, r"one state per instance \(5\)"),
+    (((0, 0),) * 5, "must be a natural"),
+]
+
+
+@pytest.mark.parametrize("states, message", _BAD_VECTORS)
+def test_a_state_vector_from_outside_is_checked(states, message):
+    # a sweep's start, a configuration given to successors and a replay's
+    # start go through the one check, SystemIndex.check_states
+    index = G.canonicalize(lower.sim_incdecjz_via_incjzdec().system)
+    bad = Configuration(0, states)
+    with pytest.raises(SystemFormatError, match=f"^start.*{message}"):
+        sweep(index, [bad], counter_cap=4, visit_budget=100)
+    with pytest.raises(SystemFormatError, match=f"^configuration.*{message}"):
+        index.successors(bad)
+    (label, _), *_ = index.successors(Configuration(0, (0,) * 5))
+    for witness in ((label,), ()):
+        with pytest.raises(SystemFormatError, match=f"^start.*{message}"):
+            replay(index, witness, start=bad)
+
+
+def test_an_interval_state_vector_holds_intervals():
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    index = G.canonicalize(art.system, "interval")
+    for states in (art.encoding.state_for(1), ((4, 0), (4, 4))):  # ints; an empty interval
+        with pytest.raises(SystemFormatError, match="an interval of naturals"):
+            sweep(index, [Configuration(0, states)], counter_cap=24, visit_budget=10)
+    index.check_states(art.encoding.state_for(1, "interval"), "start")
+
+
 def test_replay_checks_intermediate_blocked_tunnels():
     # witness taking a DecNZ step is refused when the counter starts at 0
     spec = G.spec_inc_decnz()
