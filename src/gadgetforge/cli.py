@@ -136,12 +136,10 @@ def _load_spec(ref: str) -> gadgets.GadgetSpec:
 def cmd_verify_sim(args) -> int:
     system = gadgets.parse_system(_read(args.impl_file))
     spec = _load_spec(args.spec)
-    port_map, encoding, sidecar_mode = (lower.read_sidecar(args.map) if args.map
-                                        else (None, None, None))
+    port_map, encoding, sidecar_mode = lower.read_sidecar(args.map)
     mode = args.mode or sidecar_mode or "concrete"
-    report = verify.check_bisimulation(
-        lower.LoweringArtifact(system, encoding=encoding), spec, port_map or None,
-        cap=args.cap, mode=mode, impl_cap=args.impl_cap)
+    report = verify.check_bisimulation(system, spec, port_map, cap=args.cap, mode=mode,
+                                       encoding=encoding, impl_cap=args.impl_cap)
     ce = None
     if report.counterexample is not None:
         (x0, y0), trace = report.counterexample
@@ -221,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("impl_file")
     p.add_argument("--spec", required=True,
                    help="catalog spec name or spec JSON file")
-    p.add_argument("--map", help="sidecar JSON with ports/encoding/mode")
+    p.add_argument("--map", required=True, help="sidecar JSON with ports/encoding/mode")
     p.add_argument("--cap", type=int, required=True)
     p.add_argument("--impl-cap", type=int, default=None)
     p.add_argument("--mode", choices=["concrete", "interval"], default=None)
@@ -241,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 after a usage error
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:  # SystemFormatError, ProgramError, bad JSON

@@ -350,11 +350,15 @@ class SystemOfGadgets:
         system.__dict__.update(fields)
         return system
 
-    def spec_named(self, name: str) -> GadgetSpec:
-        for s in self.specs:
-            if s.name == name:
-                return s
-        raise SystemFormatError(f"no spec named {name!r}")
+    @cached_property  # computed on first read; not a field, so eq and hash ignore it
+    def spec_of(self) -> dict[str, GadgetSpec]:
+        """Spec name -> spec: the one such map of a system."""
+        return {spec.name: spec for spec in self.specs}
+
+    @cached_property
+    def boundary_ports(self) -> tuple[str, ...]:
+        """The port name of each boundary endpoint, in boundary order."""
+        return tuple(map(boundary_port, self.boundary))
 
 
 def node_endpoint(name: str) -> str:
@@ -437,7 +441,7 @@ class SystemIndex:
 
     Classes are numbered deterministically (sorted by their lexicographically
     least endpoint).  ``prefix[cid]`` is class ``cid`` as a key prefix and
-    ``spec_of`` maps a spec name to its spec.  The one move table is built
+    ``spec_of`` is the system's spec map.  The one move table is built
     by the codec (``codec(limit)``, see KeyCodec) and read by the BFS
     kernel, the boundary closure and ``successors`` alike.
     """
@@ -450,7 +454,7 @@ class SystemIndex:
         self.interval = mode == "interval"
         # union-find over the endpoint strings, with path halving
         parent = {ep: ep for ep in _node_endpoints(system.nodes)}
-        self.spec_of = spec_of = {spec.name: spec for spec in system.specs}
+        self.spec_of = spec_of = system.spec_of
         for inst in system.instances:
             for ep in _port_endpoints(inst.id, spec_of[inst.spec].locations):
                 parent[ep] = ep
@@ -711,15 +715,13 @@ def _validate(system: SystemOfGadgets) -> None:
     Linear in specs, instances, nodes and endpoints.  A ``lower.substitute``
     output skips it: it is valid by the splice rule, and this check is its
     test oracle."""
-    specs: dict[str, GadgetSpec] = {}
     spec_locations: dict[str, frozenset[str]] = {}
     port_names: dict[str, list[str]] = {}
     for spec in system.specs:  # each spec checked itself when it was built
         if not isinstance(spec, GadgetSpec):
             raise SystemFormatError(f"not a gadget spec: {spec!r}")
-        if spec.name in specs:
+        if spec.name in spec_locations:
             raise SystemFormatError(f"duplicate spec name {spec.name!r}")
-        specs[spec.name] = spec
         locations = spec.locations
         spec_locations[spec.name] = frozenset(locations)
         # an empty location would make "ID.", which split_endpoint rejects
@@ -735,7 +737,7 @@ def _validate(system: SystemOfGadgets) -> None:
                 "would read as connection nodes")
         if inst.id in ports_of:
             raise SystemFormatError(f"duplicate instance id {inst.id!r}")
-        spec = specs.get(inst.spec) if isinstance(inst.spec, str) else None
+        spec = system.spec_of.get(inst.spec) if isinstance(inst.spec, str) else None
         if spec is None:
             raise SystemFormatError(f"no spec named {inst.spec!r}")
         check_state(spec, inst.initial, f"{inst.id}: initial state")
@@ -985,7 +987,7 @@ def to_dot(system: SystemOfGadgets) -> str:
     one box node per connection node, free-travel edges between them."""
     lines = ["graph system {", "  node [shape=circle, fontsize=10];"]
     for n, inst in enumerate(system.instances):
-        spec = system.spec_named(inst.spec)
+        spec = system.spec_of[inst.spec]
         lines.append(f"  subgraph cluster_{n} {{")
         lines.append(f"    label={_q(f'{inst.id} : {inst.spec} = {inst.initial}')};")
         for loc in spec.locations:

@@ -48,7 +48,6 @@ from .gadgets import (
     GadgetSpec,
     SystemFormatError,
     SystemOfGadgets,
-    boundary_port,
     check_integer,
     check_state,
     node_endpoint,
@@ -115,7 +114,7 @@ class Encoding:
             for key, vec in self.table:
                 if key == q:
                     return tuple(vec)
-            raise KeyError(f"no encoding for state {q!r}")
+            raise SystemFormatError(f"no encoding for state {q!r}")
         if self.kind == "interval-affine":
             if mode == "interval":
                 return tuple(((ls * q + lo), (hs * q + ho))
@@ -171,15 +170,11 @@ class LoweringArtifact:
 
 def _dedupe_specs(specs) -> tuple[GadgetSpec, ...]:
     out: list[GadgetSpec] = []
-    seen: dict[str, GadgetSpec] = {}
     for s in specs:
-        if s.name in seen:
-            if seen[s.name] != s:
-                raise SystemFormatError(
-                    f"conflicting definitions for spec {s.name!r}")
-            continue
-        seen[s.name] = s
-        out.append(s)
+        if s not in out:
+            if any(t.name == s.name for t in out):
+                raise SystemFormatError(f"conflicting definitions for spec {s.name!r}")
+            out.append(s)
     return tuple(out)
 
 
@@ -687,13 +682,15 @@ def substitute(host: LoweringArtifact, spec_name: str,
     its gadget.  Every edge then joins endpoints that exist.  The tests
     run the full validator on substitute outputs as the oracle."""
     hsys = host.system
-    target_spec = hsys.spec_named(spec_name)
+    target_spec = hsys.spec_of.get(spec_name)
+    if target_spec is None:
+        raise SystemFormatError(f"no spec named {spec_name!r}")
     psys = part.system
     if psys.start or psys.goal:
         raise SystemFormatError("substitution part must not carry start/goal")
     if any(split_endpoint(ep)[0] != "node" for ep in psys.boundary):
         raise SystemFormatError("substitution part boundary must be nodes")
-    part_boundary_names = {boundary_port(ep) for ep in psys.boundary}
+    part_boundary_names = set(psys.boundary_ports)
     if part_boundary_names != set(target_spec.locations):
         raise SystemFormatError(
             f"part boundary {sorted(part_boundary_names)} does not match "
@@ -714,7 +711,6 @@ def substitute(host: LoweringArtifact, spec_name: str,
     hoisted = {port_endpoint(x.id, loc): node_endpoint(f"{x.id}/{loc}")
                for x in replaced for loc in target_spec.locations}
     part_edges = [(*split_for_prefix(ea), *split_for_prefix(eb)) for ea, eb in psys.edges]
-    part_specs = {s.name: s for s in psys.specs}
 
     for x in replaced:
         prefix = f"{x.id}/"
@@ -722,7 +718,7 @@ def substitute(host: LoweringArtifact, spec_name: str,
         if len(seed) != len(psys.instances):
             raise SystemFormatError("part encoding arity mismatch")
         for sub, s0 in zip(psys.instances, seed):
-            check_state(part_specs[sub.spec], s0, f"{prefix + sub.id}: initial state")
+            check_state(psys.spec_of[sub.spec], s0, f"{prefix + sub.id}: initial state")
             out_instances.append(GadgetInstance(prefix + sub.id, sub.spec, s0))
             sub_role = part.roles.get(sub.id, "")
             roles[prefix + sub.id] = (
@@ -874,7 +870,7 @@ def export_artifact(artifact: LoweringArtifact, path: str) -> tuple[str, str]:
         "roles": artifact.roles,
         "encoding": artifact.encoding.to_json() if artifact.encoding else None,
         "provenance": artifact.provenance,
-        "ports": {boundary_port(ep): boundary_port(ep) for ep in artifact.system.boundary},
+        "ports": {p: p for p in artifact.system.boundary_ports},
         "mode": artifact.suggested_mode(),
     }
     meta_path = path + ".meta.json"

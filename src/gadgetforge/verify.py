@@ -56,7 +56,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .gadgets import (
     Configuration,
@@ -66,13 +66,12 @@ from .gadgets import (
     SystemFormatError,
     SystemIndex,
     SystemOfGadgets,
-    boundary_port,
     canonicalize,
     catalog,
     node_endpoint,
     port_endpoint,
 )
-from .lower import LoweringArtifact
+from .lower import Encoding, LoweringArtifact
 from .reach import _bfs, sweep
 
 log = logging.getLogger(__name__)
@@ -111,9 +110,15 @@ class BoundaryLTS:
         return out
 
 
+def _boundary_ports(system: SystemOfGadgets) -> tuple[str, ...]:
+    """The system's boundary port names; a system with none has no boundary LTS."""
+    if not system.boundary:
+        raise SystemFormatError("system has no boundary endpoints")
+    return system.boundary_ports
+
+
 def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
-                        seeds: Iterable[tuple], *, impl_cap: int,
-                        inner_budget: int = _INNER_BUDGET) -> BoundaryLTS:
+                        seeds: Iterable[tuple], *, impl_cap: int) -> BoundaryLTS:
     """Compute the boundary LTS of a system with boundary endpoints.
 
     ``seeds`` are at-rest state vectors to start from (e.g. encodings of the
@@ -123,20 +128,18 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     state mode (concrete for a plain system).
     """
     index = canonicalize(system)
-    if not index.boundary_classes:
-        raise SystemFormatError("system has no boundary endpoints")
-    # boundary_classes is in system.boundary order
-    ports = tuple(map(boundary_port, index.boundary_classes.values()))
+    ports = _boundary_ports(index.system)
     vecs = list(dict.fromkeys(map(index.at_rest, seeds)))
     tops = list(map(index.top, vecs))
     # every state the closure finds is within the cap, so one codec holds all
     codec = index.codec(max([impl_cap, *tops]))
     pw = codec.pos_width
+    # boundary_classes is in system.boundary order, as the ports are
     prefixes = [index.prefix[cid] for cid in index.boundary_classes]
     port_of = {prefix: k for k, prefix in enumerate(prefixes)}
     # an excursion from a port that no move leaves expands its start, and ends
     entered = [(p, prefix) for p, prefix in enumerate(prefixes)
-               if prefix in codec.moves or inner_budget < 1]
+               if prefix in codec.moves or _INNER_BUDGET < 1]
     idle = len(prefixes) - len(entered)
 
     # at-rest states as packed keys without their position, interned in
@@ -162,7 +165,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
         for p, prefix in entered:
             start = prefix + body
             result = _bfs(codec, (start,), {start: slots} if slots else {}, impl_cap, high,
-                          inner_budget, None)
+                          _INNER_BUDGET, None)
             visited, _, overflowed, budget_exhausted, start_revisited, explored = result[:6]
             expanded += explored
             if overflowed or budget_exhausted:
@@ -255,20 +258,16 @@ class InvariantViolation(AssertionError):
 def _default_impl_cap(index: SystemIndex, seed_vectors: list[tuple], cap: int) -> int:
     """Headroom rule: largest seed counter value + largest per-spec-step
     jump + slack for transient spikes inside a protocol."""
-    seed_max, step_max, prev = 0, 1, None
-    for vec in seed_vectors:
-        m = list(index.counter_values(vec).values())
-        if m:
-            seed_max = max(seed_max, max(m))
-        if prev is not None and m:
-            step_max = max(step_max, max(abs(x - y) for x, y in zip(m, prev)))
-        prev = m
+    values = [index.counter_values(vec).values() for vec in seed_vectors]
+    seed_max = max([0, *(v for vs in values for v in vs)])
+    step_max = max([1, *(abs(x - y) for vs, prev in zip(values[1:], values)
+                         for x, y in zip(vs, prev))])
     return max(seed_max + step_max + 2, cap + 2)
 
 
 def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None = None,
                        *, cap: int, mode: str | None = None,
-                       encoding: Callable | None = None,
+                       encoding: Encoding | None = None,
                        impl_cap: int | None = None) -> BisimReport:
     """Is the implementation system bisimilar (through its boundary ports,
     up to the cap) to the spec gadget?
@@ -277,14 +276,15 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     lowering artifact (``.system`` and ``.encoding``).  ``port_map``
     translates implementation boundary port names to spec locations; by
     convention artifacts name their boundary nodes after the spec locations,
-    so identity (None) usually works.  ``encoding`` maps each spec state to
-    the implementation's at-rest state vector; artifacts carry their own.
+    so identity (None) usually works.  ``encoding`` is the ``lower.Encoding``
+    of each spec state as the implementation's at-rest state vector, or
+    None for the artifact's own.
 
     Seeds are (encoding(q), q) for every spec state q (0..cap for counter
     specs).  The verdict is Equivalent only if every seed pair survives
     refinement and at least one seed pair is clear of the cap frontier.
     The system is indexed once, by ``canonicalize(impl, mode)``, so an index
-    keeps its own mode.
+    keeps its own mode.  Every input is checked before either closure runs.
     """
     counter = isinstance(spec, CounterGadgetSpec)
     if cap < 0 or (impl_cap is not None and impl_cap < 0):
@@ -297,15 +297,31 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
             encoding = impl.encoding
         impl = impl.system
     index = canonicalize(impl, mode)
+    ports = _boundary_ports(index.system)
+
+    # the map must be a bijection: boundary ports <-> spec locations
+    if port_map is None:
+        port_map = {p: p for p in ports}
+    missing = set(ports) - set(port_map)
+    if missing:
+        raise SystemFormatError(f"port_map misses implementation ports {sorted(missing)}")
+    bad = set(port_map.values()) - set(spec.locations)
+    if bad:
+        raise SystemFormatError(f"port_map targets unknown spec locations {sorted(bad)}")
+    if len(set(port_map.values())) != len(port_map):
+        raise SystemFormatError("port_map is not injective")
+    uncovered = set(spec.locations) - set(port_map.values())
+    if uncovered:
+        raise SystemFormatError(
+            f"port_map covers no implementation port for spec locations "
+            f"{sorted(uncovered)}")
+
     if encoding is None:
         raise SystemFormatError("no encoding given and impl carries none")
-    enc = encoding.state_for if hasattr(encoding, "state_for") else encoding
-
+    if not isinstance(encoding, Encoding):
+        raise SystemFormatError(f"encoding must be an Encoding, got {type(encoding).__name__}")
     spec_seed_states = list(range(cap + 1) if counter else spec.states)
-    try:
-        seed_vectors = [index.at_rest(enc(q, index.mode)) for q in spec_seed_states]
-    except KeyError as exc:  # a table encoding that lacks a spec state
-        raise SystemFormatError(*exc.args) from exc
+    seed_vectors = [index.at_rest(encoding.state_for(q, index.mode)) for q in spec_seed_states]
     for q, vec in zip(spec_seed_states, seed_vectors):
         index.check_states(vec, f"encoding of {q!r}")
 
@@ -314,23 +330,6 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
 
     spec_lts = spec_closure_lts(spec, cap)
     impl_lts = derive_boundary_lts(index, seed_vectors, impl_cap=impl_cap)
-
-    # the map must be a bijection: boundary ports <-> spec locations
-    if port_map is None:
-        port_map = {p: p for p in impl_lts.ports}
-    missing = set(impl_lts.ports) - set(port_map)
-    if missing:
-        raise SystemFormatError(f"port_map misses implementation ports {sorted(missing)}")
-    bad = set(port_map.values()) - set(spec_lts.ports)
-    if bad:
-        raise SystemFormatError(f"port_map targets unknown spec locations {sorted(bad)}")
-    if len(set(port_map.values())) != len(port_map):
-        raise SystemFormatError("port_map is not injective")
-    uncovered = set(spec_lts.ports) - set(port_map.values())
-    if uncovered:
-        raise SystemFormatError(
-            f"port_map covers no implementation port for spec locations "
-            f"{sorted(uncovered)}")
 
     # states and labels as ints, once: impl successors as id lists, spec
     # successors and the spec frontier as bitmasks over spec ids

@@ -308,7 +308,7 @@ def test_criterion_5_single_edge_deletions_are_caught():
     t0 = time.perf_counter()
     art = lower.sim_incdecjz_via_incjzdec()
     spec = G.catalog()["inc-dec-jz"]
-    enc = lambda q, mode: (q, q, 0, 0, 0)
+    enc = lower.Encoding("affine", affine=((1, 0), (1, 0), (0, 0), (0, 0), (0, 0)))
     cap = 8
 
     total = len(art.system.edges)
@@ -327,7 +327,7 @@ def test_criterion_5_single_edge_deletions_are_caught():
                 # replay on independently recomputed transition systems:
                 # the trace must strand exactly one side
                 impl_lts = derive_boundary_lts(
-                    mutant, [enc(q, "concrete") for q in range(cap + 1)],
+                    mutant, [enc.state_for(q) for q in range(cap + 1)],
                     impl_cap=report.impl_cap)
                 spec_lts = spec_closure_lts(spec, cap)
                 xs, ys = trace_splits(impl_lts.out_map(), spec_lts.out_map(),

@@ -27,7 +27,6 @@ from __future__ import annotations
 import logging
 import random
 import re
-from typing import Callable
 
 from gadgetforge import gadgets as G, lower, verify
 from gadgetforge.gadgets import (
@@ -214,9 +213,8 @@ def _counts(caplog) -> tuple[int, int]:
 def reference_check_bisimulation(impl, spec: GadgetSpec,
                                  port_map: dict[str, str] | None = None,
                                  *, cap: int, mode: str = "concrete",
-                                 encoding: Callable | None = None,
-                                 impl_cap: int | None = None,
-                                 inner_budget: int = 200_000) -> BisimReport:
+                                 encoding: lower.Encoding | None = None,
+                                 impl_cap: int | None = None) -> BisimReport:
     """Is the implementation system bisimilar (through its boundary ports,
     up to the cap) to the spec gadget?
 
@@ -236,7 +234,7 @@ def reference_check_bisimulation(impl, spec: GadgetSpec,
         encoding = getattr(impl, "encoding", None)
     if encoding is None:
         raise SystemFormatError("no encoding given and impl carries none")
-    enc = encoding.state_for if hasattr(encoding, "state_for") else encoding
+    enc = encoding.state_for
 
     if isinstance(spec, CounterGadgetSpec):
         spec_seed_states: list = list(range(cap + 1))
@@ -251,8 +249,7 @@ def reference_check_bisimulation(impl, spec: GadgetSpec,
         impl_cap = _default_impl_cap(index, seed_vectors, cap)
 
     spec_lts = spec_closure_lts(spec, cap)
-    impl_lts = derive_boundary_lts(index, seed_vectors,
-                                   impl_cap=impl_cap, inner_budget=inner_budget)
+    impl_lts = derive_boundary_lts(index, seed_vectors, impl_cap=impl_cap)
 
     # the map must be a bijection: boundary ports <-> spec locations
     if port_map is None:
@@ -329,13 +326,14 @@ def _cases():
         yield (f"quintet-{cap}", lower.sim_incdecjz_via_incjzdec(), cat["inc-dec-jz"],
                {"cap": cap})
     quintet = lower.sim_incdecjz_via_incjzdec().system
+    quintet_encoding = lower.Encoding("affine", affine=((1, 0), (1, 0), (0, 0), (0, 0), (0, 0)))
     for k in range(len(quintet.edges)):
         mutant = SystemOfGadgets(
             specs=quintet.specs, instances=quintet.instances, nodes=quintet.nodes,
             edges=quintet.edges[:k] + quintet.edges[k + 1:], boundary=quintet.boundary)
         for cap in (0, 3, 8):
             yield (f"mutant-{k}-{cap}", mutant, cat["inc-dec-jz"],
-                   {"cap": cap, "encoding": lambda q, mode: (q, q, 0, 0, 0)})
+                   {"cap": cap, "encoding": quintet_encoding})
     # seeds above an explicit small impl cap
     yield ("quintet-impl-cap-4", lower.sim_incdecjz_via_incjzdec(), cat["inc-dec-jz"],
            {"impl_cap": 4})
@@ -344,11 +342,12 @@ def _cases():
     loop = CounterGadgetSpec("loop", (Component(PZ(), "a", ("a",)),
                                       Component(IncRange(1, 1), "a", ("b",)),
                                       Component(DecNZRange(1, 1), "b", ("a",))))
-    yield "pz-loop", identity_subsystem(loop), loop, {"encoding": lambda q, mode: (q,)}
+    identity = lower.Encoding("affine", affine=((1, 0),))
+    yield "pz-loop", identity_subsystem(loop), loop, {"encoding": identity}
     # an Inc[1,1] gadget against Inc[1,2]: every impl move has its match,
     # but the spec's +2 increment has none
     yield ("inc-decnz-pz-vs-inc[1,2]", identity_subsystem(G.spec_inc_decnz_pz()),
-           G.spec_inc_ab(1, 2, 1, 1), {"encoding": lambda q, mode: (q,)})
+           G.spec_inc_ab(1, 2, 1, 1), {"encoding": identity})
 
 
 def test_refinement_matches_the_reference(monkeypatch, caplog):
@@ -385,16 +384,13 @@ def test_refinement_matches_the_reference(monkeypatch, caplog):
 
 def test_truncated_closures_give_the_reference_report(monkeypatch):
     # derive_boundary_lts with an inner budget too small for one excursion
-    real_derive = verify.derive_boundary_lts
     truncated = 0
     for budget in (1, 3):
-        monkeypatch.setattr(verify, "derive_boundary_lts", lambda *args, **kw: real_derive(
-            *args, **kw, inner_budget=budget))
+        monkeypatch.setattr(verify, "_INNER_BUDGET", budget)
         for name, impl, spec, kwargs in list(_cases())[:4]:
             kwargs = {"cap": 6, **kwargs}
             got = check_bisimulation(impl, spec, **kwargs)
-            assert got == reference_check_bisimulation(impl, spec, **kwargs,
-                                                       inner_budget=budget), name
+            assert got == reference_check_bisimulation(impl, spec, **kwargs), name
             truncated += got.note == "inner search truncated"
     assert truncated
 

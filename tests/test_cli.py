@@ -356,6 +356,12 @@ def test_verify_sim_rejects_an_encoding_of_the_wrong_length(tmp_path, capsys):
     assert _rejected(code, out, err) and "one state per instance" in err
 
 
+def test_verify_sim_rejects_an_empty_port_map(tmp_path, capsys):
+    # an empty map is a map, not the identity
+    code, out, err = _verify_sim_with_sidecar(tmp_path, capsys, lambda doc: {**doc, "ports": {}})
+    assert _rejected(code, out, err) and "misses implementation ports" in err
+
+
 def test_verify_sim_rejects_an_unknown_sidecar_mode(tmp_path, capsys):
     code, out, err = _verify_sim_with_sidecar(
         tmp_path, capsys, lambda doc: {**doc, "mode": "sideways"})
@@ -625,5 +631,22 @@ def test_compile_output_matches_its_golden_digests(tmp_path, capsys, program, ta
 
 def test_missing_subcommand_exits_with_usage():
     proc = _cli_subprocess()
-    assert proc.returncode == 2
+    assert proc.returncode == 1
     assert "usage:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach", "two.json"],
+    ["reach", "two.json", "--cap", "x"],
+    ["warp", "two.json"],
+    ["verify-sim", "q.json", "--spec", "inc-dec-jz", "--cap", "2"],
+], ids=["missing-cap", "non-integer-cap", "unknown-subcommand", "verify-sim-without-map"])
+def test_usage_errors_exit_1_not_a_verdict_code(capsys, argv):
+    # 2 is the code of Unknown, Inconclusive and BudgetExhausted
+    code, out, err = _run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("usage:")
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = _run_cli(capsys, "verify-sim", "--help")
+    assert code == 0 and "--map MAP" in out and "[--map" not in out  # --map is required

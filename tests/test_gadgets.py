@@ -758,6 +758,32 @@ def test_only_substitute_builds_a_system_past_the_validator():
     assert _functions(splices) == ["lower.substitute"]
 
 
+def test_boundary_ports_are_named_in_one_place():
+    # the closure, substitute, export and the port-map check read
+    # SystemOfGadgets.boundary_ports
+    def names(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == "boundary_port"
+    assert _functions(names) == ["gadgets.SystemOfGadgets.boundary_ports"]
+
+
+def test_a_spec_map_is_built_in_one_place():
+    # {s.name: s for ...} or d[s.name] = s: every other reader of specs by
+    # name reads SystemOfGadgets.spec_of
+    def maps_names(node) -> bool:
+        if isinstance(node, ast.DictComp):
+            key, value = node.key, node.value
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Subscript)):
+            key, value = node.targets[0].slice, node.value
+        else:
+            return False
+        return (isinstance(key, ast.Attribute) and key.attr == "name"
+                and isinstance(key.value, ast.Name) and isinstance(value, ast.Name)
+                and key.value.id == value.id)
+    assert sorted(_functions(maps_names)) == ["gadgets.SystemOfGadgets.spec_of",
+                                              "gadgets.catalog"]
+
+
 def test_canonicalize_keeps_an_index_in_its_own_mode():
     system = _mixed_system()
     for mode in ("concrete", "interval"):
@@ -799,7 +825,7 @@ def test_dot_output_shape():
     assert dot.startswith("graph ")
     assert "subgraph cluster_0" in dot and "subgraph cluster_1" in dot
     # one node line per port plus one per external node
-    n_ports = sum(len(sys0.spec_named(i.spec).locations) for i in sys0.instances)
+    n_ports = sum(len(sys0.spec_of[i.spec].locations) for i in sys0.instances)
     n_lines = sum(1 for line in dot.splitlines() if "[label=" in line or
                   ("[shape=box" in line))
     assert n_lines == n_ports + len(sys0.nodes)

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gadgetforge import gadgets as G, lower, reach
+from gadgetforge import gadgets as G, lower, reach, verify
 from gadgetforge.gadgets import (
     Component,
     Configuration,
@@ -345,8 +345,11 @@ def _assert_same_search(system: SystemOfGadgets, cap: int, mode: str = "concrete
 
 def _assert_same_closure(index: SystemIndex, ref: ReferenceIndex, seeds,
                          **bounds) -> BoundaryLTS:
-    """The closure equals both oracles: the per-sweep one and the tuple kernel's."""
-    got = derive_boundary_lts(index, seeds, **bounds)
+    """The closure equals both oracles: the per-sweep one and the tuple kernel's.
+    An ``inner_budget`` bound stands in for ``verify._INNER_BUDGET``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_INNER_BUDGET", bounds.get("inner_budget", _INNER_BUDGET))
+        got = derive_boundary_lts(index, seeds, impl_cap=bounds["impl_cap"])
     assert got == sweep_derive_boundary_lts(index, seeds, **bounds)
     assert got == reference_derive_boundary_lts(ref, seeds, **bounds)
     return got

@@ -240,7 +240,7 @@ def test_incab_tunnel_multiplicities():
     art = sim_incdecnzpz_via_incab(1, 2, 1, 2)
 
     def counts(spec_name):
-        spec = art.system.spec_named(spec_name)
+        spec = art.system.spec_of[spec_name]
         tags = [c.kind.tag for c in spec.components]
         return tags.count("inc"), tags.count("decnz")
 
@@ -410,6 +410,14 @@ def test_substitute_validation():
             dataclasses.replace(i, spec=clash.name) for i in psys.instances)))
     with pytest.raises(SystemFormatError, match="conflicting definitions"):
         substitute(host, "inc-dec-jz", renamed)
+
+    # a table encoding that lacks the replaced instance's state
+    door = LoweringArtifact(SystemOfGadgets(
+        specs=(G.spec_sscd(),), instances=(GadgetInstance("d", "sscd", "2"),)))
+    cut = dataclasses.replace(build_sscd_from_incdecnz(),
+                              encoding=Encoding("table", table=(("1", (1, 0)),)))
+    with pytest.raises(SystemFormatError, match="no encoding for state '2'"):
+        substitute(door, "sscd", cut)
 
 
 def test_substitute_checks_the_splice_rule():
@@ -582,7 +590,7 @@ def test_encoding_kinds():
     assert aff.state_for(4) == (13, 2)
     tab = Encoding("table", table=(("1", (1, 0)), ("2", (0, 1))))
     assert tab.state_for("2") == (0, 1)
-    with pytest.raises(KeyError):
+    with pytest.raises(SystemFormatError, match="no encoding for state '3'"):
         tab.state_for("3")
     ia = Encoding("interval-affine",
                   iaffine=(((2, 0), (4, 0)),),

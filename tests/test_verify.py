@@ -157,7 +157,7 @@ def test_flow_gadget_boundary_behavior():
 def test_reflexive_bisimulation():
     spec = G.spec_inc_dec_jz()
     report = check_bisimulation(identity_subsystem(spec), spec,
-                                encoding=lambda q, mode: (q,), cap=6)
+                                encoding=lower.Encoding("affine", affine=((1, 0),)), cap=6)
     assert report.verdict is BisimVerdict.EQUIVALENT
     assert report.seeds_checked == 7
     assert report.counterexample is None
@@ -166,7 +166,7 @@ def test_reflexive_bisimulation():
 def test_cap_zero_is_inconclusive_not_equivalent():
     spec = G.spec_inc_dec_jz()
     report = check_bisimulation(identity_subsystem(spec), spec,
-                                encoding=lambda q, mode: (q,), cap=0)
+                                encoding=lower.Encoding("affine", affine=((1, 0),)), cap=0)
     assert report.verdict is BisimVerdict.INCONCLUSIVE_AT_CAP
     assert "frontier" in report.note
 
@@ -175,7 +175,7 @@ def test_wrong_initial_state_is_caught():
     # same gadget, but the encoding lies by one
     spec = G.spec_inc_dec_jz()
     report = check_bisimulation(identity_subsystem(spec), spec,
-                                encoding=lambda q, mode: (q + 1,), cap=6)
+                                encoding=lower.Encoding("affine", affine=((1, 1),)), cap=6)
     assert report.verdict is BisimVerdict.NOT_EQUIVALENT
     (seed_pair, trace) = report.counterexample
     assert seed_pair[0] == (1,) and seed_pair[1] == 0
@@ -212,15 +212,16 @@ def test_refinement_logs_what_it_did(caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_closure_logs_what_it_did(caplog, capsys):
+def test_closure_logs_what_it_did(caplog, capsys, monkeypatch):
     art = lower.sim_incdecjz_via_incjzdec()
     index = canonicalize(art.system)
     for seeds, impl_cap, budget in (([art.encoding.state_for(q) for q in range(9)], 12, 10**6),
                                     ([art.encoding.state_for(q) for q in range(9)], 5, 10**6),
                                     ([art.encoding.state_for(3)], 12, 2)):
         caplog.clear()
+        monkeypatch.setattr(verify, "_INNER_BUDGET", budget)
         with caplog.at_level(logging.INFO, logger="gadgetforge.verify"):
-            lts = derive_boundary_lts(index, seeds, impl_cap=impl_cap, inner_budget=budget)
+            lts = derive_boundary_lts(index, seeds, impl_cap=impl_cap)
         line, = (r.getMessage() for r in caplog.records if "closure" in r.getMessage())
         states, excursions, expanded, frontier = map(int, re.findall(r"\d+", line))
         assert states == len(lts.states) and frontier == len(lts.cap_frontier)
@@ -235,7 +236,7 @@ def test_closure_logs_what_it_did(caplog, capsys):
 def test_port_map_must_be_a_bijection():
     spec = G.spec_inc_decnz()
     impl = identity_subsystem(spec)
-    enc = lambda q, mode: (q,)  # noqa: E731
+    enc = lower.Encoding("affine", affine=((1, 0),))
     ident = {p: p for p in spec.locations}
 
     shy = dict(ident)
@@ -256,6 +257,37 @@ def test_port_map_must_be_a_bijection():
     partial = identity_subsystem(spec, expose=("inc_in", "inc_out", "dec_in"))
     with pytest.raises(SystemFormatError, match="covers no implementation port"):
         check_bisimulation(partial, spec, encoding=enc, cap=4)
+
+
+@pytest.mark.parametrize("art, spec, cap, mode", [
+    (lower.sim_incdecjz_via_incjzdec(), "inc-dec-jz", 200, "concrete"),
+    (lower.sim_incdecnzpz_via_incab(1, 2, 1, 2), "inc-decnz-pz", 40, "interval"),
+], ids=["quintet", "inc-ab-1212"])
+def test_every_input_is_checked_before_a_closure_runs(monkeypatch, art, spec, cap, mode):
+    def closure(*args, **kwargs):
+        raise AssertionError("a closure ran")
+    monkeypatch.setattr(verify, "spec_closure_lts", closure)
+    monkeypatch.setattr(verify, "derive_boundary_lts", closure)
+    spec = G.catalog()[spec]
+    ident = {p: p for p in art.system.boundary_ports}
+    first, second = art.system.boundary_ports[:2]
+    cases = [
+        (dict(ident, **{first: "warp"}), {}, "unknown spec locations"),
+        (dict(ident, **{first: second}), {}, "not injective"),
+        ({p: p for p in art.system.boundary_ports[1:]}, {}, "misses implementation ports"),
+        (None, {"encoding": lower.Encoding("table", table=((0, art.encoding.state_for(0)),))},
+         "no encoding for state 1"),
+        (None, {"encoding": lower.Encoding("affine", affine=((1, 0),))},
+         "one state per instance"),
+        (None, {"encoding": art.encoding.state_for}, "must be an Encoding, got method"),
+    ]
+    for port_map, kwargs, message in cases:
+        with pytest.raises(SystemFormatError, match=message):
+            check_bisimulation(art, spec, port_map, cap=cap, mode=mode, **kwargs)
+    # a system with no boundary says so before its port map is read
+    bare = dataclasses.replace(art.system, boundary=())
+    with pytest.raises(SystemFormatError, match="no boundary"):
+        check_bisimulation(bare, spec, {}, cap=cap, mode=mode, encoding=art.encoding)
 
 
 def test_artifact_carries_its_own_encoding():
@@ -280,7 +312,7 @@ def _without_h0_diode():
     mutant = SystemOfGadgets(specs=sys0.specs, instances=keep,
                              nodes=sys0.nodes, edges=edges,
                              boundary=sys0.boundary)
-    return mutant, (lambda q, mode: (q, q, 0, 0))
+    return mutant, lower.Encoding("affine", affine=((1, 0), (1, 0), (0, 0), (0, 0)))
 
 
 def test_bypassed_diode_leaks_and_the_trace_replays():
@@ -295,7 +327,7 @@ def test_bypassed_diode_leaks_and_the_trace_replays():
     # replay the distinguishing trace on independently recomputed LTSs:
     # exactly one side must run out of states
     impl_lts = derive_boundary_lts(
-        mutant, [enc(q, "concrete") for q in range(cap + 1)],
+        mutant, [enc.state_for(q) for q in range(cap + 1)],
         impl_cap=report.impl_cap)
     spec_lts = spec_closure_lts(spec, cap)
     xs, ys = trace_splits(impl_lts.out_map(), spec_lts.out_map(), x0, y0, trace)
@@ -305,7 +337,7 @@ def test_bypassed_diode_leaks_and_the_trace_replays():
 def test_leak_is_the_expected_one():
     # with the diode gone, a dec_in excursion can surface at jz_in
     mutant, enc = _without_h0_diode()
-    lts = derive_boundary_lts(mutant, [enc(1, "concrete")], impl_cap=8)
+    lts = derive_boundary_lts(mutant, [enc.state_for(1)], impl_cap=8)
     labels = {(a, b) for (_, a, b, _) in lts.transitions}
     assert ("dec_in", "jz_in") in labels
 
