@@ -27,6 +27,7 @@ stderr (default quiet).  Nothing here is randomized.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -40,9 +41,7 @@ log = logging.getLogger(__name__)
 def _setup_logging() -> None:
     level = {"quiet": logging.WARNING,
              "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("GADGETFORGE_LOG", "quiet"))
-    if level is None:
-        level = logging.WARNING
+             "debug": logging.DEBUG}.get(os.environ.get("GADGETFORGE_LOG"), logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
 
@@ -75,8 +74,7 @@ def cmd_run(args) -> int:
         "status": result.status.value,
         "steps": result.steps,
         "pc": result.final.pc,
-        "counters": {name: v for name, v in
-                     zip(program.counters, result.final.counters)},
+        "counters": dict(zip(program.counters, result.final.counters)),
     })
     return {machine.RunStatus.HALTED: 0,
             machine.RunStatus.BUDGET_EXHAUSTED: 2,
@@ -105,17 +103,12 @@ def cmd_reach(args) -> int:
     outcome = reach.bfs_reach(system, counter_cap=args.cap, visit_budget=args.budget)
     witness = None
     if outcome.witness is not None:
-        witness = [{
-            "instance": t.instance, "entry": t.entry, "exit": t.exit,
-            "choice": t.choice, "before": t.before, "after": t.after,
-        } for t in outcome.witness]
+        witness = [dataclasses.asdict(t) for t in outcome.witness]
     _emit({
         "verdict": outcome.verdict.value,
         "reason": outcome.reason,
         "witness": witness,
-        "stats": {"explored": outcome.stats.explored,
-                  "frontier_peak": outcome.stats.frontier_peak,
-                  "max_counter": outcome.stats.max_counter},
+        "stats": dataclasses.asdict(outcome.stats),
     })
     return {reach.Verdict.REACHABLE: 0,
             reach.Verdict.UNREACHABLE_WITHIN_CAP: 3,
@@ -144,19 +137,8 @@ def cmd_verify_sim(args) -> int:
     if report.counterexample is not None:
         (x0, y0), trace = report.counterexample
         ce = {"seed_impl": x0, "seed_spec": y0, "trace": trace}
-    _emit({
-        "verdict": report.verdict.value,
-        "cap": report.cap,
-        "impl_cap": report.impl_cap,
-        "mode": mode,
-        "relation_size": report.relation_size,
-        "seeds_checked": report.seeds_checked,
-        "skipped_pairs": report.skipped_pairs,
-        "impl_states": report.impl_states,
-        "spec_states": report.spec_states,
-        "counterexample": ce,
-        "note": report.note,
-    })
+    _emit(dataclasses.asdict(report) | {
+        "verdict": report.verdict.value, "counterexample": ce, "mode": mode})
     return {verify.BisimVerdict.EQUIVALENT: 0,
             verify.BisimVerdict.NOT_EQUIVALENT: 3,
             verify.BisimVerdict.INCONCLUSIVE_AT_CAP: 2}[report.verdict]

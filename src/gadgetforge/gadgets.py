@@ -42,7 +42,12 @@ mode; a plain SystemOfGadgets means concrete.
 Endpoint strings: ``node:NAME`` for a connection node, ``INSTANCE.PORT``
 for a gadget port.  Only this module reads or writes that format.
 Instance ids are nonempty strings with no dots, and ``node`` (or a
-``node:`` prefix) is reserved, so every endpoint splits one way.
+``node:`` prefix) is reserved, so every endpoint splits one way.  An index
+numbers the endpoints in one integer table: the nodes in order, then each
+instance's locations, each once and in spec order, from the instance's
+offset (``SystemIndex.table``: id -> offset, place of each location and
+the places in name order).  The edges, start, goal and boundary are read
+into the table once; the union-find and the move table run on numbers.
 
 A ``SystemOfGadgets`` is validated when it is constructed, whether it comes
 from a document, a lowering pass or code: wrong types, unknown specs,
@@ -57,9 +62,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, count, groupby
 from typing import Iterator, NamedTuple, Union
 
 log = logging.getLogger(__name__)
@@ -71,7 +76,7 @@ __all__ = [
     "Configuration", "Traversal", "SystemIndex", "KeyCodec",
     "node_endpoint", "port_endpoint", "split_endpoint", "split_for_prefix",
     "boundary_port",
-    "check_integer", "check_state", "canonicalize", "successors", "initial_config",
+    "check_integer", "check_state", "canonicalize",
     "serialize_system", "read_json", "parse_system", "parse_spec", "to_dot",
     "spec_inc_dec_jz", "spec_inc_jzdec", "spec_inc_decnz", "spec_inc_decnz_pz",
     "spec_inc_decnz_pz_merged", "spec_inc_decnz_decnz", "spec_inc_ab",
@@ -96,22 +101,24 @@ def check_integer(value) -> int:
     return value
 
 
-def _check_range(lo: int, hi: int) -> None:
-    if not (1 <= check_integer(lo) <= check_integer(hi)):
-        raise SystemFormatError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-
-
 @dataclass(frozen=True)
-class IncRange:
-    """Always-open tunnel adding a chosen amount in [lo, hi]."""
+class _Ranged:
+    """A tunnel that draws its amount from [lo, hi], 1 <= lo <= hi."""
 
     lo: int
     hi: int
     exits = 1
-    tag = "inc"
 
     def __post_init__(self) -> None:
-        _check_range(self.lo, self.hi)
+        if not (1 <= check_integer(self.lo) <= check_integer(self.hi)):
+            raise SystemFormatError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
+
+
+@dataclass(frozen=True)
+class IncRange(_Ranged):
+    """Always-open tunnel adding a chosen amount in [lo, hi]."""
+
+    tag = "inc"
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         # under a cap, stop at the first amount past it: the rest are pruned alike
@@ -124,17 +131,11 @@ class IncRange:
 
 
 @dataclass(frozen=True)
-class DecNZRange:
+class DecNZRange(_Ranged):
     """Tunnel open iff state >= lo; subtracts a chosen amount in
     [lo, min(state, hi)] so the state never goes negative."""
 
-    lo: int
-    hi: int
-    exits = 1
     tag = "decnz"
-
-    def __post_init__(self) -> None:
-        _check_range(self.lo, self.hi)
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         if s < self.lo:
@@ -149,17 +150,11 @@ class DecNZRange:
 
 
 @dataclass(frozen=True)
-class DecRange:
+class DecRange(_Ranged):
     """Always-open tunnel subtracting a chosen amount in [lo, hi],
     saturating at 0."""
 
-    lo: int
-    hi: int
-    exits = 1
     tag = "dec"
-
-    def __post_init__(self) -> None:
-        _check_range(self.lo, self.hi)
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         # under a cap, stop at the first amount that saturates: the rest repeat it
@@ -267,6 +262,8 @@ class Component:
     exit_ports: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.kind, ComponentKind) and isinstance(self.exit_ports, tuple)):
+            raise SystemFormatError(f"need a kind and a tuple of exit ports, got {self!r}")
         if len(self.exit_ports) != self.kind.exits:
             raise SystemFormatError(
                 f"{self.kind.tag} needs {self.kind.exits} exit port(s), "
@@ -283,15 +280,14 @@ class CounterGadgetSpec:
 
     def __post_init__(self) -> None:
         _check_names("spec name", (self.name,))
+        if not (isinstance(self.components, tuple)
+                and all(isinstance(c, Component) for c in self.components)):
+            raise SystemFormatError(f"{self.name}: components must be a tuple of Components")
 
     @cached_property  # computed on first read; not a field, so eq and hash ignore it
     def locations(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for comp in self.components:
-            seen.setdefault(comp.entry)
-            for p in comp.exit_ports:
-                seen.setdefault(p)
-        return tuple(seen)
+        return tuple(dict.fromkeys(chain.from_iterable(
+            (comp.entry, *comp.exit_ports) for comp in self.components)))
 
 
 @dataclass(frozen=True)
@@ -379,6 +375,12 @@ def _port_endpoints(instance_id: str, ports) -> Iterator[str]:
     return map(f"{instance_id}.".__add__, ports)
 
 
+def _endpoint_names(index: SystemIndex) -> Iterator[str]:
+    """The endpoint string of each number in ``index``'s table, in order."""
+    return chain(_node_endpoints(index.system.nodes), *(
+        _port_endpoints(inst.id, index.table[inst.id][1]) for inst in index.system.instances))
+
+
 def split_for_prefix(ep: str) -> tuple[str, str]:
     """(head, tail) such that ``head + prefix + tail`` is ``ep`` in a copy of
     its system whose node names and instance ids all start with ``prefix``;
@@ -439,9 +441,11 @@ class SystemIndex:
     """canonicalize() result: connectivity classes and the tables every
     search reads, in one state mode ("concrete" or "interval").
 
-    Classes are numbered deterministically (sorted by their lexicographically
-    least endpoint).  ``prefix[cid]`` is class ``cid`` as a key prefix and
-    ``spec_of`` is the system's spec map.  The one move table is built
+    Endpoints are numbered in one integer table (module docstring), and
+    ``class_at[number]`` is a class id.  Classes are numbered by their least
+    endpoint string; ``classes`` and ``class_of`` are the string views,
+    built on first read.  ``prefix[cid]`` is class ``cid`` as a key prefix
+    and ``spec_of`` is the system's spec map.  The one move table is built
     by the codec (``codec(limit)``, see KeyCodec) and read by the BFS
     kernel, the boundary closure and ``successors`` alike.
     """
@@ -452,13 +456,24 @@ class SystemIndex:
         self.system = system
         self.mode = mode
         self.interval = mode == "interval"
-        # union-find over the endpoint strings, with path halving
-        parent = {ep: ep for ep in _node_endpoints(system.nodes)}
         self.spec_of = spec_of = system.spec_of
+
+        def places(names) -> tuple[dict[str, int], list[int]]:
+            place = {name: k for k, name in enumerate(dict.fromkeys(names))}
+            return place, [place[name] for name in sorted(place)]
+        of_spec = {name: places(spec.locations) for name, spec in spec_of.items()}
+        self.table: dict[str, tuple[int, dict[str, int], list[int]]] = {}
+        n = len(system.nodes)
         for inst in system.instances:
-            for ep in _port_endpoints(inst.id, spec_of[inst.spec].locations):
-                parent[ep] = ep
-        for (a, b) in system.edges:
+            self.table[inst.id] = (n, *of_spec[inst.spec])
+            n += len(of_spec[inst.spec][1])
+
+        # every named endpoint into the table at once, then union-find (path halving)
+        start, goal, *ends = self._numbers(chain(
+            (system.start, system.goal), system.boundary, chain.from_iterable(system.edges)))
+        boundary, ends = ends[:len(system.boundary)], iter(ends[len(system.boundary):])
+        parent = list(range(n))
+        for a, b in zip(ends, ends):
             while a != (up := parent[a]):
                 parent[a] = a = parent[up]
             while b != (up := parent[b]):
@@ -466,16 +481,18 @@ class SystemIndex:
             if a != b:
                 parent[b] = a
 
-        members: dict[str, list[str]] = {}
-        for ep in parent:
-            root = ep
-            while root != (up := parent[root]):
-                parent[root] = root = parent[up]
-            members.setdefault(root, []).append(ep)
-        # classes are disjoint, so sorting by whole lists sorts by least endpoint
-        self.classes: list[tuple[str, ...]] = sorted(
-            tuple(sorted(eps)) for eps in members.values())
-        self.class_of = {ep: cid for cid, eps in enumerate(self.classes) for ep in eps}
+        # no instance id holds a dot or starts with "node:", so endpoints sort
+        # as (head + ".", name): walked in that order, each class is numbered
+        # where it is first met, at its least endpoint
+        self.class_at = class_at = [0] * n
+        roots: dict[int, int] = {}
+        heads = [("node:", (0, *places(system.nodes))), *self.table.items()]
+        for _, (off, _, order) in sorted(heads, key=lambda item: item[0] + "."):
+            for k in order:
+                root = e = off + k
+                while root != (up := parent[root]):
+                    parent[root] = root = parent[up]
+                class_at[e] = roots.setdefault(root, len(roots))
 
         # the codec's fixed part: which instances hold counters, every
         # finite-gadget state interned to a small int, each class as a key
@@ -486,23 +503,52 @@ class SystemIndex:
             s for spec in system.specs if isinstance(spec, FiniteGadgetSpec)
             for s in spec.states))
         self.finite_code = {s: k for k, s in enumerate(self.finite_states)}
-        self.pos_width = pw = _bytes_for(len(self.classes) - 1)
-        self.prefix = [cid.to_bytes(pw, "big") for cid in range(len(self.classes))]
+        self.pos_width = pw = _bytes_for(len(roots) - 1)
+        self.prefix = [cid.to_bytes(pw, "big") for cid in range(len(roots))]
         self._codecs: dict[int, KeyCodec] = {}
 
-        self.start_class = self.class_of[system.start] if system.start else None
-        self.goal_class = self.class_of[system.goal] if system.goal else None
+        self.start_class = None if start is None else class_at[start]
+        self.goal_class = None if goal is None else class_at[goal]
         self.boundary_classes: dict[int, str] = {}
-        for ep in system.boundary:
-            cid = self.class_of[ep]
+        for ep, k in zip(system.boundary, boundary):
+            cid = class_at[k]
             if cid in self.boundary_classes:
                 raise SystemFormatError(
                     f"boundary endpoints {self.boundary_classes[cid]!r} and {ep!r} "
                     "fell into the same connectivity class")
             self.boundary_classes[cid] = ep
 
+    def _numbers(self, eps) -> list:
+        """The number in the table of each endpoint of ``eps``, None for
+        None: a node's by its endpoint string, a port's by its instance's
+        offset and its place (the first dot ends the instance id)."""
+        nodes = dict(zip(_node_endpoints(self.system.nodes), count()))
+        table, out = self.table, []
+        for ep in eps:
+            k = nodes.get(ep)
+            if k is None and ep is not None:
+                inst, _, port = ep.partition(".")
+                off, place, _ = table[inst]
+                k = off + place[port]
+            out.append(k)
+        return out
+
     def endpoint_class(self, ep: str) -> int:
-        return self.class_of[ep]
+        try:
+            return self.class_at[self._numbers((ep,))[0]]
+        except (AttributeError, KeyError, TypeError):
+            raise SystemFormatError(f"no endpoint {ep!r} in this system") from None
+
+    @cached_property
+    def class_of(self) -> dict[str, int]:
+        """Endpoint string -> class id, for every endpoint in the table."""
+        return dict(zip(_endpoint_names(self), self.class_at))
+
+    @cached_property
+    def classes(self) -> list[tuple[str, ...]]:
+        """The endpoint strings of each class, sorted, by class id."""
+        pairs = sorted(zip(self.class_at, _endpoint_names(self)))
+        return [tuple(ep for _, ep in group) for _, group in groupby(pairs, lambda p: p[0])]
 
     def at_rest(self, vec) -> tuple:
         """A state vector in this index's mode: in interval mode each counter
@@ -537,15 +583,16 @@ class SystemIndex:
                 f"{where} must have one state per instance ({len(instances)}), "
                 f"got {states!r:.200}")
         for inst, state in zip(instances, states):
-            check_state(self.spec_of[inst.spec], state, f"{where}: {inst.id} state", self.mode)
-
-    def initial_states(self) -> tuple:
-        return self.at_rest(inst.initial for inst in self.system.instances)
+            try:  # check_state's message goes on from its where, here ""
+                check_state(self.spec_of[inst.spec], state, "", self.mode)
+            except SystemFormatError as exc:
+                raise SystemFormatError(f"{where}: {inst.id} state{exc}") from None
 
     def start_config(self) -> Configuration:
         if self.start_class is None:
             raise SystemFormatError("system has no start endpoint")
-        return Configuration(self.start_class, self.initial_states())
+        return Configuration(self.start_class,
+                             self.at_rest(inst.initial for inst in self.system.instances))
 
     def successors(self, config: Configuration) -> list[tuple[Traversal, Configuration]]:
         """Every move from ``config``, by the codec's rows applied to tuple
@@ -576,11 +623,9 @@ class SystemIndex:
         """The key codec whose slots hold every counter value up to ``limit``
         and every interned finite state; one per width, built on first use."""
         width = _bytes_for(max(limit, len(self.finite_states)))
-        try:
-            return self._codecs[width]
-        except KeyError:
-            codec = self._codecs[width] = KeyCodec(self, width)
-            return codec
+        if width not in self._codecs:
+            self._codecs[width] = KeyCodec(self, width)
+        return self._codecs[width]
 
 
 def _bytes_for(n: int) -> int:
@@ -614,7 +659,7 @@ class KeyCodec:
         self.width = width
         self.pos_width = off = index.pos_width
         self.top = (1 << 8 * width) - 1  # the largest value a slot holds
-        code, prefix, cls = index.finite_code, index.prefix, index.class_of
+        code, prefix, cls = index.finite_code, index.prefix, index.class_at
         # per instance: (first byte, two slots?, counter?)
         self.layout: list[tuple[int, bool, bool]] = []
         self.moves: dict[bytes, list[tuple]] = {}
@@ -623,14 +668,15 @@ class KeyCodec:
             self.layout.append((off, pair, counted))
             end = off + width * (2 if pair else 1)
             spec = index.spec_of[inst.spec]
+            base, place, _ = index.table[inst.id]
             # its entrances as (entry port, kind, exit ports)
             parts = ([(c.entry, c.kind, c.exit_ports) for c in spec.components] if counted
                      else [(a, _FiniteStep(code[s], code[s2], k), (b,))
                            for k, (s, a, s2, b) in enumerate(spec.transitions)])
             for entry, kind, exit_ports in parts:
-                self.moves.setdefault(prefix[cls[port_endpoint(inst.id, entry)]], []).append(
+                self.moves.setdefault(prefix[cls[base + place[entry]]], []).append(
                     (off, end, kind.interval_moves if pair else kind.moves,
-                     tuple([prefix[cls[port_endpoint(inst.id, p)]] for p in exit_ports]),
+                     tuple([prefix[cls[base + place[p]]] for p in exit_ports]),
                      pair, counted, i, inst.id, entry, exit_ports))
             off = end
         self.size = off  # bytes per key
@@ -778,10 +824,7 @@ def _validate(system: SystemOfGadgets) -> None:
     for (a, b) in system.edges:
         check_ep(a)
         check_ep(b)
-    for ep in (system.start, system.goal):
-        if ep is not None:
-            check_ep(ep)
-    for ep in system.boundary:
+    for ep in chain(ends, system.boundary):
         check_ep(ep)
 
 
@@ -796,25 +839,11 @@ def canonicalize(system: SystemOfGadgets | SystemIndex, mode: str | None = None
     return SystemIndex(system, "concrete" if mode is None else mode)
 
 
-def initial_config(system: SystemOfGadgets) -> Configuration:
-    return canonicalize(system).start_config()
-
-
-def successors(system: SystemOfGadgets | SystemIndex, config: Configuration
-               ) -> list[tuple[Traversal, Configuration]]:
-    """Convenience wrapper; build a SystemIndex once for bulk exploration."""
-    return canonicalize(system).successors(config)
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip
 
 def _kind_to_json(kind: ComponentKind) -> dict:
-    d: dict = {"kind": kind.tag}
-    if isinstance(kind, (IncRange, DecNZRange, DecRange)):
-        d["lo"] = kind.lo
-        d["hi"] = kind.hi
-    return d
+    return {"kind": kind.tag, **asdict(kind)}  # lo and hi for a ranged kind
 
 
 def _list(value, what: str) -> list:
@@ -996,11 +1025,8 @@ def to_dot(system: SystemOfGadgets) -> str:
         lines.append("  }")
     for name in system.nodes:
         ep = node_endpoint(name)
-        shape = "box"
-        extra = ""
-        if ep == system.goal:
-            extra = ", peripheries=2"
-        lines.append(f"  {_q(ep)} [shape={shape}, label={_q(name)}{extra}];")
+        extra = ", peripheries=2" if ep == system.goal else ""
+        lines.append(f"  {_q(ep)} [shape=box, label={_q(name)}{extra}];")
     for (a, b) in system.edges:
         lines.append(f"  {_q(a)} -- {_q(b)};")
     lines.append("}")

@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .gadgets import (
-    CounterGadgetSpec,
-    FiniteGadgetSpec,
     GadgetInstance,
     GadgetSpec,
     SystemFormatError,
@@ -512,18 +510,15 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
 
     if merged:
         ports = ("inc_in", "inc_out", "jz_in", "jz_out_zero", "jz_out_nonzero")
-        nodes[:0] = ports
-        _chain(edges, node_endpoint("inc_in"), inc_hops, node_endpoint("inc_out"))
-        _chain(edges, node_endpoint("jz_in"), dec_hops, node_endpoint("jz_out_nonzero"))
-        _chain(edges, node_endpoint("jz_in"), pz_hops, node_endpoint("jz_out_zero"))
+        chains = [("inc_in", "inc_out"), ("jz_in", "jz_out_nonzero"), ("jz_in", "jz_out_zero")]
         simulates = spec_inc_decnz_pz_merged().name
     else:
         ports = ("inc_in", "inc_out", "dec_in", "dec_out", "pz_in", "pz_out")
-        nodes[:0] = ports
-        _chain(edges, node_endpoint("inc_in"), inc_hops, node_endpoint("inc_out"))
-        _chain(edges, node_endpoint("dec_in"), dec_hops, node_endpoint("dec_out"))
-        _chain(edges, node_endpoint("pz_in"), pz_hops, node_endpoint("pz_out"))
+        chains = [("inc_in", "inc_out"), ("dec_in", "dec_out"), ("pz_in", "pz_out")]
         simulates = spec_inc_decnz_pz().name
+    nodes[:0] = ports
+    for (head, tail), hops in zip(chains, (inc_hops, dec_hops, pz_hops)):
+        _chain(edges, node_endpoint(head), hops, node_endpoint(tail))
 
     n_wrappers = len(instances) - 2
     ia = [((a * acd, 0), (abcd, 0)), ((abcd, 0), (b * bcd, 0))]
@@ -627,8 +622,7 @@ def compile_machine_to_incdecjz(program: Program,
             wire(p(cid, "jz_out_zero"), p(flows[i], "d1_in"))
     # fall-through chain and jump targets
     for i in sorted(flows):
-        if i < len(program.instructions) - 1:
-            wire(p(flows[i], "d0_out"), entrance(i + 1))
+        wire(p(flows[i], "d0_out"), entrance(i + 1))  # none past the last instruction
     for i in sorted(flows):
         ins = program.instructions[i]
         if isinstance(ins, Jz):
@@ -708,12 +702,15 @@ def substitute(host: LoweringArtifact, spec_name: str,
 
     # the replaced instances' ports become nodes named INSTANCE/PORT; the
     # part's endpoints are copied under the prefix INSTANCE/
-    hoisted = {port_endpoint(x.id, loc): node_endpoint(f"{x.id}/{loc}")
-               for x in replaced for loc in target_spec.locations}
+    hoisted: dict[str, str] = {}
     part_edges = [(*split_for_prefix(ea), *split_for_prefix(eb)) for ea, eb in psys.edges]
 
     for x in replaced:
         prefix = f"{x.id}/"
+        # x.PORT and node:x/PORT are each an endpoint prefix plus PORT
+        port, node = port_endpoint(x.id, ""), node_endpoint(prefix)
+        for loc in target_spec.locations:
+            hoisted[port + loc] = node + loc
         seed = part.encoding.state_for(x.initial, "concrete")
         if len(seed) != len(psys.instances):
             raise SystemFormatError("part encoding arity mismatch")
@@ -782,8 +779,7 @@ def emit_initializer(values) -> Fragment:
 
     code: list = []
     counters = list(values)
-    helpers_needed = any(v > 7 for v in values.values())
-    if helpers_needed:
+    if any(v > 7 for v in values.values()):
         counters += ["init_tmp", "init_zero"]
 
     for name, v in values.items():

@@ -126,10 +126,7 @@ class Fragment:
 
     def concat(self, rest: Program | "Fragment") -> Program:
         """Fragment followed by ``rest``; rest's jump targets are shifted."""
-        names = list(self.counters)
-        for c in rest.counters:
-            if c not in names:
-                names.append(c)
+        names = dict.fromkeys((*self.counters, *rest.counters))
         off = len(self.instructions)
         shifted: list[Instruction] = list(self.instructions)
         for ins in rest.instructions:

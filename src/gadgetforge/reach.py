@@ -119,11 +119,8 @@ class Sweep:
         """Each reached key whose position is in ``at`` -> (its configuration,
         the BFS parent's key or None at a start), in visit order."""
         pw, unpack = self.codec.pos_width, self.codec.unpack
-        out = {}
-        for key, edge in self.visited.items():
-            if int.from_bytes(key[:pw], "big") in at:
-                out[key] = (unpack(key), None if edge is None else edge[0])
-        return out
+        return {key: (unpack(key), None if edge is None else edge[0])
+                for key, edge in self.visited.items() if int.from_bytes(key[:pw], "big") in at}
 
 
 def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,

@@ -219,13 +219,12 @@ def spec_closure_lts(spec: GadgetSpec, cap: int) -> BoundaryLTS:
         boundary=tuple(node_endpoint(loc) for loc in locs),
     )
     lts = derive_boundary_lts(system, [(s,) for s in states], impl_cap=cap)
-    unwrap = lambda v: v[0]  # noqa: E731 - single-instance vectors
+    # one instance: each state vector (s,) becomes s
     return BoundaryLTS(
-        states=frozenset(unwrap(v) for v in lts.states),
+        states=frozenset(s for s, in lts.states),
         ports=lts.ports,
-        transitions=frozenset((unwrap(s), a, b, unwrap(t))
-                              for (s, a, b, t) in lts.transitions),
-        cap_frontier=frozenset(unwrap(v) for v in lts.cap_frontier),
+        transitions=frozenset((s, a, b, t) for (s,), a, b, (t,) in lts.transitions),
+        cap_frontier=frozenset(s for s, in lts.cap_frontier),
         cap=cap,
         truncated=lts.truncated,
     )
@@ -302,6 +301,8 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     # the map must be a bijection: boundary ports <-> spec locations
     if port_map is None:
         port_map = {p: p for p in ports}
+    if not isinstance(port_map, dict):
+        raise SystemFormatError(f"port_map must be a dict, got {type(port_map).__name__}")
     missing = set(ports) - set(port_map)
     if missing:
         raise SystemFormatError(f"port_map misses implementation ports {sorted(missing)}")

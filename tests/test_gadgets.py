@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,6 @@ from gadgetforge.gadgets import (
     SystemOfGadgets,
     canonicalize,
     catalog,
-    initial_config,
     node_endpoint,
     parse_spec,
     parse_system,
@@ -42,7 +42,6 @@ from gadgetforge.gadgets import (
     serialize_system,
     split_endpoint,
     split_for_prefix,
-    successors,
     to_dot,
 )
 
@@ -163,6 +162,19 @@ def test_component_arity_checked():
         Component(IncRange(1, 1), "in", ("a", "b"))
 
 
+def test_spec_parts_check_their_types():
+    # a kind, a tuple of exit ports and a tuple of Components, checked when built
+    with pytest.raises(SystemFormatError, match="need a kind"):
+        Component("x", "a", ("b",))
+    with pytest.raises(SystemFormatError, match="tuple of exit ports"):
+        Component(IncRange(1, 1), "a", ["b"])
+    good = Component(IncRange(1, 1), "a", ("b",))
+    for components in ((good, "x"), (good, catalog()["sscd"]), [good]):
+        with pytest.raises(SystemFormatError, match="tuple of Components"):
+            CounterGadgetSpec("t", components)
+    assert CounterGadgetSpec("t", (good,)).locations == ("a", "b")
+
+
 # ------------------------------------------------------ systems + wiring
 
 def _one_tunnel_system(kind, initial=0, **kw):
@@ -178,23 +190,23 @@ def _one_tunnel_system(kind, initial=0, **kw):
 
 
 def test_inc_range_offers_every_amount():
-    sys0 = _one_tunnel_system(IncRange(1, 2), initial=5)
-    succ = successors(sys0, initial_config(sys0))
+    index = canonicalize(_one_tunnel_system(IncRange(1, 2), initial=5))
+    succ = index.successors(index.start_config())
     assert sorted(c.states[0] for (_, c) in succ) == [6, 7]
     for t, _ in succ:
         assert (t.entry, t.exit, t.before) == ("t_in", "t_out", 5)
     assert {t.choice for t, _ in succ} == {1, 2}
     # a position that is no class id has no moves, and does not wrap around
-    classes = len(canonicalize(sys0).classes)
+    classes = len(index.classes)
     for pos in (-1, -classes, classes):
-        assert successors(sys0, Configuration(pos, (5,))) == []
+        assert index.successors(Configuration(pos, (5,))) == []
 
 
 def test_decnz_blocked_below_threshold():
-    sys0 = _one_tunnel_system(DecNZRange(2, 3), initial=1)
-    assert successors(sys0, initial_config(sys0)) == []
-    sys1 = _one_tunnel_system(DecNZRange(2, 3), initial=2)
-    succ = successors(sys1, initial_config(sys1))
+    index = canonicalize(_one_tunnel_system(DecNZRange(2, 3), initial=1))
+    assert index.successors(index.start_config()) == []
+    index = canonicalize(_one_tunnel_system(DecNZRange(2, 3), initial=2))
+    succ = index.successors(index.start_config())
     assert [c.states[0] for (_, c) in succ] == [0]
 
 
@@ -212,6 +224,14 @@ def test_canonicalize_merges_edged_endpoints():
     # classes are honest partitions
     seen = [ep for cls in idx.classes for ep in cls]
     assert sorted(seen) == sorted(set(seen))
+
+
+def test_endpoint_class_names_a_missing_endpoint():
+    index = canonicalize(_one_tunnel_system(IncRange(1, 1)))
+    assert index.endpoint_class("node:src") == index.endpoint_class("g.t_in")
+    for ep in ("node:nope", "g.nope", "h.t_in", "g", "", None, 3, ["node:src"]):
+        with pytest.raises(SystemFormatError, match=f"^no endpoint {re.escape(repr(ep))} in"):
+            index.endpoint_class(ep)
 
 
 def test_class_numbering_is_deterministic():
@@ -246,21 +266,21 @@ def test_endpoint_helpers():
 
 def test_finite_spec_traversals():
     sscd = catalog()["sscd"]
-    sys0 = SystemOfGadgets(
+    index = canonicalize(SystemOfGadgets(
         specs=(sscd,),
         instances=(GadgetInstance("d", "sscd", "1"),),
         nodes=("go",),
         edges=(("node:go", "d.L1"),),
         start="node:go",
-    )
-    succ = successors(sys0, initial_config(sys0))
+    ))
+    succ = index.successors(index.start_config())
     assert len(succ) == 1
     t, c = succ[0]
     assert (t.entry, t.exit, t.before, t.after) == ("L1", "R1", "1", "2")
     assert c.states == ("2",)
     # from state 2 the L1 traversal is gone
-    assert successors(sys0, Configuration(c.position, ("2",))) == [] or all(
-        tr.entry != "L1" for tr, _ in successors(sys0, c))
+    assert index.successors(Configuration(c.position, ("2",))) == [] or all(
+        tr.entry != "L1" for tr, _ in index.successors(c))
 
 
 def test_validation_errors():
@@ -295,7 +315,7 @@ def test_initial_config_requires_start():
     spec = G.spec_inc_dec_jz()
     sys0 = SystemOfGadgets((spec,), (GadgetInstance("a", "inc-dec-jz", 0),))
     with pytest.raises(SystemFormatError, match="no start"):
-        initial_config(sys0)
+        canonicalize(sys0).start_config()
 
 
 # ------------------------------------------------- successor soundness
@@ -316,7 +336,7 @@ def test_successors_are_locally_sound(picks):
     idx = canonicalize(sys0)
     ids = [inst.id for inst in sys0.instances]
     config = Configuration(idx.endpoint_class("node:inc_in"),
-                           idx.initial_states())
+                           idx.at_rest(inst.initial for inst in sys0.instances))
     for pick in picks:
         succ = idx.successors(config)
         if not succ:
@@ -782,6 +802,28 @@ def test_a_spec_map_is_built_in_one_place():
                 and key.value.id == value.id)
     assert sorted(_functions(maps_names)) == ["gadgets.SystemOfGadgets.spec_of",
                                               "gadgets.catalog"]
+
+
+def test_an_index_builds_no_endpoint_string():
+    # the index and its codec run on the integer endpoint table.  Port
+    # endpoint strings are made only for the string views (classes,
+    # class_of) and error messages; _numbers looks a node up by its
+    # endpoint string, built by _node_endpoints for that lookup alone
+    def in_index(function: str) -> bool:
+        return function.split(".")[1] in ("SystemIndex", "KeyCodec")
+
+    def spells(node) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in (
+            "port_endpoint", "node_endpoint", "_port_endpoints", "_node_endpoints")
+
+    def formats(node) -> bool:  # an f-string outside a raise, so no error message
+        if not isinstance(node, ast.FunctionDef):
+            return False
+        in_raise = {id(n) for r in ast.walk(node) if isinstance(r, ast.Raise) for n in ast.walk(r)}
+        return any(isinstance(n, ast.JoinedStr) and id(n) not in in_raise for n in ast.walk(node))
+
+    assert [f for f in _functions(spells) if in_index(f)] == ["gadgets.SystemIndex._numbers"]
+    assert [f for f in _functions(formats) if in_index(f)] == []
 
 
 def test_canonicalize_keeps_an_index_in_its_own_mode():

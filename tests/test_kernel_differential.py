@@ -729,6 +729,15 @@ def _index_cases():
     for _, system, _, _ in _criterion_3_derivations():
         yield system
     yield lower.sim_incdecnzpz_via_incab(1, 2, 1, 2, expand="via-duplicators").system
+    # ids that sort around "node:" and below "." put the node endpoints
+    # between port endpoints in string order
+    spec = G.spec_inc_decnz()
+    ids = ("nod", "node-", "nodez", "noda", "a-b", "a", "z")
+    yield SystemOfGadgets(
+        specs=(spec,), instances=tuple(GadgetInstance(i, spec.name, 0) for i in ids),
+        nodes=("", "b", "z."), edges=(("node:", "nodez.inc_in"), ("node-.dec_out", "a.inc_in"),
+                                      ("node:z.", "a-b.dec_in"), ("nod.inc_out", "noda.dec_in")),
+        boundary=("node:b", "z.inc_out"))
     # chains joined root to root grow deep trees, which path halving shortens
     nodes = tuple(f"n{k}" for k in range(12))
     chain = [(node_endpoint(f"n{k + 1}"), node_endpoint(f"n{k}")) for k in range(8)]

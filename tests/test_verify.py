@@ -280,6 +280,7 @@ def test_every_input_is_checked_before_a_closure_runs(monkeypatch, art, spec, ca
         (None, {"encoding": lower.Encoding("affine", affine=((1, 0),))},
          "one state per instance"),
         (None, {"encoding": art.encoding.state_for}, "must be an Encoding, got method"),
+        (list(art.system.boundary_ports), {}, "port_map must be a dict, got list"),
     ]
     for port_map, kwargs, message in cases:
         with pytest.raises(SystemFormatError, match=message):
@@ -402,6 +403,14 @@ def test_interval_ops_come_from_the_simulated_spec():
         other = dataclasses.replace(art, provenance=dict(art.provenance, simulates=simulates))
         with pytest.raises(SystemFormatError, match="not an Inc-DecNZ-PZ spec"):
             interval_step(other, e0, "inc", counter_cap=6)
+
+
+def test_interval_ops_need_the_spec_ports():
+    # a merged artifact has no dec_in node: the op classes name what is missing
+    art = lower.sim_incdecnzpz_via_incab(1, 1, 1, 1, merged=True)
+    other = dataclasses.replace(art, provenance=dict(art.provenance, simulates="inc-decnz-pz"))
+    with pytest.raises(SystemFormatError, match="no endpoint 'node:dec_in' in this system"):
+        interval_step(other, art.encoding.state_for(0, "interval"), "inc", counter_cap=6)
 
 
 def test_interval_step_growing_ranges():
