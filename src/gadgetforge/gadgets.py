@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from itertools import chain, count, groupby
@@ -583,10 +584,8 @@ class SystemIndex:
                 f"{where} must have one state per instance ({len(instances)}), "
                 f"got {states!r:.200}")
         for inst, state in zip(instances, states):
-            try:  # check_state's message goes on from its where, here ""
-                check_state(self.spec_of[inst.spec], state, "", self.mode)
-            except SystemFormatError as exc:
-                raise SystemFormatError(f"{where}: {inst.id} state{exc}") from None
+            check_state(self.spec_of[inst.spec], state, where, ": ", inst.id, " state",
+                        mode=self.mode)
 
     def start_config(self) -> Configuration:
         if self.start_class is None:
@@ -609,7 +608,7 @@ class SystemIndex:
         code, names = self.finite_code, self.finite_states
         out: list[tuple[Traversal, Configuration]] = []
         for move in self.codec(0).moves.get(self.prefix[pos], ()):
-            _, _, step, exits, _, counted, i, inst_id, entry, exit_ports = move
+            _, _, _, exits, i, inst_id, entry, exit_ports, step, _, counted = move
             state = states[i]
             for (choice, s2, e) in step(state) if counted else step(code.get(state)):
                 if not counted:
@@ -648,10 +647,12 @@ class KeyCodec:
     per component (or finite transition) entered there, in (instance
     declaration order, component order), so successor enumeration is
     reproducible byte for byte.  A row is (first byte of the state's slots,
-    one past its last, kind.moves or kind.interval_moves, exit positions as
-    key prefixes, two slots?, a counter?, slot, instance id, entry port,
-    exit ports): everything a move needs but the state.  A finite step's
-    row compares interned codes.
+    one past its last, its memo table or None, exit positions as key
+    prefixes, slot, instance id, entry port, exit ports, kind.moves or
+    kind.interval_moves, two slots?, a counter?): everything a move needs
+    but the state.  A finite step's row compares interned codes.  Rows of
+    equal kinds share one memo table, slot bytes -> ``slot_moves``; a
+    concrete ranged kind with lo < hi has none (``reach`` docstring).
     """
 
     def __init__(self, index: SystemIndex, width: int) -> None:
@@ -663,6 +664,7 @@ class KeyCodec:
         # per instance: (first byte, two slots?, counter?)
         self.layout: list[tuple[int, bool, bool]] = []
         self.moves: dict[bytes, list[tuple]] = {}
+        memos: defaultdict[object, dict[bytes, tuple]] = defaultdict(dict)
         for i, (inst, counted) in enumerate(zip(index.system.instances, index.counter)):
             pair = counted and index.interval
             self.layout.append((off, pair, counted))
@@ -674,10 +676,12 @@ class KeyCodec:
                      else [(a, _FiniteStep(code[s], code[s2], k), (b,))
                            for k, (s, a, s2, b) in enumerate(spec.transitions)])
             for entry, kind, exit_ports in parts:
+                cached = pair or not isinstance(kind, _Ranged) or kind.lo == kind.hi
                 self.moves.setdefault(prefix[cls[base + place[entry]]], []).append(
-                    (off, end, kind.interval_moves if pair else kind.moves,
+                    (off, end, memos[kind] if cached else None,
                      tuple([prefix[cls[base + place[p]]] for p in exit_ports]),
-                     pair, counted, i, inst.id, entry, exit_ports))
+                     i, inst.id, entry, exit_ports,
+                     kind.interval_moves if pair else kind.moves, pair, counted))
             off = end
         self.size = off  # bytes per key
 
@@ -731,21 +735,39 @@ class KeyCodec:
             states.append(v)
         return Configuration(from_bytes(key[:self.pos_width], "big"), tuple(states))
 
+    def slot_moves(self, move: tuple, slot: bytes, cap: int) -> tuple:
+        """The moves of a ``moves`` row from its slot bytes ``slot``, ranged
+        amounts bounded by ``cap``, as (choice, the new slot bytes or None
+        when the value exceeds ``top``, exit, the new counter value or None);
+        kept in the row's memo table, if it has one."""
+        _, _, memo, _, _, _, _, _, step, pair, counted = move
+        w, base, v = self.width, self.top + 1, int.from_bytes(slot, "big")
+        if pair:  # (lo, hi) as one number, lo * base + hi
+            out = tuple((choice, (lo * base + m).to_bytes(2 * w, "big") if m < base else None,
+                         e, m) for choice, (lo, m), e in step(divmod(v, base)))
+        else:
+            out = tuple((choice, s2.to_bytes(w, "big") if not counted or s2 < base else None,
+                         e, s2 if counted else None) for choice, s2, e in step(v, cap))
+        if memo is not None:
+            memo[slot] = out
+        return out
+
     def label(self, move: tuple, choice: int, e: int, before: bytes,
               after: bytes) -> Traversal:
         """The Traversal of a ``moves`` row from key ``before`` to ``after``."""
-        i, inst_id, entry, exit_ports = move[6:]
+        i, inst_id, entry, exit_ports = move[4:8]
         return Traversal(inst_id, entry, exit_ports[e], choice,
                          self.state(before, i), self.state(after, i))
 
 
-def check_state(spec: GadgetSpec, state, where: str, mode: str = "concrete") -> None:
+def check_state(spec: GadgetSpec, state, *where: str, mode: str = "concrete") -> None:
     """The one rule for a given gadget state (initial state, bisimulation seed):
     a natural for a counter gadget, in interval mode a (lo, hi) pair of
-    naturals with lo <= hi; one of its states for a finite gadget."""
+    naturals with lo <= hi; one of its states for a finite gadget.  The
+    parts of ``where`` are joined into the message only when it fails."""
     if not isinstance(spec, CounterGadgetSpec):
         if state not in spec.states:
-            raise SystemFormatError(f"{where} {state!r} is not a state of {spec.name}")
+            raise SystemFormatError(f"{''.join(where)} {state!r} is not a state of {spec.name}")
         return
     pair = isinstance(state, tuple) and len(state) == 2
     lo, hi = state if pair else (state, state)
@@ -753,7 +775,7 @@ def check_state(spec: GadgetSpec, state, where: str, mode: str = "concrete") -> 
             type(lo) is int and type(hi) is int and 0 <= lo <= hi):  # no bools
         want = "an interval of naturals" if mode == "interval" else "a natural"
         raise SystemFormatError(
-            f"{where} of a counter gadget must be {want}, got {state!r}")
+            f"{''.join(where)} of a counter gadget must be {want}, got {state!r}")
 
 
 def _validate(system: SystemOfGadgets) -> None:
@@ -786,7 +808,7 @@ def _validate(system: SystemOfGadgets) -> None:
         spec = system.spec_of.get(inst.spec) if isinstance(inst.spec, str) else None
         if spec is None:
             raise SystemFormatError(f"no spec named {inst.spec!r}")
-        check_state(spec, inst.initial, f"{inst.id}: initial state")
+        check_state(spec, inst.initial, inst.id, ": initial state")
         ports_of[inst.id] = spec_locations[spec.name]
         legal.update(_port_endpoints(inst.id, port_names[spec.name]))
     _check_names("node name", system.nodes)

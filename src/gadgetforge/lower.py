@@ -715,7 +715,7 @@ def substitute(host: LoweringArtifact, spec_name: str,
         if len(seed) != len(psys.instances):
             raise SystemFormatError("part encoding arity mismatch")
         for sub, s0 in zip(psys.instances, seed):
-            check_state(psys.spec_of[sub.spec], s0, f"{prefix + sub.id}: initial state")
+            check_state(psys.spec_of[sub.spec], s0, prefix, sub.id, ": initial state")
             out_instances.append(GadgetInstance(prefix + sub.id, sub.spec, s0))
             sub_role = part.roles.get(sub.id, "")
             roles[prefix + sub.id] = (

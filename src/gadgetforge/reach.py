@@ -32,6 +32,17 @@ move, choice, exit) per key.  Traversal labels are built only for a path
 asked for (``Sweep.path_to``: the witness), and Configurations only for the
 keys a caller reads (``Sweep.configurations``).  The loop itself is
 ``_bfs``, which ``sweep`` and the boundary closure of ``verify`` both call.
+
+A move reads and writes one gadget's slots, so its successors depend only
+on its kind and those slot bytes.  The codec keeps them in memo tables, one
+per kind, from slot bytes to (choice, new slot bytes or None, exit, new
+counter value), each entry built by ``KeyCodec.slot_moves`` the first time
+its slot is seen, and kept across sweeps and closure excursions.  A cached
+move ignores the cap: only a ranged kind reads it, to stop its amounts one
+past the move cap, and with lo == hi, or in interval mode, it has one move
+whatever the cap.  A concrete ranged kind with lo < hi gets no table: its
+entries would change with the cap and hold up to hi - lo + 1 moves each,
+O(cap x range) in all, so ``slot_moves`` runs for it on every dequeue.
 """
 
 from __future__ import annotations
@@ -160,9 +171,7 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
     move_cap = max(counter_cap, start_max)
     visited: dict[bytes, tuple | None] = dict.fromkeys(starts)
     queue: deque[bytes] = deque(visited)
-    pw, w, top, moves = codec.pos_width, codec.width, codec.top, codec.moves
-    base, w2 = top + 1, 2 * w
-    from_bytes, join = int.from_bytes, b"".join
+    pw, moves, slot_moves, join = codec.pos_width, codec.moves, codec.slot_moves, b"".join
     overflowed = False
     budget_exhausted = False
     start_revisited = False
@@ -187,22 +196,16 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
         # only a start above the cap needs its other slots checked (module docstring)
         over = over_cap.get(key) if over_cap else None
         for move in moves.get(key[:pw], ()):
-            off, end, step, exits, pair, counted, i, _, _, _ = move
-            if pair:  # (lo, hi) as one number, lo * base + hi
-                out = step(divmod(from_bytes(key[off:end], "big"), base))
-            else:
-                out = step(from_bytes(key[off:end], "big"), move_cap)
+            off, end, memo, exits, i, _, _, _, _, _, _ = move
+            slot = key[off:end]
+            out = memo.get(slot) if memo is not None else None
+            if out is None:
+                out = slot_moves(move, slot, move_cap)
             if not out:
                 continue
             head, tail = key[pw:off], key[end:]
-            for choice, s2, e in out:
+            for choice, new, e, m in out:
                 # the successor key: this move's slots and exit spliced in
-                if pair:
-                    lo, m = s2
-                    new = (lo * base + m).to_bytes(w2, "big") if m <= top else None
-                else:
-                    m = s2 if counted else None
-                    new = s2.to_bytes(w, "big") if m is None or m <= top else None
                 if new is not None:  # else no key holds m: new, and above the cap
                     nxt = join((exits[e], head, new, tail))
                     parent = visited.get(nxt, False)  # False: not reached yet

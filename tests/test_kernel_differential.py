@@ -504,6 +504,110 @@ def test_ranged_moves_stop_at_the_cap():
     assert len(index.successors(start)) == 11  # 5 inc + 5 dec + pz
 
 
+# ------------------------------------------------------ the memo tables
+#
+# A codec keeps each kind's successor slots in a memo table across sweeps.
+# A sweep or a closure on an index that has run others must equal the same
+# call on a fresh index, and the tuple kernel's.
+
+def _sweep_view(result: reach.Sweep) -> tuple:
+    """A sweep as bytes and labels, without the move rows (whose memo
+    tables differ between a fresh index and a used one)."""
+    edges = [(key, None if edge is None else (edge[0], edge[2], edge[3]))
+             for key, edge in result.visited.items()]
+    goal = None if result.goal_hit is None else result.path_to(result.goal_hit)
+    return (edges, goal, result.stats, result.overflowed, result.budget_exhausted,
+            result.start_revisited, [result.path_to(key) for key in list(result.visited)[::97]])
+
+
+def _hub_system(kinds, initial=(0, 2)) -> SystemOfGadgets:
+    """One counter gadget with a tunnel per kind (a switch's two exits), one
+    instance of it per initial value, every port on one hub; the goal is
+    behind the last instance's zero exit of a JZDec, if it has one."""
+    spec = CounterGadgetSpec("hubbed", tuple(
+        Component(kind, f"in{k}", tuple(f"out{k}_{e}" for e in range(kind.exits)))
+        for k, kind in enumerate(kinds)))
+    ids, hub = "abcd"[:len(initial)], node_endpoint("hub")
+    goal = [f"{ids[-1]}.out{k}_0" for k, kind in enumerate(kinds)
+            if isinstance(kind, G.JZDecSwitch)]
+    edges = [(hub, port_endpoint(i, loc)) for i in ids for loc in spec.locations
+             if port_endpoint(i, loc) not in goal]
+    return SystemOfGadgets(
+        specs=(spec,), instances=tuple(GadgetInstance(i, spec.name, v)
+                                       for i, v in zip(ids, initial)),
+        nodes=("hub", "goal"), edges=tuple(edges + [(g, "node:goal") for g in goal]),
+        start=hub, goal=node_endpoint("goal") if goal else None, boundary=(hub,))
+
+
+def test_the_memo_does_not_leak_across_caps():
+    system = _hub_system((IncRange(1, 3), G.DecNZRange(1, 1), G.JZDecSwitch()))
+    index, ref = canonicalize(system), ReferenceIndex(system)
+    start = index.start_config()
+    for cap in (3, 200, 3):
+        for goal_class in (None, index.goal_class):
+            bounds = dict(counter_cap=cap, visit_budget=5_000, goal_class=goal_class)
+            fresh = canonicalize(system)
+            assert _sweep_view(reach.sweep(index, [start], **bounds)) == \
+                _sweep_view(reach.sweep(fresh, [fresh.start_config()], **bounds))
+            _assert_same_sweep(index, ref, [start], **bounds)
+    # the ranged rows have no table; the others share one per kind, and each was used
+    tables = [row[2] for rows in index.codec(200).moves.values() for row in rows]
+    assert tables.count(None) == 2
+    tables = {id(t): t for t in tables if t is not None}
+    assert len(tables) == 2 and all(tables.values())
+
+
+def test_the_memo_does_not_leak_across_modes():
+    # a concrete 2-byte slot and an interval pair of 1-byte slots look alike
+    system = _hub_system((IncRange(1, 3), G.DecNZRange(1, 1), G.JZDecSwitch()))
+    indexes = {mode: (canonicalize(system, mode), ReferenceIndex(system, mode))
+               for mode in ("concrete", "interval")}
+    for mode, cap in (("concrete", 300), ("interval", 20), ("concrete", 300),
+                      ("interval", 3)):
+        index, ref = indexes[mode]
+        start = index.start_config()
+        fresh = canonicalize(system, mode)
+        bounds = dict(counter_cap=cap, visit_budget=3_000)
+        assert _sweep_view(reach.sweep(index, [start], **bounds)) == \
+            _sweep_view(reach.sweep(fresh, [start], **bounds))
+        _assert_same_sweep(index, ref, [start], **bounds)
+
+
+@pytest.mark.parametrize("mode, build, caps", [
+    ("concrete", lower.sim_incdecjz_via_incjzdec, (6, 2, 20)),
+    ("interval", lambda: lower.sim_incdecnzpz_via_incab(1, 2, 1, 2), (6, 2, 20)),
+])
+def test_a_closure_then_a_sweep_equal_them_on_fresh_indexes(mode, build, caps):
+    art = build()
+    closure_cap, *sweep_caps = caps
+    seeds = [art.encoding.state_for(q, mode) for q in range(closure_cap + 1)]
+    index = canonicalize(art.system, mode)
+    lts = derive_boundary_lts(index, seeds, impl_cap=closure_cap)
+    assert lts == derive_boundary_lts(canonicalize(art.system, mode), seeds,
+                                      impl_cap=closure_cap)
+    starts = [Configuration(cid, index.at_rest(seeds[3])) for cid in index.boundary_classes]
+    for cap in sweep_caps:
+        fresh = canonicalize(art.system, mode)
+        assert _sweep_view(reach.sweep(index, starts, counter_cap=cap, visit_budget=10**6)) \
+            == _sweep_view(reach.sweep(fresh, starts, counter_cap=cap, visit_budget=10**6))
+    # and the closure once more, after the sweeps
+    assert derive_boundary_lts(index, seeds, impl_cap=closure_cap) == lts
+
+
+def test_ranged_rows_keep_no_memo():
+    n = 1_000
+    index = canonicalize(_hub_system((IncRange(1, n), G.DecNZRange(1, n), G.PZ()),
+                                     initial=(0,)))
+    result = reach.sweep(index, [index.start_config()], counter_cap=n, visit_budget=10**6)
+    assert result.stats.max_counter == n and not result.budget_exhausted
+    rows = [row for rows in result.codec.moves.values() for row in rows]
+    assert [row[2] is None for row in rows] == [True, True, False]
+    for memo in {id(row[2]): row[2] for row in rows if row[2] is not None}.values():
+        seen = {key[off:end] for key in result.visited
+                for off, end, table, *_ in rows if table is memo}
+        assert memo and set(memo) <= seen
+
+
 def _criterion_3_derivations():
     """(name, system, seeds, mode) of every criterion-3 artifact at cap 8,
     every criterion-5 single-edge deletion of the quintet, and a system
@@ -711,7 +815,7 @@ def _index_tables(system: SystemOfGadgets) -> tuple:
     names, cid = index.finite_states, lambda prefix: int.from_bytes(prefix, "big")
     moves = {}
     for prefix, rows in index.codec(0).moves.items():
-        for (_, _, step, exits, _, counted, i, inst_id, entry, exit_ports) in rows:
+        for (_, _, _, exits, i, inst_id, entry, exit_ports, step, _, counted) in rows:
             kind = step.__self__
             if not counted:
                 kind = dataclasses.replace(kind, before=names[kind.before],

@@ -442,6 +442,26 @@ def test_substitute_checks_the_splice_rule():
             substitute(host, "inc-dec-jz", dataclasses.replace(part, encoding=encoding))
 
 
+def test_a_bad_initial_state_is_named_alike_by_both_checks():
+    # _validate and substitute build the message only when a state is bad
+    counter, door = G.spec_inc_dec_jz(), G.spec_sscd()
+    for spec, state, tail in (
+            (counter, -1, " of a counter gadget must be a natural, got -1"),
+            (counter, True, " of a counter gadget must be a natural, got True"),
+            (door, "9", " '9' is not a state of sscd")):
+        with pytest.raises(SystemFormatError) as caught:
+            SystemOfGadgets(specs=(spec,), instances=(GadgetInstance("g", spec.name, state),))
+        assert str(caught.value) == "g: initial state" + tail
+    host = compile_machine_to_incdecjz(parse_program("0: INC c0\n1: HALT\n"))
+    part = sim_incdecjz_via_incjzdec()
+    seeds = Encoding("affine", affine=part.encoding.affine[:2] + ((0, -1),)
+                     + part.encoding.affine[3:])
+    with pytest.raises(SystemFormatError) as caught:
+        substitute(host, "inc-dec-jz", dataclasses.replace(part, encoding=seeds))
+    assert str(caught.value) == (f"c:c0/{part.system.instances[2].id}: initial state"
+                                 " of a counter gadget must be a natural, got -1")
+
+
 # ------------------------------------------------------------- pipeline
 
 def test_pipeline_instance_counts():

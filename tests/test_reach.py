@@ -408,6 +408,25 @@ def test_a_huge_cap_allocates_nothing_sized_by_it(cap, width):
                  visit_budget=1).codec.width == width
 
 
+def test_a_kind_is_called_once_per_slot_value_not_per_dequeue(monkeypatch):
+    # the v=24 rung of the benchmark's initializer ladder: 15,838 dequeues,
+    # two kinds (Inc[1,1], JZDec) and at most cap + 2 values of each slot
+    frag = lower.emit_initializer([24])
+    program = frag.concat(M.Program(frag.counters, (M.Halt(),)))
+    system = lower.pipeline(program, "inc-jzdec").system
+    calls = []
+    for kind in (G.IncRange, G.DecNZRange, G.DecRange, G.PZ, G.PNZ, G.JZSwitch,
+                 G.JZDecSwitch):
+        def counted(self, s, cap=None, moves=kind.moves):
+            calls.append(s)
+            return moves(self, s, cap)
+        monkeypatch.setattr(kind, "moves", counted)
+    cap = 58
+    out = bfs_reach(system, counter_cap=cap)
+    assert out.verdict is Verdict.REACHABLE and out.stats.explored > 15_000
+    assert 0 < len(calls) <= 2 * (cap + 2)
+
+
 def test_every_verdict_logs_one_info_line(caplog, capsys):
     cases = [
         (_countdown(3), {}, "reachable (5 traversals)"),
