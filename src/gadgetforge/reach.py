@@ -115,12 +115,21 @@ class Sweep:
     start_revisited: bool
 
     def path_to(self, key: bytes) -> tuple[Traversal, ...]:
-        """The labels on the BFS path from a start to ``key``, first first."""
+        """The labels on the BFS path from a start to ``key``, first first.
+        A label depends only on the row's slot and entry, the choice, the
+        exit and the slot's bytes before and after, so each distinct label
+        is built once and its repeats share it."""
         labels = []
+        made: dict = {}
         edge = self.visited[key]
         while edge is not None:
             parent, move, choice, e = edge
-            labels.append(self.codec.label(move, choice, e, parent, key))
+            first, end = move[:2]
+            at = (move[4], move[6], choice, e, parent[first:end], key[first:end])
+            label = made.get(at)
+            if label is None:
+                label = made[at] = self.codec.label(move, choice, e, parent, key)
+            labels.append(label)
             key = parent
             edge = self.visited[key]
         return tuple(reversed(labels))

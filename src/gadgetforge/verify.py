@@ -30,12 +30,14 @@ states related to it (as in Henzinger, Henzinger & Kopke, "Computing
 Simulations on Finite and Infinite Graphs", FOCS 1995).  A pair stays
 while both states offer the same labels and each move of either side is
 matched, under its label, by a move of the other into a related pair.
-Refinement starts from the pairs whose label sets agree, checks each pair
-once, and then, as a worklist, re-checks only the predecessors of each
-removed pair under the same label.  It runs on int ids: impl states,
-spec states and labels are interned once, and each impl state holds its
-related spec states as one bitmask over spec ids, so a match is an ``&``
-test.  Frontier rule: a pair whose
+Refinement starts from the pairs whose label sets agree and works one
+impl state at a time: a check keeps, in one pass over the state's moves,
+every related spec state that still matches them, and a worklist of impl
+states re-checks the predecessors of each state whose related set shrank.
+It runs on int ids: impl states, spec states and labels are interned
+once, and each impl state holds its related spec states as one bitmask
+over spec ids, so a check is a few ``&`` operations against memoized
+masks of spec states (see ``_refine``).  Frontier rule: a pair whose
 implementation or spec state is on the cap frontier is never removed, and
 the report counts these skipped pairs, so an Equivalent verdict is an
 explicit up-to-the-cap claim and a cap too small to decide anything yields
@@ -386,7 +388,25 @@ def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
     maps a label id to x's successor ids, ``spec_succ[y]`` a label id to
     y's successors as a bitmask over spec ids; ``fx`` holds the impl ids on
     the frontier and the bitmask ``fy`` the spec ids.  The result is one
-    bitmask of related spec ids per impl id."""
+    bitmask of related spec ids per impl id.
+
+    One check of an impl state x off the frontier keeps, at once, every y
+    of x's bitmask off the frontier that passes, for each label lab and x's
+    lab-successors xs, back (every lab-move of y lands in the union of the
+    xs' related sets) and forth (for each x2 in xs, a lab-move of y lands
+    in x2's related set; with one x2 this follows from back).  With
+    ``inside(lab, mask)``, the spec ids off the frontier with a lab-move
+    and all lab-moves into ``mask``, memoized, back is one ``&`` with
+    ``inside(lab, union)`` and forth one with ``~inside(lab, ~related)``.
+    When a check shrinks x's bitmask, x's predecessors are queued again,
+    each at most once.
+
+    The result is the greatest fixpoint below the label-agreement start,
+    whatever the order of the checks: a pair of it passes both tests
+    against any superset of it, so no check removes one; and when the
+    queue is empty every x has been checked since the last change to a
+    bitmask its check reads, so every pair left passes.
+    """
     # label sets never change, so pairs that differ in them go at the start
     by_labels: dict = {}
     for y, yo in enumerate(spec_succ):
@@ -397,91 +417,58 @@ def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
                 for x, xo in enumerate(impl_succ)]
     initial = sum(r.bit_count() for r in relation)
 
-    # predecessors by label; frontier sources are never re-checked
-    impl_pred: list[list] = [[] for _ in impl_succ]
-    for x, xo in enumerate(impl_succ):
-        if x not in fx:
-            for lab, xs in xo.items():
-                for x2 in xs:
-                    impl_pred[x2].append((x, lab))
-    spec_pred: list[dict] = [{} for _ in spec_succ]  # y2 -> label -> bitmask of y
+    # (bit of y, y's targets) per label, off the frontier; inside() is
+    # memoized per (label, mask), on no more entries than impl states
+    spec_moves: dict = {}
     for y, yo in enumerate(spec_succ):
         if not fy >> y & 1:
             for lab, ys in yo.items():
-                while ys:
-                    low = ys & -ys
-                    ys ^= low
-                    into = spec_pred[low.bit_length() - 1]
-                    into[lab] = into.get(lab, 0) | 1 << y
+                spec_moves.setdefault(lab, []).append((1 << y, ys))
+    memo: dict = {}
 
-    # one full pass; a pair that fails goes on the worklist.  The union and
-    # the intersection of an impl move's related sets are taken once per x:
-    # if they go stale, the removal that staled them is on the worklist and
-    # re-checks the pair.
-    removed = []  # pairs taken out whose predecessors are not yet re-checked
-    for x, ys in enumerate(relation):
-        if x in fx:
-            continue
-        moves = []
+    def inside(lab: int, mask: int) -> int:
+        got = memo.get((lab, mask))
+        if got is None:
+            if len(memo) > len(impl_succ):
+                memo.clear()
+            memo[lab, mask] = got = sum(bit for bit, ys in spec_moves.get(lab, ())
+                                        if not ys & ~mask)
+        return got
+
+    # predecessors; frontier states are never checked
+    impl_pred: list[list] = [[] for _ in impl_succ]
+    for x, xo in enumerate(impl_succ):
+        if x not in fx:
+            for x2 in {x2 for xs in xo.values() for x2 in xs}:
+                impl_pred[x2].append(x)
+    queued = [x not in fx for x in range(len(impl_succ))]
+    queue = deque(x for x, q in enumerate(queued) if q)
+    checks = 0
+    while queue:
+        x = queue.popleft()
+        queued[x] = False
+        checks += 1
+        rx = relation[x]
+        keep = rx & ~fy
         for lab, xs in impl_succ[x].items():
-            related = [relation[x2] for x2 in xs]
-            union = inter = related[0]
-            for r in related:
-                union |= r
-                inter &= r
-            moves.append((lab, ~inter, ~union, related))
-        live, gone = ys & ~fy, 0
-        while live:
-            low = live & -live
-            live ^= low
-            yo = spec_succ[low.bit_length() - 1]
-            # every spec move is matched by an impl move (its targets lie in
-            # the union), and every impl move by a spec move (each related
-            # set meets the targets); targets inside the intersection pass both
-            for lab, outside_inter, outside_union, related in moves:
-                ym = yo[lab]
-                if ym & outside_inter and (ym & outside_union
-                                           or any(not r & ym for r in related)):
-                    gone |= low
-                    removed.append((x, low.bit_length() - 1))
-                    break
-        relation[x] = ys & ~gone
-    rechecks = 0
-    while removed:
-        x2, y2 = removed.pop()
-        spec_in = spec_pred[y2]
-        if not spec_in:
-            continue
-        bit2 = 1 << y2
-        # (x, y) with x -lab-> x2 and y -lab-> y2 lost a match through
-        # (x2, y2).  It fails if none of x's lab-moves is still related to
-        # y2 (the same for every such y), or if x2 is now related to none
-        # of y's lab-moves.
-        for x, lab in impl_pred[x2]:
-            ys = spec_in.get(lab)
-            if ys is None:
-                continue
-            rx = relation[x]
-            hit = ys & rx
-            if not hit:
-                continue
-            rechecks += hit.bit_count()
-            for x3 in impl_succ[x][lab]:
-                if relation[x3] & bit2:
-                    r2, keep = relation[x2], hit
-                    while keep:
-                        low = keep & -keep
-                        keep ^= low
-                        if r2 & spec_succ[low.bit_length() - 1][lab]:
-                            hit ^= low
-                    break
-            relation[x] = rx & ~hit
-            while hit:
-                low = hit & -hit
-                hit ^= low
-                removed.append((x, low.bit_length() - 1))
-    log.info("refinement: %d initial pairs, %d removed, %d local re-checks",
-             initial, initial - sum(r.bit_count() for r in relation), rechecks)
+            if len(xs) == 1:
+                union = relation[xs[0]]
+            else:
+                union = 0
+                for x2 in xs:
+                    union |= relation[x2]
+                    keep &= ~inside(lab, every & ~relation[x2])  # forth
+            got = memo.get((lab, union))  # inside(lab, union), inlined when hit
+            keep &= inside(lab, union) if got is None else got  # back
+        keep |= rx & fy
+        if keep != rx:
+            relation[x] = keep
+            for x0 in impl_pred[x]:
+                if not queued[x0]:
+                    queued[x0] = True
+                    queue.append(x0)
+    log.info("refinement: %d initial pairs, %d removed, %d impl-state checks",
+             initial, initial - sum(r.bit_count() for r in relation), checks)
     return relation
 
 

@@ -3,7 +3,9 @@
 Runs the first case of each workload in ``bench/workloads.py`` at seed 0
 through that case's own check, so a change to the package that breaks a
 benchmark case (a renamed function, a moved pin) fails here rather than
-only in a benchmark run.  It reads ``bench/`` and changes nothing there.
+only in a benchmark run.  The bisimulation workloads are cheap enough to
+run every case, so each pinned relation size is checked here too.  It
+reads ``bench/`` and changes nothing there.
 """
 
 from __future__ import annotations
@@ -36,3 +38,11 @@ def test_first_case_of_each_workload_passes_its_check(name):
     case = workloads.setup(name, gadgetforge, workloads.DEFAULT_SEED).cases[0]
     error, _ = case.check(case.run())
     assert error is None, f"{name} {case.label}: {error}"
+
+
+@pytest.mark.parametrize("name", ["quintet", "interval"])
+def test_every_case_of_each_bisimulation_workload_passes_its_check(name):
+    workloads = _workloads()
+    for case in workloads.setup(name, gadgetforge, workloads.DEFAULT_SEED).cases:
+        error, _ = case.check(case.run())
+        assert error is None, f"{name} {case.label}: {error}"

@@ -8,18 +8,20 @@ code keeps one set of related spec states per impl state.  Both must give
 the same ``BisimReport`` and the same relation, pair for pair, on every
 criterion-3 artifact, the quintet at a larger cap, every criterion-5
 single-edge mutant, and a case that is NotEquivalent only through the
-spec-to-impl direction of the match.  The worklist step of ``_refine``,
-which re-checks only the predecessors of a removed pair, is also compared
-with the oracle's relation on 2,000 small seeded random transition systems.
+spec-to-impl direction of the match.  ``_refine``, which checks one impl
+state at a time and re-checks the predecessors of a state whose related
+set shrank, is also compared with the oracle's relation on 2,000 small
+seeded random transition systems, and on 400 larger ones: up to 12 impl
+states, up to 70 spec states (masks past 64 bits), up to 3 targets per
+label and frontier states on both sides.
 
 A second oracle, ``worklist_refine``, is the earlier ``_refine`` kept
 verbatim: the same worklist on tuple states, ``frozenset`` labels and sets
 of related spec states.  ``_refine`` now runs on int ids, with one bitmask
 of related spec ids per impl state; it must give the same relation, and
-its log line the same initial and removed pair counts.  The local re-check
-count is the work the worklist did, which follows the order removals are
-taken in (set iteration order in the oracle, ascending ids now), so it is
-not compared.
+its log line the same initial and removed pair counts.  The third count is
+the work each did (local pair re-checks in the oracle, impl-state checks
+now), so it is not compared.
 """
 
 from __future__ import annotations
@@ -395,10 +397,11 @@ def test_truncated_closures_give_the_reference_report(monkeypatch):
     assert truncated
 
 
-def _random_out(rng, states, labels) -> dict:
-    """state -> {label: 1 or 2 target states}; a state may have no moves."""
-    return {s: {lab: set(rng.sample(states, rng.randint(1, min(2, len(states)))))
-                for lab in labels if rng.random() < 0.5}
+def _random_out(rng, states, labels, targets=2, p=0.5) -> dict:
+    """state -> {label: 1 to ``targets`` target states}, each label with
+    probability ``p``; a state may have no moves."""
+    return {s: {lab: set(rng.sample(states, rng.randint(1, min(targets, len(states)))))
+                for lab in labels if rng.random() < p}
             for s in states}
 
 
@@ -419,3 +422,32 @@ def test_refinement_matches_the_reference_on_random_systems():
                                            spec_out, fx, fy), k
         assert pairs == {(x, y) for x, related in worklist_refine(
             impl_out, spec_out, fx, fy).items() for y in related}, k
+
+
+def test_refinement_matches_the_reference_on_larger_random_systems(caplog):
+    # masks past 64 bits (every other case has 65 to 70 spec states), up to
+    # 3 targets per label, frontier states on both sides
+    caplog.set_level(logging.INFO, logger="gadgetforge.verify")
+    wide = live = 0
+    for k in range(400):
+        rng = random.Random(k)
+        labels = [("in", out) for out in "abc"[:rng.randint(1, 3)]]
+        impl_states = [f"x{i}" for i in range(rng.randint(1, 12))]
+        spec_states = list(range(rng.randint(65, 70) if k % 2 else rng.randint(1, 70)))
+        p = rng.choice([0.5, 0.8, 1.0])
+        impl_out = _random_out(rng, impl_states, labels, 3, p)
+        spec_out = _random_out(rng, spec_states, labels, 3, p)
+        fx = frozenset(x for x in impl_states if rng.random() < 0.2)
+        fy = frozenset(y for y in spec_states if rng.random() < 0.1)
+        args, xs, ys = _int_tables(impl_out, spec_out, fx, fy)
+        relation = verify._refine(*args)
+        counts = _counts(caplog)
+        pairs = {(xs[x], ys[y]) for x, mask in enumerate(relation) for y in _bits(mask)}
+        assert pairs == reference_relation(impl_states, spec_states, impl_out,
+                                           spec_out, fx, fy), k
+        assert pairs == {(x, y) for x, related in worklist_refine(
+            impl_out, spec_out, fx, fy).items() for y in related}, k
+        assert counts == _counts(caplog), k
+        wide += len(spec_states) > 64
+        live += any(x not in fx and y not in fy for x, y in pairs)
+    assert wide >= 200 and live >= 200

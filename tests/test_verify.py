@@ -207,9 +207,22 @@ def test_refinement_logs_what_it_did(caplog, capsys):
         report = check_bisimulation(lower.sim_incdecjz_via_incjzdec(),
                                     G.catalog()["inc-dec-jz"], cap=8)
     line, = (r.getMessage() for r in caplog.records if "refinement" in r.getMessage())
-    initial, removed, rechecks = map(int, re.findall(r"\d+", line))
-    assert initial - removed == report.relation_size and removed and rechecks
+    initial, removed, checks = map(int, re.findall(r"\d+", line))
+    assert initial - removed == report.relation_size and removed and checks
+    assert "impl-state checks" in line
     assert capsys.readouterr().out == ""
+
+
+def test_refinement_checks_each_impl_state_a_few_times(caplog):
+    # work guard: a check decides every spec state of one impl state, so
+    # the checks stay a small multiple of the impl states (5,347 for 784;
+    # the earlier per-pair worklist made 13,339 re-checks here)
+    with caplog.at_level(logging.INFO, logger="gadgetforge.verify"):
+        report = check_bisimulation(lower.sim_incdecjz_via_incjzdec(),
+                                    G.catalog()["inc-dec-jz"], cap=24)
+    line, = (r.getMessage() for r in caplog.records if "refinement" in r.getMessage())
+    checks = int(re.findall(r"\d+", line)[2])
+    assert report.impl_states == 784 and checks <= 8 * report.impl_states
 
 
 def test_closure_logs_what_it_did(caplog, capsys, monkeypatch):
