@@ -116,16 +116,17 @@ class Sweep:
 
     def path_to(self, key: bytes) -> tuple[Traversal, ...]:
         """The labels on the BFS path from a start to ``key``, first first.
-        A label depends only on the row's slot and entry, the choice, the
-        exit and the slot's bytes before and after, so each distinct label
-        is built once and its repeats share it."""
+        A label depends only on the row's slot, entry and exit port, the
+        choice and the slot's bytes before and after, so each distinct label
+        is built once and its repeats share it.  The exit port, not the
+        exit number, is keyed: two components may share an entry."""
         labels = []
         made: dict = {}
         edge = self.visited[key]
         while edge is not None:
             parent, move, choice, e = edge
             first, end = move[:2]
-            at = (move[4], move[6], choice, e, parent[first:end], key[first:end])
+            at = (move[4], move[6], move[7][e], choice, parent[first:end], key[first:end])
             label = made.get(at)
             if label is None:
                 label = made[at] = self.codec.label(move, choice, e, parent, key)

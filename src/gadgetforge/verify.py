@@ -458,8 +458,7 @@ def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
                 for x2 in xs:
                     union |= relation[x2]
                     keep &= ~inside(lab, every & ~relation[x2])  # forth
-            got = memo.get((lab, union))  # inside(lab, union), inlined when hit
-            keep &= inside(lab, union) if got is None else got  # back
+            keep &= inside(lab, union)  # back
         keep |= rx & fy
         if keep != rx:
             relation[x] = keep

@@ -504,6 +504,29 @@ def test_ranged_moves_stop_at_the_cap():
     assert len(index.successors(start)) == 11  # 5 inc + 5 dec + pz
 
 
+def test_a_witness_names_the_exit_of_each_shared_entry_component():
+    # two PZ tunnels share entry `a`; the shortest witness takes a->b, raises
+    # y, and then takes a->c from the same x state: equal slot bytes and
+    # choice, different exits
+    spec = CounterGadgetSpec("fork", (
+        Component(G.PZ(), "a", ("b",)), Component(G.PZ(), "a", ("c",)),
+        Component(IncRange(1, 1), "d", ("e",)), Component(G.PNZ(), "f", ("g",))))
+    system = SystemOfGadgets(
+        specs=(spec,), instances=(GadgetInstance("x", "fork", 0), GadgetInstance("y", "fork", 0)),
+        nodes=("hub", "mid", "late", "goal"),
+        edges=(("node:hub", "x.a"), ("x.b", "node:mid"), ("node:mid", "y.d"),
+               ("y.e", "node:hub"), ("x.c", "node:late"), ("node:late", "y.f"),
+               ("y.g", "node:goal")),
+        start="node:hub", goal="node:goal", boundary=())
+    index, ref = canonicalize(system), ReferenceIndex(system)
+    _assert_same_sweep(index, ref, [index.start_config()], counter_cap=4,
+                       visit_budget=100, goal_class=index.goal_class)
+    found = reach.sweep(index, [index.start_config()], counter_cap=4, visit_budget=100,
+                        goal_class=index.goal_class)
+    assert [(t.instance, t.entry, t.exit) for t in found.path_to(found.goal_hit)] == \
+        [("x", "a", "b"), ("y", "d", "e"), ("x", "a", "c"), ("y", "f", "g")]
+
+
 # ------------------------------------------------------ the memo tables
 #
 # A codec keeps each kind's successor slots in a memo table across sweeps.
