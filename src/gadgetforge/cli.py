@@ -153,9 +153,9 @@ def cmd_dot(args) -> int:
 def cmd_init_prologue(args) -> int:
     values = {}
     for tok in args.values.split(","):
-        name, _, val = tok.partition("=")
-        if not _:
-            raise machine.ProgramError(f"expected name=value, got {tok!r}")
+        name, eq, val = tok.partition("=")
+        if not eq or name.strip() in values:
+            raise machine.ProgramError(f"expected name=value, each name once, got {tok!r}")
         values[name.strip()] = int(val)
     frag = lower.emit_initializer(values)
     if args.halt:

@@ -33,7 +33,9 @@ Two state modes share all of this machinery:
 - interval: states are (lo, hi) pairs meaning "every value in [lo, hi] is
   possible here".  Component rules are the exact possible-set transformers
   (e.g. DecNZ[c,d] applies iff hi >= c and maps to [max(lo-d,0), hi-c]).
-  With [1,1] ranges intervals stay singletons, so the modes coincide.
+  With [1,1] ranges intervals stay singletons, and a move's choice and
+  exit are its concrete twin's, so the modes coincide: an interval
+  witness with each (v, v) read as v is the concrete witness.
 
 The mode is fixed, and an unknown one rejected, when the system is indexed:
 ``canonicalize(system, mode)``.  Whatever takes that index runs in its
@@ -42,12 +44,12 @@ mode; a plain SystemOfGadgets means concrete.
 Endpoint strings: ``node:NAME`` for a connection node, ``INSTANCE.PORT``
 for a gadget port.  Only this module reads or writes that format.
 Instance ids are nonempty strings with no dots, and ``node`` (or a
-``node:`` prefix) is reserved, so every endpoint splits one way.  An index
-numbers the endpoints in one integer table: the nodes in order, then each
-instance's locations, each once and in spec order, from the instance's
-offset (``SystemIndex.table``: id -> offset, place of each location and
-the places in name order).  The edges, start, goal and boundary are read
-into the table once; the union-find and the move table run on numbers.
+``node:`` prefix) is reserved, so every endpoint splits one way.  Each
+endpoint string is read once, into one integer table: the nodes in order,
+then each instance's locations, in spec order, from its offset
+(``SystemOfGadgets.endpoints``, built by ``_validate``, or by the first
+index of a ``lower.substitute`` output).  The index reads only numbers:
+its union-find, class ids and move table all run on them.
 
 A ``SystemOfGadgets`` is validated when it is constructed, whether it comes
 from a document, a lowering pass or code: wrong types, unknown specs,
@@ -65,8 +67,8 @@ import logging
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
-from itertools import chain, count, groupby
-from typing import Iterator, NamedTuple, Union
+from itertools import chain, count
+from typing import NamedTuple, Union
 
 log = logging.getLogger(__name__)
 
@@ -114,6 +116,11 @@ class _Ranged:
         if not (1 <= check_integer(self.lo) <= check_integer(self.hi)):
             raise SystemFormatError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
+    def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
+        # one move or none; its choice is a one-amount range's amount, as in moves, else 0
+        hull = self.hull(*iv)
+        return [] if hull is None else [(self.lo if self.lo == self.hi else 0, hull, 0)]
+
 
 @dataclass(frozen=True)
 class IncRange(_Ranged):
@@ -126,9 +133,8 @@ class IncRange(_Ranged):
         hi = self.hi if cap is None else min(self.hi, max(self.lo, cap - s + 1))
         return [(i, s + i, 0) for i in range(self.lo, hi + 1)]
 
-    def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
-        lo, hi = iv
-        return [(0, (lo + self.lo, hi + self.hi), 0)]
+    def hull(self, lo: int, hi: int) -> Interval | None:
+        return (lo + self.lo, hi + self.hi)
 
 
 @dataclass(frozen=True)
@@ -143,11 +149,8 @@ class DecNZRange(_Ranged):
             return []
         return [(i, s - i, 0) for i in range(self.lo, min(s, self.hi) + 1)]
 
-    def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
-        lo, hi = iv
-        if hi < self.lo:
-            return []
-        return [(0, (max(lo - self.hi, 0), hi - self.lo), 0)]
+    def hull(self, lo: int, hi: int) -> Interval | None:
+        return None if hi < self.lo else (max(lo - self.hi, 0), hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -162,9 +165,8 @@ class DecRange(_Ranged):
         hi = self.hi if cap is None else min(self.hi, max(self.lo, s))
         return [(i, max(s - i, 0), 0) for i in range(self.lo, hi + 1)]
 
-    def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
-        lo, hi = iv
-        return [(0, (max(lo - self.hi, 0), max(hi - self.lo, 0)), 0)]
+    def hull(self, lo: int, hi: int) -> Interval | None:
+        return (max(lo - self.hi, 0), max(hi - self.lo, 0))
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ class JZSwitch:
         if lo == 0:
             out.append((0, (0, 0), 0))
         if hi >= 1:
-            out.append((1, (max(lo, 1), hi), 1))
+            out.append((0, (max(lo, 1), hi), 1))
         return out
 
 
@@ -234,7 +236,7 @@ class JZDecSwitch:
         if lo == 0:
             out.append((0, (0, 0), 0))
         if hi >= 1:
-            out.append((1, (max(lo, 1) - 1, hi - 1), 1))
+            out.append((0, (max(lo, 1) - 1, hi - 1), 1))
         return out
 
 
@@ -357,6 +359,34 @@ class SystemOfGadgets:
         """The port name of each boundary endpoint, in boundary order."""
         return tuple(map(boundary_port, self.boundary))
 
+    @cached_property
+    def endpoints(self) -> Endpoints:
+        """The one reading of the endpoint strings into table numbers, kept:
+        made by ``_validate``, or by the first index of a system that skipped
+        it.  An endpoint that is none of the system's raises KeyError, or
+        TypeError when unhashable; ``_validate`` then names it."""
+        nodes = dict(zip(self.nodes, count()))
+        table = {"node:": (0, nodes, [nodes[name] for name in sorted(nodes)])}
+        number = dict(zip(map("node:".__add__, nodes), count()))
+        of_spec = {}
+        for name, spec in self.spec_of.items():
+            place = dict(zip(dict.fromkeys(spec.locations), count()))
+            of_spec[name] = place, [place[loc] for loc in sorted(place)]
+        n = len(nodes)
+        for inst in self.instances:
+            place, order = of_spec[inst.spec]
+            table[inst.id] = (n, place, order)
+            number.update(zip(map(f"{inst.id}.".__add__, place), count(n)))
+            if "" in place:  # no endpoint: split_endpoint rejects "ID."
+                del number[port_endpoint(inst.id, "")]
+            n += len(order)
+        at = number.__getitem__
+        return Endpoints(number, table, n,
+                         None if self.start is None else at(self.start),
+                         None if self.goal is None else at(self.goal),
+                         list(map(at, self.boundary)),
+                         list(map(at, chain.from_iterable(self.edges))))
+
 
 def node_endpoint(name: str) -> str:
     return f"node:{name}"
@@ -366,20 +396,19 @@ def port_endpoint(instance_id: str, port: str) -> str:
     return f"{instance_id}.{port}"
 
 
-def _node_endpoints(names) -> Iterator[str]:
-    """``node_endpoint(name)`` for each of ``names``, in order."""
-    return map("node:".__add__, names)
+class Endpoints(NamedTuple):
+    """``SystemOfGadgets.endpoints``: endpoint string -> number, head
+    (``node:`` or an instance id) -> (offset, place of each name, places in
+    name order), the count of numbers, and the numbers of the start, goal,
+    boundary endpoints and edge ends (two per edge), in order."""
 
-
-def _port_endpoints(instance_id: str, ports) -> Iterator[str]:
-    """``port_endpoint(instance_id, port)`` for each of ``ports``, in order."""
-    return map(f"{instance_id}.".__add__, ports)
-
-
-def _endpoint_names(index: SystemIndex) -> Iterator[str]:
-    """The endpoint string of each number in ``index``'s table, in order."""
-    return chain(_node_endpoints(index.system.nodes), *(
-        _port_endpoints(inst.id, index.table[inst.id][1]) for inst in index.system.instances))
+    number: dict[str, int]
+    table: dict[str, tuple[int, dict[str, int], list[int]]]
+    size: int
+    start: int | None
+    goal: int | None
+    boundary: list[int]
+    edges: list[int]
 
 
 def split_for_prefix(ep: str) -> tuple[str, str]:
@@ -442,13 +471,15 @@ class SystemIndex:
     """canonicalize() result: connectivity classes and the tables every
     search reads, in one state mode ("concrete" or "interval").
 
-    Endpoints are numbered in one integer table (module docstring), and
-    ``class_at[number]`` is a class id.  Classes are numbered by their least
-    endpoint string; ``classes`` and ``class_of`` are the string views,
-    built on first read.  ``prefix[cid]`` is class ``cid`` as a key prefix
-    and ``spec_of`` is the system's spec map.  The one move table is built
-    by the codec (``codec(limit)``, see KeyCodec) and read by the BFS
-    kernel, the boundary closure and ``successors`` alike.
+    It reads the system's endpoint numbering (module docstring), built
+    before it when the system was validated, and keeps only numbers:
+    ``class_at[number]`` is a class id, classes numbered by their least
+    endpoint string, ``table`` is the numbering's table of heads, which the
+    codec reads, ``boundary_classes`` the class of each boundary endpoint
+    in boundary order, ``prefix[cid]`` class ``cid`` as a key prefix and
+    ``spec_of`` the system's spec map.  The one move table is built by the
+    codec (``codec(limit)``, see KeyCodec) and read by the BFS kernel, the
+    boundary closure and ``successors`` alike.
     """
 
     def __init__(self, system: SystemOfGadgets, mode: str = "concrete") -> None:
@@ -458,22 +489,12 @@ class SystemIndex:
         self.mode = mode
         self.interval = mode == "interval"
         self.spec_of = spec_of = system.spec_of
+        eps = system.endpoints
+        self.table = eps.table
 
-        def places(names) -> tuple[dict[str, int], list[int]]:
-            place = {name: k for k, name in enumerate(dict.fromkeys(names))}
-            return place, [place[name] for name in sorted(place)]
-        of_spec = {name: places(spec.locations) for name, spec in spec_of.items()}
-        self.table: dict[str, tuple[int, dict[str, int], list[int]]] = {}
-        n = len(system.nodes)
-        for inst in system.instances:
-            self.table[inst.id] = (n, *of_spec[inst.spec])
-            n += len(of_spec[inst.spec][1])
-
-        # every named endpoint into the table at once, then union-find (path halving)
-        start, goal, *ends = self._numbers(chain(
-            (system.start, system.goal), system.boundary, chain.from_iterable(system.edges)))
-        boundary, ends = ends[:len(system.boundary)], iter(ends[len(system.boundary):])
-        parent = list(range(n))
+        # union-find over the edge ends (path halving)
+        parent = list(range(eps.size))
+        ends = iter(eps.edges)
         for a, b in zip(ends, ends):
             while a != (up := parent[a]):
                 parent[a] = a = parent[up]
@@ -485,10 +506,9 @@ class SystemIndex:
         # no instance id holds a dot or starts with "node:", so endpoints sort
         # as (head + ".", name): walked in that order, each class is numbered
         # where it is first met, at its least endpoint
-        self.class_at = class_at = [0] * n
+        self.class_at = class_at = [0] * eps.size
         roots: dict[int, int] = {}
-        heads = [("node:", (0, *places(system.nodes))), *self.table.items()]
-        for _, (off, _, order) in sorted(heads, key=lambda item: item[0] + "."):
+        for _, (off, _, order) in sorted(eps.table.items(), key=lambda item: item[0] + "."):
             for k in order:
                 root = e = off + k
                 while root != (up := parent[root]):
@@ -508,48 +528,21 @@ class SystemIndex:
         self.prefix = [cid.to_bytes(pw, "big") for cid in range(len(roots))]
         self._codecs: dict[int, KeyCodec] = {}
 
-        self.start_class = None if start is None else class_at[start]
-        self.goal_class = None if goal is None else class_at[goal]
-        self.boundary_classes: dict[int, str] = {}
-        for ep, k in zip(system.boundary, boundary):
-            cid = class_at[k]
-            if cid in self.boundary_classes:
+        self.start_class = None if eps.start is None else class_at[eps.start]
+        self.goal_class = None if eps.goal is None else class_at[eps.goal]
+        self.boundary_classes = [class_at[k] for k in eps.boundary]
+        first: dict[int, int] = {}
+        for k, cid in enumerate(self.boundary_classes):
+            if (j := first.setdefault(cid, k)) != k:
                 raise SystemFormatError(
-                    f"boundary endpoints {self.boundary_classes[cid]!r} and {ep!r} "
+                    f"boundary endpoints {system.boundary[j]!r} and {system.boundary[k]!r} "
                     "fell into the same connectivity class")
-            self.boundary_classes[cid] = ep
-
-    def _numbers(self, eps) -> list:
-        """The number in the table of each endpoint of ``eps``, None for
-        None: a node's by its endpoint string, a port's by its instance's
-        offset and its place (the first dot ends the instance id)."""
-        nodes = dict(zip(_node_endpoints(self.system.nodes), count()))
-        table, out = self.table, []
-        for ep in eps:
-            k = nodes.get(ep)
-            if k is None and ep is not None:
-                inst, _, port = ep.partition(".")
-                off, place, _ = table[inst]
-                k = off + place[port]
-            out.append(k)
-        return out
 
     def endpoint_class(self, ep: str) -> int:
         try:
-            return self.class_at[self._numbers((ep,))[0]]
-        except (AttributeError, KeyError, TypeError):
+            return self.class_at[self.system.endpoints.number[ep]]
+        except (KeyError, TypeError):
             raise SystemFormatError(f"no endpoint {ep!r} in this system") from None
-
-    @cached_property
-    def class_of(self) -> dict[str, int]:
-        """Endpoint string -> class id, for every endpoint in the table."""
-        return dict(zip(_endpoint_names(self), self.class_at))
-
-    @cached_property
-    def classes(self) -> list[tuple[str, ...]]:
-        """The endpoint strings of each class, sorted, by class id."""
-        pairs = sorted(zip(self.class_at, _endpoint_names(self)))
-        return [tuple(ep for _, ep in group) for _, group in groupby(pairs, lambda p: p[0])]
 
     def at_rest(self, vec) -> tuple:
         """A state vector in this index's mode: in interval mode each counter
@@ -784,18 +777,13 @@ def _validate(system: SystemOfGadgets) -> None:
     output skips it: it is valid by the splice rule, and this check is its
     test oracle."""
     spec_locations: dict[str, frozenset[str]] = {}
-    port_names: dict[str, list[str]] = {}
     for spec in system.specs:  # each spec checked itself when it was built
         if not isinstance(spec, GadgetSpec):
             raise SystemFormatError(f"not a gadget spec: {spec!r}")
         if spec.name in spec_locations:
             raise SystemFormatError(f"duplicate spec name {spec.name!r}")
-        locations = spec.locations
-        spec_locations[spec.name] = frozenset(locations)
-        # an empty location would make "ID.", which split_endpoint rejects
-        port_names[spec.name] = [loc for loc in locations if loc]
+        spec_locations[spec.name] = frozenset(spec.locations)
     ports_of: dict[str, frozenset[str]] = {}  # instance id -> its locations
-    legal: set[str] = set()  # every endpoint string check_ep below accepts
     for inst in system.instances:
         if not isinstance(inst.id, str) or "." in inst.id or not inst.id:
             raise SystemFormatError(f"bad instance id {inst.id!r} (no dots, nonempty)")
@@ -810,23 +798,20 @@ def _validate(system: SystemOfGadgets) -> None:
             raise SystemFormatError(f"no spec named {inst.spec!r}")
         check_state(spec, inst.initial, inst.id, ": initial state")
         ports_of[inst.id] = spec_locations[spec.name]
-        legal.update(_port_endpoints(inst.id, port_names[spec.name]))
     _check_names("node name", system.nodes)
     node_set = set(system.nodes)
     if len(node_set) != len(system.nodes):
         raise SystemFormatError("duplicate node name")
     if not node_set.isdisjoint(ports_of):
         raise SystemFormatError("node names and instance ids overlap")
-    legal.update(_node_endpoints(node_set))
 
-    # one set lookup per endpoint; only a failure walks the endpoints one by
-    # one, so that the first bad one is named
-    ends = [ep for ep in (system.start, system.goal) if ep is not None]
+    # the numbering reads each endpoint once, and the index keeps it; only a
+    # miss walks the endpoints one by one, so that the first bad one is named
     try:
-        if ({*map(len, system.edges)} <= {2} and legal.issuperset(
-                chain(chain.from_iterable(system.edges), ends, system.boundary))):
+        if {*map(len, system.edges)} <= {2}:
+            system.endpoints
             return
-    except TypeError:  # an unhashable or unsized value: the walk names it
+    except (KeyError, TypeError):  # an unknown, unhashable or unsized value
         pass
 
     def check_ep(ep: str) -> None:
@@ -846,7 +831,8 @@ def _validate(system: SystemOfGadgets) -> None:
     for (a, b) in system.edges:
         check_ep(a)
         check_ep(b)
-    for ep in chain(ends, system.boundary):
+    for ep in chain([ep for ep in (system.start, system.goal) if ep is not None],
+                    system.boundary):
         check_ep(ep)
 
 

@@ -79,34 +79,40 @@ class Halt:
 Instruction = Inc | Dec | Jz | Halt
 
 
+def _check_code(counters: tuple, instructions: tuple, targets: int) -> None:
+    """The rule of a Program and of a Fragment: counter names are
+    identifiers, each declared once, every instruction uses a declared
+    counter, and every JZ target lies in range(targets)."""
+    seen = set()
+    for name in counters:
+        if not _NAME_RE.fullmatch(name):
+            raise ProgramError(f"bad counter name {name!r}")
+        if name in seen:
+            raise ProgramError(f"duplicate counter {name!r}")
+        seen.add(name)
+    for idx, ins in enumerate(instructions):
+        if isinstance(ins, (Inc, Dec, Jz)) and ins.counter not in seen:
+            raise ProgramError(
+                f"instruction {idx} uses undeclared counter {ins.counter!r}")
+        if isinstance(ins, Jz) and not (0 <= ins.target < targets):
+            raise ProgramError(
+                f"instruction {idx}: JZ target {ins.target} out of range 0..{targets - 1}")
+
+
 @dataclass(frozen=True)
 class Program:
     """An immutable program: declared counter names + instruction list.
 
-    Invariants (checked in __post_init__): counter names are unique
-    identifiers, every instruction references a declared counter, and every
-    JZ target lies in range 0..len(instructions) inclusive-exclusive.
+    Invariants (checked in __post_init__, by ``_check_code``): counter names
+    are unique identifiers, every instruction references a declared counter,
+    and every JZ target lies in range 0..len(instructions) inclusive-exclusive.
     """
 
     counters: tuple[str, ...]
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        for name in self.counters:
-            if not _NAME_RE.fullmatch(name):
-                raise ProgramError(f"bad counter name {name!r}")
-            if name in seen:
-                raise ProgramError(f"duplicate counter {name!r}")
-            seen.add(name)
-        n = len(self.instructions)
-        for idx, ins in enumerate(self.instructions):
-            if isinstance(ins, (Inc, Dec, Jz)) and ins.counter not in seen:
-                raise ProgramError(
-                    f"instruction {idx} uses undeclared counter {ins.counter!r}")
-            if isinstance(ins, Jz) and not (0 <= ins.target < n):
-                raise ProgramError(
-                    f"instruction {idx}: JZ target {ins.target} out of range 0..{n - 1}")
+        _check_code(self.counters, self.instructions, len(self.instructions))
 
     def counter_index(self, name: str) -> int:
         return self.counters.index(name)
@@ -116,13 +122,16 @@ class Program:
 class Fragment:
     """A program fragment meant to be concatenated before more code.
 
-    Same shape as Program, but JZ targets may equal len(instructions): that
-    is the fall-through point, i.e. the first instruction of whatever gets
-    appended.  ``concat`` resolves this into a valid Program.
+    Same shape and rule as Program, but a JZ target may equal
+    len(instructions), the fall-through point: the first instruction of
+    whatever gets appended.  ``concat`` resolves this into a valid Program.
     """
 
     counters: tuple[str, ...]
     instructions: tuple[Instruction, ...]
+
+    def __post_init__(self) -> None:
+        _check_code(self.counters, self.instructions, len(self.instructions) + 1)
 
     def concat(self, rest: Program | "Fragment") -> Program:
         """Fragment followed by ``rest``; rest's jump targets are shifted."""

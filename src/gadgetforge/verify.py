@@ -124,14 +124,17 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     """Compute the boundary LTS of a system with boundary endpoints.
 
     ``seeds`` are at-rest state vectors to start from (e.g. encodings of the
-    spec states); every vector reachable at a boundary port is explored in
-    turn until closure.  Gadget states above ``impl_cap`` prune the excursion
-    and put the source vector on the cap frontier.  Runs in the index's
-    state mode (concrete for a plain system).
+    spec states), each checked once; every vector reachable at a boundary
+    port is explored in turn until closure.  Gadget states above ``impl_cap``
+    prune the excursion and put the source vector on the cap frontier.  Runs
+    in the index's state mode (concrete for a plain system).
     """
     index = canonicalize(system)
     ports = _boundary_ports(index.system)
-    vecs = list(dict.fromkeys(map(index.at_rest, seeds)))
+    vecs = list(map(index.at_rest, seeds))
+    for vec in vecs:
+        index.check_states(vec, "seed")
+    vecs = list(dict.fromkeys(vecs))
     tops = list(map(index.top, vecs))
     # every state the closure finds is within the cap, so one codec holds all
     codec = index.codec(max([impl_cap, *tops]))

@@ -49,7 +49,7 @@ def test_a_sweep_feeds_the_tracer_hooks():
     tracing._on_sweep(tracer, sid, result, args, kwargs)
     explored, peak, visited, starts = tracer.numbers[sid]
     assert (explored, peak) == (result.stats.explored, result.stats.frontier_peak)
-    assert visited == len(result.configurations(range(len(index.classes)))) > 1
+    assert visited == len(result.configurations(range(len(index.prefix)))) > 1
     assert starts == 1
     per_config = tracing.bytes_per_config(gadgetforge, tracer)
     assert isinstance(per_config, float) and per_config > 0

@@ -7,7 +7,9 @@ logging and cross-process determinism tests spawn real interpreters
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -16,6 +18,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import gadgetforge
 from gadgetforge import gadgets, lower, machine
@@ -509,6 +513,46 @@ def test_init_prologue_without_halt_is_a_fragment(capsys):
     result = run(program, max_steps=10_000)
     assert result.status is RunStatus.FELL_OFF_END
     assert result.final.counters[program.counters.index("c0")] == 5
+
+
+@pytest.mark.parametrize("values", ["=3", "a b=9", "c0=8,c0=3", "c0=1, c0 =2"])
+def test_init_prologue_rejects_names_no_program_declares(capsys, values):
+    code, out, err = _run_cli(capsys, "init-prologue", "--values", values)
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
+_PROLOGUE_NAMES = st.one_of(
+    st.sampled_from(["c0", "c1", "x", "_", "A9", " c0"]),  # repeats come often
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+    st.sampled_from(["", " ", "a b", "1a", "a-b", "#", "init_tmp", "é", "aé"]),
+    st.text(max_size=4))
+_PROLOGUE_VALUES = st.one_of(st.integers(0, 40).map(str),
+                             st.sampled_from(["", "-1", "x", " 2", "1.5"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_PROLOGUE_NAMES, _PROLOGUE_VALUES), min_size=1, max_size=4),
+       st.booleans())
+def test_init_prologue_prints_a_program_that_builds_its_values(pairs, halt):
+    values = ",".join(f"{name}={value}" for name, value in pairs)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["init-prologue", "--values", values] + ["--halt"] * halt)
+    assert code in (0, 1)
+    text = out.getvalue()
+    if code == 1:
+        assert text == ""
+        return
+    want = {}
+    for tok in values.split(","):
+        name, _, value = tok.partition("=")
+        want[name.strip()] = int(value)
+    if not halt:  # a fragment falls through to whatever comes next
+        text += f"{len(text.splitlines()) - 1}: HALT\n"
+    program = parse_program(text)
+    result = run(program, max_steps=10**5)
+    assert result.status is RunStatus.HALTED
+    assert {c: v for c, v in zip(program.counters, result.final.counters) if c in want} == want
 
 
 def test_init_prologue_rejects_bad_tokens(capsys):

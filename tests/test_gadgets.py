@@ -197,7 +197,7 @@ def test_inc_range_offers_every_amount():
         assert (t.entry, t.exit, t.before) == ("t_in", "t_out", 5)
     assert {t.choice for t, _ in succ} == {1, 2}
     # a position that is no class id has no moves, and does not wrap around
-    classes = len(index.classes)
+    classes = len(index.prefix)
     for pos in (-1, -classes, classes):
         assert index.successors(Configuration(pos, (5,))) == []
 
@@ -221,9 +221,8 @@ def test_canonicalize_merges_edged_endpoints():
     idx = canonicalize(sys0)
     assert idx.endpoint_class("a.inc_out") == idx.endpoint_class("b.dec_in")
     assert idx.endpoint_class("a.inc_in") != idx.endpoint_class("b.dec_in")
-    # classes are honest partitions
-    seen = [ep for cls in idx.classes for ep in cls]
-    assert sorted(seen) == sorted(set(seen))
+    # class ids are 0..n-1, each the class of some endpoint
+    assert sorted(set(idx.class_at)) == list(range(len(idx.prefix)))
 
 
 def test_endpoint_class_names_a_missing_endpoint():
@@ -244,8 +243,8 @@ def test_class_numbering_is_deterministic():
         start="node:n1",
     )
     i1, i2 = canonicalize(sys0), canonicalize(sys0)
-    assert i1.classes == i2.classes
-    assert i1.class_of == i2.class_of
+    assert i1.class_at == i2.class_at
+    assert i1.prefix == i2.prefix
 
 
 def test_endpoint_helpers():
@@ -805,10 +804,9 @@ def test_a_spec_map_is_built_in_one_place():
 
 
 def test_an_index_builds_no_endpoint_string():
-    # the index and its codec run on the integer endpoint table.  Port
-    # endpoint strings are made only for the string views (classes,
-    # class_of) and error messages; _numbers looks a node up by its
-    # endpoint string, built by _node_endpoints for that lookup alone
+    # the index and its codec run on the numbers of the system's endpoint
+    # table; endpoint strings are made only where the system is numbered
+    # (SystemOfGadgets.endpoints) and in error messages
     def in_index(function: str) -> bool:
         return function.split(".")[1] in ("SystemIndex", "KeyCodec")
 
@@ -822,8 +820,37 @@ def test_an_index_builds_no_endpoint_string():
         in_raise = {id(n) for r in ast.walk(node) if isinstance(r, ast.Raise) for n in ast.walk(r)}
         return any(isinstance(n, ast.JoinedStr) and id(n) not in in_raise for n in ast.walk(node))
 
-    assert [f for f in _functions(spells) if in_index(f)] == ["gadgets.SystemIndex._numbers"]
+    assert [f for f in _functions(spells) if in_index(f)] == []
     assert [f for f in _functions(formats) if in_index(f)] == []
+
+
+def test_an_index_reads_the_numbering_that_validation_built():
+    from gadgetforge import lower
+
+    system = parse_system(serialize_system(lower.sim_incdecjz_via_incjzdec().system))
+    built = system.__dict__["endpoints"]  # made by _validate, before any index
+    for mode in ("concrete", "interval"):
+        index = canonicalize(system, mode)
+        assert system.endpoints is built and index.table is built.table
+    assert index.endpoint_class("node:inc_in") == index.class_at[built.number["node:inc_in"]]
+
+
+def test_a_system_is_numbered_once(monkeypatch):
+    # a parsed system on construction; a substitute output, which skips
+    # _validate, on its first index, and never again
+    from gadgetforge import lower
+
+    calls = []
+    numbering = SystemOfGadgets.endpoints.func
+    monkeypatch.setattr(SystemOfGadgets.endpoints, "func",
+                        lambda system: calls.append(system) or numbering(system))
+    host, part = lower.sim_incdecjz_via_incjzdec(), lower.sim_incjzdec_via_incdecnzpz()
+    assert len(calls) == 2
+    out = lower.substitute(host, "inc-jzdec", part).system
+    assert len(calls) == 2 and "endpoints" not in out.__dict__
+    tables = [canonicalize(out, mode).table for mode in ("concrete", "interval", "concrete")]
+    assert len(calls) == 3 and calls[-1] is out
+    assert all(table is out.endpoints.table for table in tables)
 
 
 def test_canonicalize_keeps_an_index_in_its_own_mode():
@@ -893,7 +920,7 @@ def _mixed_system() -> SystemOfGadgets:
                                           (65_536, 3), (2**24 - 1, 3)])
 def test_packed_keys_round_trip(limit, width):
     system = _mixed_system()
-    last = len(canonicalize(system).classes) - 1
+    last = len(canonicalize(system).prefix) - 1
     values = sorted({0, 1, limit // 2, limit})
     for mode in ("concrete", "interval"):
         index = canonicalize(system, mode)

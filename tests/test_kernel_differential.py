@@ -75,7 +75,7 @@ class ReferenceIndex(SystemIndex):
 
     def __init__(self, system: SystemOfGadgets, mode: str = "concrete") -> None:
         super().__init__(system, mode)
-        self.moves = reference_tables(system)[2]
+        _, _, self.moves, self.boundary_classes = reference_tables(system)
 
     def successors(self, config: Configuration, cap: int | None = None
                    ) -> list[tuple[Traversal, Configuration]]:
@@ -268,7 +268,8 @@ def sweep_derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     if not index.boundary_classes:
         raise SystemFormatError("system has no boundary endpoints")
     # boundary_classes is in system.boundary order
-    boundary = {cid: boundary_port(ep) for cid, ep in index.boundary_classes.items()}
+    boundary = {cid: boundary_port(ep)
+                for cid, ep in zip(index.boundary_classes, index.system.boundary)}
     ports = tuple(boundary.values())
 
     todo: deque[tuple] = deque(dict.fromkeys(map(index.at_rest, seeds)))
@@ -314,7 +315,7 @@ def _assert_same_sweep(index: SystemIndex, ref: ReferenceIndex, starts, **bounds
     got = reach.sweep(index, starts, **bounds)
     want = reference_sweep(ref, starts, **bounds)
     # 1. the reached configurations and their parents, in visit order
-    reached = got.configurations(range(len(index.classes)))
+    reached = got.configurations(range(len(index.prefix)))
     assert [(cfg, None if parent is None else reached[parent][0])
             for cfg, parent in reached.values()] == \
         [(cfg, None if edge is None else edge[0]) for cfg, edge in want.visited.items()]
@@ -831,10 +832,25 @@ def _outcome(build):
 
 
 def _index_tables(system: SystemOfGadgets) -> tuple:
-    """The index's tables in the shape ``reference_tables`` returns: the
+    """The index's tables in the shape ``reference_tables`` returns: each
+    endpoint's class read from ``class_at`` at its number in the table of
+    heads (``endpoint_class`` must agree), grouped into classes by id; the
     codec's rows read back to class -> (slot, instance, entry, kind, exit
-    ports, exit classes), a finite step's codes turned back into names."""
+    ports, exit classes), a finite step's codes turned back into names; and
+    the boundary classes paired with the boundary endpoints."""
     index = canonicalize(system)
+    class_of = {}
+    for head, (off, place, _) in index.table.items():
+        for name, k in place.items():
+            ep = node_endpoint(name) if head == "node:" else port_endpoint(head, name)
+            class_of[ep] = index.class_at[off + k]
+            if head == "node:" or name:  # "ID." is no endpoint
+                assert index.endpoint_class(ep) == class_of[ep]
+    assert len(class_of) == len(index.class_at)
+    members: list[list[str]] = [[] for _ in index.prefix]
+    for ep, cid in class_of.items():
+        members[cid].append(ep)
+    classes = [tuple(sorted(eps)) for eps in members]
     names, cid = index.finite_states, lambda prefix: int.from_bytes(prefix, "big")
     moves = {}
     for prefix, rows in index.codec(0).moves.items():
@@ -845,7 +861,8 @@ def _index_tables(system: SystemOfGadgets) -> tuple:
                                            after=names[kind.after])
             moves.setdefault(cid(prefix), []).append(
                 (i, inst_id, entry, kind, exit_ports, tuple(map(cid, exits))))
-    return index.classes, index.class_of, moves, index.boundary_classes
+    assert len(set(index.boundary_classes)) == len(system.boundary)
+    return classes, class_of, moves, dict(zip(index.boundary_classes, system.boundary))
 
 
 def _index_cases():
@@ -1023,3 +1040,37 @@ def test_pipeline_splices_pass_both_validators(case, target, params, expand):
         expand = "direct"
     _assert_both_accept(_spliced_systems(lambda: lower.pipeline(
         program, target, initial, range_params=params, expand=expand)))
+
+
+# ------------------------------------------- interval mode at unit ranges
+
+def _read_back(witness: tuple[Traversal, ...]) -> tuple[Traversal, ...]:
+    """An interval witness with each singleton (v, v) read as v."""
+    def value(state):
+        if not isinstance(state, tuple):
+            return state
+        lo, hi = state
+        assert lo == hi
+        return lo
+    return tuple(dataclasses.replace(t, before=value(t.before), after=value(t.after))
+                 for t in witness)
+
+
+@pytest.mark.parametrize("target", ["inc-dec-jz", "inc-jzdec", "inc-decnz-pz"])
+def test_interval_search_at_unit_ranges_is_the_concrete_search(target):
+    # with [1,1] ranges every interval stays (v, v), and each interval move
+    # has its concrete twin's choice and exit: same verdict, same stats, and
+    # the witness read back is the concrete one
+    reachable = 0
+    for program, initial in _corpus()[::6]:
+        system = lower.pipeline(program, target, initial=initial).system
+        concrete = reach.bfs_reach(system, counter_cap=12)
+        interval = reach.bfs_reach(canonicalize(system, "interval"), counter_cap=12)
+        assert (interval.verdict, interval.reason, interval.stats) == \
+            (concrete.verdict, concrete.reason, concrete.stats)
+        if concrete.witness is not None:
+            witness = _read_back(interval.witness)
+            assert witness == concrete.witness
+            reach.replay(system, witness)
+            reachable += 1
+    assert reachable > 20

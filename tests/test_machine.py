@@ -307,3 +307,15 @@ def test_fragment_concat_merges_counter_names():
     frag = Fragment(("a", "b"), (Inc("a"),))
     rest = Program(("b", "c"), (Halt(),))
     assert frag.concat(rest).counters == ("a", "b", "c")
+
+
+def test_a_fragment_keeps_the_program_rule():
+    # the one difference: a JZ target may be the fall-through point
+    assert Fragment(("c0",), (Jz("c0", 1),)).instructions == (Jz("c0", 1),)
+    with pytest.raises(ProgramError, match="out of range 0..0"):
+        Program(("c0",), (Jz("c0", 1),))
+    for counters, code in [(("",), ()), (("a b",), ()), (("c0", "c0"), ()),
+                           (("c0",), (Inc("c1"),)), (("c0",), (Jz("c0", 2),)),
+                           (("c0",), (Jz("c0", -1),))]:
+        with pytest.raises(ProgramError):
+            Fragment(counters, code)

@@ -232,7 +232,7 @@ def test_goal_required():
     with pytest.raises(SystemFormatError, match="goal required"):
         bfs_reach(sys0, counter_cap=4)
     index = G.canonicalize(sys0)
-    for goal_class in (-1, len(index.classes)):  # no wrap-around either
+    for goal_class in (-1, len(index.prefix)):  # no wrap-around either
         with pytest.raises(SystemFormatError, match="no class"):
             sweep(index, [index.start_config()], counter_cap=4, visit_budget=10,
                   goal_class=goal_class)

@@ -452,7 +452,7 @@ def test_an_interval_index_sweeps_and_replays():
     result = sweep(index, [start], counter_cap=24, visit_budget=10_000,
                    goal_class=exit_cls)
     assert result.goal_hit is not None and not result.overflowed
-    reached = result.configurations(range(len(index.classes)))
+    reached = result.configurations(range(len(index.prefix)))
     cfg = reached[result.goal_hit][0]
     assert cfg.position == exit_cls
     assert [cfg.states] == interval_step(art, initial, "inc", counter_cap=24)
@@ -498,3 +498,19 @@ def test_interval_invariant_requires_interval_artifact():
     quintet = lower.sim_incdecjz_via_incjzdec()
     with pytest.raises(SystemFormatError):
         check_interval_invariant(quintet, ["inc"])
+
+
+def test_a_closure_checks_its_seeds(monkeypatch):
+    # a bool is no counter value, and a concrete index holds no interval
+    system = lower.sim_incjzdec_via_incdecnzpz().system
+    for index, seed in ((system, (True,)), (system, ((0, 1),)),
+                        (canonicalize(system, "interval"), (True,))):
+        with pytest.raises(SystemFormatError, match="^seed"):
+            derive_boundary_lts(index, [seed], impl_cap=3)
+    # once per seed given, not once per excursion
+    checks = []
+    real = G.SystemIndex.check_states
+    monkeypatch.setattr(G.SystemIndex, "check_states", lambda self, states, where: (
+        checks.append(where) or real(self, states, where)))
+    lts = derive_boundary_lts(system, [(q,) for q in range(4)] + [(0,)], impl_cap=3)
+    assert len(lts.states) * len(lts.ports) > 5 and checks == ["seed"] * 5
