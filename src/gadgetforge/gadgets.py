@@ -97,10 +97,12 @@ class SystemFormatError(ValueError):
 Interval = tuple[int, int]
 
 
-def check_integer(value) -> int:
-    """A range bound or a document number: an int (not a bool or a float)."""
-    if type(value) is not int:
-        raise SystemFormatError(f"{value!r} is not an integer")
+def check_integer(value, low: int | None = None, message: str | None = None) -> int:
+    """A range bound, a document number, a cap or a budget: an int (not a
+    bool or a float), at least ``low`` if given; ``message`` is the error's."""
+    if type(value) is not int or (low is not None and value < low):
+        raise SystemFormatError(message or f"{value!r} is not an integer"
+                                + ("" if low is None else f" >= {low}"))
     return value
 
 

@@ -772,8 +772,7 @@ def emit_initializer(values) -> Fragment:
     if not isinstance(values, dict):
         values = {f"c{i}": v for i, v in enumerate(values)}
     for name, v in values.items():
-        if not isinstance(v, int) or v < 0:
-            raise SystemFormatError(f"{name}: initializer values must be naturals")
+        check_integer(v, 0, f"{name}: initializer values must be naturals")
     if {"init_tmp", "init_zero"} & set(values):
         raise SystemFormatError("counter names init_tmp/init_zero are reserved")
 

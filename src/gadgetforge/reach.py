@@ -61,6 +61,7 @@ from .gadgets import (
     SystemOfGadgets,
     Traversal,
     canonicalize,
+    check_integer,
 )
 
 log = logging.getLogger(__name__)
@@ -149,6 +150,9 @@ def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
     """Bounded BFS from ``starts``, in the index's state mode.  Stops early
     when a configuration at ``goal_class`` is dequeued.  Start configurations
     are admitted without a cap check (they were given, not found)."""
+    message = f"cap and budget must be naturals, got {counter_cap!r} and {visit_budget!r}"
+    check_integer(counter_cap, 0, message)
+    check_integer(visit_budget, 0, message)
     for cfg in starts:
         index.check_states(cfg.states, "start")
     tops = [index.top(cfg.states) for cfg in starts]
@@ -248,9 +252,6 @@ def bfs_reach(system: SystemOfGadgets | SystemIndex, counter_cap: int,
     Reachable verdict is the traversal sequence of a shortest path found,
     suitable for replay().
     """
-    if counter_cap < 0 or visit_budget < 0:
-        raise SystemFormatError(
-            f"cap and budget must be naturals, got {counter_cap} and {visit_budget}")
     index = canonicalize(system)
     if index.goal_class is None:
         raise SystemFormatError("goal required: system document has no goal endpoint")

@@ -22,8 +22,9 @@ once from the cap and the seeds): each at-rest state is kept as its packed
 slots, the key without its position, and interned to an int; each
 excursion is one run of the BFS kernel that ``reach.sweep`` also runs
 (``reach._bfs``), from the port's position prefix plus those slots, and
-the boundary keys it reached are read by their prefix.  States become
-tuples once, for the returned ``BoundaryLTS``.
+the boundary keys it reached are read by their prefix.  ``_closure``
+numbers the states in discovery order, seeds first, and refinement runs on
+those ids; only ``derive_boundary_lts`` builds a ``BoundaryLTS``.
 
 The bisimulation relation maps each implementation state to the set of spec
 states related to it (as in Henzinger, Henzinger & Kopke, "Computing
@@ -32,16 +33,18 @@ while both states offer the same labels and each move of either side is
 matched, under its label, by a move of the other into a related pair.
 Refinement starts from the pairs whose label sets agree and works one
 impl state at a time: a check keeps, in one pass over the state's moves,
-every related spec state that still matches them, and a worklist of impl
-states re-checks the predecessors of each state whose related set shrank.
-It runs on int ids: impl states, spec states and labels are interned
-once, and each impl state holds its related spec states as one bitmask
-over spec ids, so a check is a few ``&`` operations against memoized
-masks of spec states (see ``_refine``).  Frontier rule: a pair whose
-implementation or spec state is on the cap frontier is never removed, and
-the report counts these skipped pairs, so an Equivalent verdict is an
-explicit up-to-the-cap claim and a cap too small to decide anything yields
-InconclusiveAtCap instead of a fake answer.
+every related spec state that still matches them.  The first pass takes
+the impl states successors first, in DFS postorder on the closure's ids
+(the worklist order for a backward problem: Cooper, Harvey & Kennedy,
+"Iterative Data-Flow Analysis, Revisited", 2004); then a FIFO worklist
+re-checks the predecessors of each state whose related set shrank.  Each
+impl state holds its related spec states as one bitmask over spec ids, so
+a check is a few ``&`` operations against memoized masks of spec states
+(see ``_refine``).  Frontier rule: a pair whose implementation or spec
+state is on the cap frontier is never removed, and the report counts
+these skipped pairs, so an Equivalent verdict is an explicit up-to-the-cap
+claim and a cap too small to decide anything yields InconclusiveAtCap
+instead of a fake answer.
 
 Interval mode runs the same machinery over (lo, hi) possible-value states;
 see gadgets module docs.  This is how constructions with drawn amounts
@@ -70,6 +73,7 @@ from .gadgets import (
     SystemOfGadgets,
     canonicalize,
     catalog,
+    check_integer,
     node_endpoint,
     port_endpoint,
 )
@@ -129,9 +133,25 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     prune the excursion and put the source vector on the cap frontier.  Runs
     in the index's state mode (concrete for a plain system).
     """
+    check_integer(impl_cap, 0, f"impl cap must be a natural, got {impl_cap!r}")
     index = canonicalize(system)
+    states, transitions, frontier, truncated = _closure(index, seeds, impl_cap)
+    ports = index.system.boundary_ports
+    return BoundaryLTS(
+        frozenset(states), ports,
+        frozenset([(states[k], ports[p], ports[q], states[k2])
+                   for k, p, q, k2 in transitions]),
+        frozenset([states[k] for k in frontier]), impl_cap, truncated)
+
+
+def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
+    """``derive_boundary_lts`` on int ids: the at-rest states in discovery
+    order, distinct seeds first; the transitions (state id, entry port, exit
+    port, state id), ports in boundary order; the frontier ids; truncated."""
     ports = _boundary_ports(index.system)
-    vecs = list(map(index.at_rest, seeds))
+    # a seed that is no sequence goes to check_states as it is, to be named
+    vecs = [index.at_rest(seed) if isinstance(seed, (tuple, list)) else seed
+            for seed in seeds]
     for vec in vecs:
         index.check_states(vec, "seed")
     vecs = list(dict.fromkeys(vecs))
@@ -155,7 +175,7 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     above = {k: (high, index.slots_above(vec, impl_cap))
              for k, (vec, high) in enumerate(zip(vecs, tops)) if high > impl_cap}
 
-    transitions: set = set()  # (state id, entry port, exit port, state id)
+    transitions: list = []  # (state id, entry port, exit port, state id), each once
     frontier: set = set()
     truncated = False
     expanded = 0
@@ -191,21 +211,16 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
                     if k2 is None:
                         k2 = ids[body2] = len(bodies)
                         bodies.append(body2)
-                    transitions.add((k, p, q, k2))
+                    transitions.append((k, p, q, k2))
             if start_revisited:  # a cycle straight back to the start
-                transitions.add((k, p, p, k))
+                transitions.append((k, p, p, k))
         k += 1
 
     log.info("boundary closure: %d at-rest states, %d excursions, %d configurations "
              "expanded, %d frontier states, truncated: %s", len(bodies),
              len(bodies) * len(ports), expanded, len(frontier), truncated)
     pad = prefixes[0]  # any position: unpack reads the states after it
-    states = [codec.unpack(pad + body).states for body in bodies]
-    return BoundaryLTS(
-        frozenset(states), ports,
-        frozenset([(states[k], ports[p], ports[q], states[k2])
-                   for k, p, q, k2 in transitions]),
-        frozenset([states[k] for k in frontier]), impl_cap, truncated)
+    return [codec.unpack(pad + body).states for body in bodies], transitions, frontier, truncated
 
 
 def spec_closure_lts(spec: GadgetSpec, cap: int) -> BoundaryLTS:
@@ -291,8 +306,8 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     keeps its own mode.  Every input is checked before either closure runs.
     """
     counter = isinstance(spec, CounterGadgetSpec)
-    if cap < 0 or (impl_cap is not None and impl_cap < 0):
-        raise SystemFormatError(f"cap and impl cap must be naturals, got {cap}, {impl_cap}")
+    for bound in (cap, 0 if impl_cap is None else impl_cap):
+        check_integer(bound, 0, f"cap and impl cap must be naturals, got {cap!r}, {impl_cap!r}")
     if counter and cap + 1 > _STATE_BUDGET:  # spec_closure_lts could never close
         raise SystemFormatError(
             f"cap {cap} gives more spec states than the closure budget {_STATE_BUDGET}")
@@ -335,45 +350,44 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
         impl_cap = _default_impl_cap(index, seed_vectors, cap)
 
     spec_lts = spec_closure_lts(spec, cap)
-    impl_lts = derive_boundary_lts(index, seed_vectors, impl_cap=impl_cap)
+    states, transitions, fx, truncated = _closure(index, seed_vectors, impl_cap)
 
-    # states and labels as ints, once: impl successors as id lists, spec
-    # successors and the spec frontier as bitmasks over spec ids
-    impl_ids = {x: k for k, x in enumerate(impl_lts.states)}
+    # impl ids are the closure's, labels and spec ids are made once: impl
+    # successors as id lists, spec successors and frontier as bitmasks
+    names = [port_map[p] for p in ports]
     spec_ids = {y: k for k, y in enumerate(spec_lts.states)}
     labels: dict = {}
-    impl_succ: list[dict] = [{} for _ in impl_ids]
-    for (s, a, b, s2) in impl_lts.transitions:
-        lab = labels.setdefault((port_map[a], port_map[b]), len(labels))
-        impl_succ[impl_ids[s]].setdefault(lab, []).append(impl_ids[s2])
+    impl_succ: list[dict] = [{} for _ in states]
+    for k, p, q, k2 in transitions:
+        lab = labels.setdefault((names[p], names[q]), len(labels))
+        impl_succ[k].setdefault(lab, []).append(k2)
     spec_succ: list[dict] = [{} for _ in spec_ids]
     for (s, a, b, s2) in spec_lts.transitions:
         lab = labels.setdefault((a, b), len(labels))
         out = spec_succ[spec_ids[s]]
         out[lab] = out.get(lab, 0) | 1 << spec_ids[s2]
-    fx = {impl_ids[x] for x in impl_lts.cap_frontier}
     fy = sum(1 << spec_ids[y] for y in spec_lts.cap_frontier)
     relation = _refine(impl_succ, spec_succ, fx, fy)
 
     skipped = sum((r if x in fx else r & fy).bit_count() for x, r in enumerate(relation))
+    seed_ids = {x: k for k, x in enumerate(states[:len(seed_vectors)])}  # seeds come first
     seed_pairs = list(zip(seed_vectors, spec_seed_states))
-    dead = [(x, y) for x, y in seed_pairs if not relation[impl_ids[x]] >> spec_ids[y] & 1]
+    dead = [(x, y) for x, y in seed_pairs if not relation[seed_ids[x]] >> spec_ids[y] & 1]
     counterexample = None
     if dead:
         x0, y0 = dead[0]
         log.info("not equivalent: seed %s / %s", x0, y0)
         verdict, note = BisimVerdict.NOT_EQUIVALENT, "first dead seed pair shown"
-        impl_out: dict = {s: {} for s in impl_lts.states}
-        for (s, a, b, s2) in impl_lts.transitions:
-            impl_out[s].setdefault((port_map[a], port_map[b]), set()).add(s2)
+        impl_out: dict = {s: {} for s in states}
+        for k, p, q, k2 in transitions:
+            impl_out[states[k]].setdefault((names[p], names[q]), set()).add(states[k2])
         counterexample = ((x0, y0), distinguishing_trace(
-            impl_out, spec_lts.out_map(), impl_lts.cap_frontier, spec_lts.cap_frontier,
-            x0, y0))
-    elif all(x in impl_lts.cap_frontier or y in spec_lts.cap_frontier
-             for x, y in seed_pairs):
+            impl_out, spec_lts.out_map(), frozenset(states[k] for k in fx),
+            spec_lts.cap_frontier, x0, y0))
+    elif all(seed_ids[x] in fx or y in spec_lts.cap_frontier for x, y in seed_pairs):
         verdict, note = (BisimVerdict.INCONCLUSIVE_AT_CAP,
                          "every seed pair touches the cap frontier")
-    elif impl_lts.truncated or spec_lts.truncated:
+    elif truncated or spec_lts.truncated:
         verdict, note = BisimVerdict.INCONCLUSIVE_AT_CAP, "inner search truncated"
     else:
         verdict = BisimVerdict.EQUIVALENT
@@ -381,7 +395,7 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
                 f"{skipped} frontier pair(s) skipped")
     return BisimReport(
         verdict, cap, impl_cap, sum(r.bit_count() for r in relation), len(seed_pairs),
-        skipped, len(impl_lts.states), len(spec_lts.states), counterexample, note)
+        skipped, len(states), len(spec_lts.states), counterexample, note)
 
 
 def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
@@ -401,8 +415,10 @@ def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
     ``inside(lab, mask)``, the spec ids off the frontier with a lab-move
     and all lab-moves into ``mask``, memoized, back is one ``&`` with
     ``inside(lab, union)`` and forth one with ``~inside(lab, ~related)``.
-    When a check shrinks x's bitmask, x's predecessors are queued again,
-    each at most once.
+    The first pass queues the impl states off the frontier in DFS postorder
+    (roots 0 and up, successors in increasing id), successors first; when a
+    check shrinks x's bitmask, x's predecessors are queued again, each at
+    most once, FIFO.
 
     The result is the greatest fixpoint below the label-agreement start,
     whatever the order of the checks: a pair of it passes both tests
@@ -438,14 +454,26 @@ def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
                                         if not ys & ~mask)
         return got
 
-    # predecessors; frontier states are never checked
+    # successors in increasing id, and predecessors; frontier states are never checked
+    succs = [sorted({x2 for xs in xo.values() for x2 in xs}) for xo in impl_succ]
     impl_pred: list[list] = [[] for _ in impl_succ]
-    for x, xo in enumerate(impl_succ):
+    for x, x2s in enumerate(succs):
         if x not in fx:
-            for x2 in {x2 for xs in xo.values() for x2 in xs}:
+            for x2 in x2s:
                 impl_pred[x2].append(x)
+    # the first pass in DFS postorder, so a state comes after its successors:
+    # from a root -1 whose successors are all ids, which comes last
+    order, seen = [], [False] * len(succs)
+    stack = [(-1, iter(range(len(succs))))]
+    while stack:
+        x2 = next((x2 for x2 in stack[-1][1] if not seen[x2]), None)
+        if x2 is None:
+            order.append(stack.pop()[0])
+        else:
+            seen[x2] = True
+            stack.append((x2, iter(succs[x2])))
     queued = [x not in fx for x in range(len(impl_succ))]
-    queue = deque(x for x, q in enumerate(queued) if q)
+    queue = deque(x for x in order[:-1] if queued[x])
     checks = 0
     while queue:
         x = queue.popleft()

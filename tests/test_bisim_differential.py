@@ -22,6 +22,11 @@ of related spec ids per impl state; it must give the same relation, and
 its log line the same initial and removed pair counts.  The third count is
 the work each did (local pair re-checks in the oracle, impl-state checks
 now), so it is not compared.
+
+``_refine``'s first pass follows the ids (DFS postorder from id 0 up), so
+it is also run on a seeded random renumbering of its own arguments (impl
+ids, spec ids and the order of each successor list) for every compared
+check and 300 random systems: the relation, mapped back, must not change.
 """
 
 from __future__ import annotations
@@ -451,3 +456,55 @@ def test_refinement_matches_the_reference_on_larger_random_systems(caplog):
         wide += len(spec_states) > 64
         live += any(x not in fx and y not in fy for x, y in pairs)
     assert wide >= 200 and live >= 200
+
+
+def _renumbered(args: tuple, rng: random.Random) -> tuple:
+    """A copy of _refine's arguments with the impl ids, the spec ids and the
+    order of each successor list shuffled; also the new impl id of each old
+    one and the map of a spec bitmask to new ids."""
+    impl_succ, spec_succ, fx, fy = args
+    new_x = rng.sample(range(len(impl_succ)), len(impl_succ))
+    new_y = rng.sample(range(len(spec_succ)), len(spec_succ))
+
+    def spec_mask(mask: int) -> int:
+        return sum(1 << new_y[y] for y in _bits(mask))
+
+    impl2: list = [None] * len(impl_succ)
+    for x, xo in enumerate(impl_succ):
+        impl2[new_x[x]] = {lab: rng.sample([new_x[x2] for x2 in xs], len(xs))
+                           for lab, xs in xo.items()}
+    spec2: list = [None] * len(spec_succ)
+    for y, yo in enumerate(spec_succ):
+        spec2[new_y[y]] = {lab: spec_mask(mask) for lab, mask in yo.items()}
+    return (impl2, spec2, {new_x[x] for x in fx}, spec_mask(fy)), new_x, spec_mask
+
+
+def test_refinement_does_not_depend_on_the_ids(monkeypatch):
+    # the first pass follows the ids (DFS postorder from id 0 up), so the
+    # relation must not: on a randomly renumbered copy of its arguments
+    # _refine gives the same relation, mapped back; on every compared
+    # check's arguments and on seeded random systems
+    real_refine = verify._refine
+    recorded = []
+    monkeypatch.setattr(verify, "_refine", lambda *args: recorded.append(args)
+                        or real_refine(*args))
+    for name, impl, spec, kwargs in _cases():
+        check_bisimulation(impl, spec, **{"cap": 8, **kwargs})
+    for k in range(300):
+        rng = random.Random(k)
+        labels = [("in", out) for out in "abc"[:rng.randint(1, 3)]]
+        impl_states = list(range(rng.randint(1, 12)))
+        spec_states = list(range(rng.randint(1, 70)))
+        impl_out = _random_out(rng, impl_states, labels, 3, rng.choice([0.5, 0.8, 1.0]))
+        spec_out = _random_out(rng, spec_states, labels, 3)
+        fx = frozenset(x for x in impl_states if rng.random() < 0.2)
+        fy = frozenset(y for y in spec_states if rng.random() < 0.1)
+        recorded.append(_int_tables(impl_out, spec_out, fx, fy)[0])
+    partial = 0
+    for k, args in enumerate(recorded):
+        relation = real_refine(*args)
+        renumbered, new_x, spec_mask = _renumbered(args, random.Random(k))
+        again = real_refine(*renumbered)
+        assert [again[new_x[x]] for x in range(len(relation))] == list(map(spec_mask, relation)), k
+        partial += sum(r.bit_count() for r in relation) < len(args[1]) * len(relation)
+    assert len(recorded) > 300 and partial > 200

@@ -603,6 +603,13 @@ def test_initializer_reserves_its_scratch_names():
             emit_initializer({"c0": value})
 
 
+def test_an_initializer_value_is_no_bool():
+    # the one integer rule (gadgets.check_integer): True is no 1
+    for values in ({"c0": True}, [False]):
+        with pytest.raises(SystemFormatError, match="must be naturals"):
+            emit_initializer(values)
+
+
 # ------------------------------------------------------ encoding/export
 
 def test_encoding_kinds():

@@ -221,6 +221,22 @@ def test_tiny_budget_is_unknown_with_budget_reason():
     assert out.stats.explored == 3
 
 
+@pytest.mark.parametrize("bounds", [
+    {"counter_cap": 2.5}, {"counter_cap": True}, {"counter_cap": -1},
+    {"counter_cap": 4, "visit_budget": 1.5}, {"counter_cap": 4, "visit_budget": None},
+    {"counter_cap": 4, "visit_budget": -1},
+])
+def test_caps_and_budgets_follow_the_integer_rule(bounds):
+    # one rule (gadgets.check_integer) at both entry points: a float or a
+    # bool is no cap, not an AttributeError deep in the codec
+    system = _single_gadget("jz_out_zero")
+    index = G.canonicalize(system)
+    with pytest.raises(SystemFormatError, match="^cap and budget must be naturals"):
+        bfs_reach(system, **bounds)
+    with pytest.raises(SystemFormatError, match="^cap and budget must be naturals"):
+        sweep(index, [index.start_config()], **{"visit_budget": 10, **bounds})
+
+
 def test_goal_required():
     sys0 = SystemOfGadgets(
         specs=(G.spec_inc_dec_jz(),),

@@ -225,6 +225,31 @@ def test_refinement_checks_each_impl_state_a_few_times(caplog):
     assert report.impl_states == 784 and checks <= 8 * report.impl_states
 
 
+def test_refinement_visits_successors_first(caplog):
+    # work guard: the first pass in DFS postorder carries a removal back
+    # through a chain of states in one pass; in set order it took 30,494
+    # checks (11.3 per impl state) here
+    with caplog.at_level(logging.INFO, logger="gadgetforge.verify"):
+        report = check_bisimulation(lower.sim_incdecjz_via_incjzdec(),
+                                    G.catalog()["inc-dec-jz"], cap=48)
+    line, = (r.getMessage() for r in caplog.records if "refinement" in r.getMessage())
+    checks = int(re.findall(r"\d+", line)[2])
+    assert (report.relation_size, report.impl_states) == (10096, 2704)
+    assert checks <= 4 * report.impl_states
+
+
+def test_caps_follow_the_integer_rule():
+    # a bool is no cap: True once answered Equivalent and reported cap True
+    art = lower.sim_incdecjz_via_incjzdec()
+    for bounds in ({"cap": 2.5}, {"cap": True}, {"cap": -1}, {"cap": 4, "impl_cap": 6.0},
+                   {"cap": 4, "impl_cap": False}, {"cap": 4, "impl_cap": -2}):
+        with pytest.raises(SystemFormatError, match="^cap and impl cap must be naturals"):
+            check_bisimulation(art, G.catalog()["inc-dec-jz"], **bounds)
+    for impl_cap in (2.5, True, -1):
+        with pytest.raises(SystemFormatError, match="^impl cap must be a natural"):
+            derive_boundary_lts(art.system, [art.encoding.state_for(0)], impl_cap=impl_cap)
+
+
 def test_closure_logs_what_it_did(caplog, capsys, monkeypatch):
     art = lower.sim_incdecjz_via_incjzdec()
     index = canonicalize(art.system)
@@ -281,6 +306,7 @@ def test_every_input_is_checked_before_a_closure_runs(monkeypatch, art, spec, ca
         raise AssertionError("a closure ran")
     monkeypatch.setattr(verify, "spec_closure_lts", closure)
     monkeypatch.setattr(verify, "derive_boundary_lts", closure)
+    monkeypatch.setattr(verify, "_closure", closure)
     spec = G.catalog()[spec]
     ident = {p: p for p in art.system.boundary_ports}
     first, second = art.system.boundary_ports[:2]
@@ -507,6 +533,10 @@ def test_a_closure_checks_its_seeds(monkeypatch):
                         (canonicalize(system, "interval"), (True,))):
         with pytest.raises(SystemFormatError, match="^seed"):
             derive_boundary_lts(index, [seed], impl_cap=3)
+    # a seed that is no sequence is named, not read by tuple()
+    for seed in (5, None, "ab", {0: 0}):
+        with pytest.raises(SystemFormatError, match=f"^seed .* got {re.escape(repr(seed))}$"):
+            derive_boundary_lts(system, [seed], impl_cap=3)
     # once per seed given, not once per excursion
     checks = []
     real = G.SystemIndex.check_states
