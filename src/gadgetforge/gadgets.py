@@ -14,6 +14,13 @@ traversability depends on that number:
     JZDec        switch: zero-exit iff state == 0; otherwise nonzero-exit
                  and the state decrements by 1
 
+Each kind's ``floor`` T is the least value from which the kind acts the
+same on every value: for s >= T, ``moves(s + 1)`` is ``moves(s)`` with every
+new value + 1 and the same choices and exits, and ``interval_moves`` acts
+alike on an interval whose lo is at least T.  Inc[a,b] has 0, DecNZ[c,d]
+and Dec[c,d] have d, and PZ, PNZ, JZ and JZDec 1 (``verify`` reuses
+boundary excursions by it).
+
 A gadget *spec* is a named bundle of such components with named ports.
 Using one port name in several components merges those locations (that is
 how "combine the entrances" constructions are expressed).  Finite-state
@@ -129,6 +136,7 @@ class IncRange(_Ranged):
     """Always-open tunnel adding a chosen amount in [lo, hi]."""
 
     tag = "inc"
+    floor = 0
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         # under a cap, stop at the first amount past it: the rest are pruned alike
@@ -146,6 +154,10 @@ class DecNZRange(_Ranged):
 
     tag = "decnz"
 
+    @property
+    def floor(self) -> int:
+        return self.hi
+
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         if s < self.lo:
             return []
@@ -162,6 +174,10 @@ class DecRange(_Ranged):
 
     tag = "dec"
 
+    @property
+    def floor(self) -> int:
+        return self.hi
+
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         # under a cap, stop at the first amount that saturates: the rest repeat it
         hi = self.hi if cap is None else min(self.hi, max(self.lo, s))
@@ -177,6 +193,7 @@ class PZ:
 
     exits = 1
     tag = "pz"
+    floor = 1
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(0, 0, 0)] if s == 0 else []
@@ -191,6 +208,7 @@ class PNZ:
 
     exits = 1
     tag = "pnz"
+    floor = 1
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(0, s, 0)] if s >= 1 else []
@@ -207,6 +225,7 @@ class JZSwitch:
 
     exits = 2
     tag = "jz"
+    floor = 1
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(0, 0, 0)] if s == 0 else [(0, s, 1)]
@@ -228,6 +247,7 @@ class JZDecSwitch:
 
     exits = 2
     tag = "jzdec"
+    floor = 1
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(0, 0, 0)] if s == 0 else [(0, s - 1, 1)]

@@ -26,6 +26,51 @@ the boundary keys it reached are read by their prefix.  ``_closure``
 numbers the states in discovery order, seeds first, and refinement runs on
 those ids; only ``derive_boundary_lts`` builds a ``BoundaryLTS``.
 
+In concrete mode an excursion may be the shift of one already run.  Each
+counter kind has a shift floor T (``floor`` on the kind): Inc[a,b] 0,
+DecNZ[c,d] and Dec[c,d] d, PZ, PNZ, JZ and JZDec 1.  From T up,
+``moves(s + 1)`` is ``moves(s)`` with every new value + 1 and the same
+choices and exits.  A counter slot's floor T_j is the largest of its
+spec's components'.  An at-rest state's class is its slots with every
+counter value at or above T_j + 1 clipped to T_j + 1.  Per (class, entry
+port) the closure keeps the first member's excursion E, from x0, unless it
+was truncated or x0 is a seed above the cap: the boundary keys E reached
+in order, its overflow and start-revisit flags, its count of
+configurations expanded, and each slot's least and largest value min_j,
+max_j over the configurations E admitted.  A later member
+x = x0 + delta, no seed above the cap, reuses E shifted by delta iff every
+slot with delta_j != 0 has min_j >= T_j, min_j + delta_j >= T_j and
+max_j + delta_j <= impl_cap, and, if some delta_j < 0, E did not
+overflow; otherwise it runs the kernel.
+
+Lemma: under that rule the excursion from x admits exactly E's
+configurations shifted by delta, in E's order, with E's flags and count.
+Proof, by induction along the BFS: let both queues agree up to the shift,
+and let E dequeue c while the other dequeues c + delta.  A move of c
+changes one slot i.  If delta_i = 0 the move sees the same value from
+c + delta.  Else c_i and c_i + delta_i are both at least T_i, so by the
+floor, applied one step at a time, the move has the same choices and
+exits, each new value shifted by delta_i.  A successor that E admitted
+lies within [min_j, max_j] in every slot, so its shift lies within
+[T_j, impl_cap] where delta_j != 0: it is admitted too, and it is new, or
+the start, exactly when E's was, as the shift is one to one on keys.  A
+successor that E pruned is above the cap and stays so when no delta_j is
+negative; with a negative delta_j E pruned none.  An Inc[a,b] with a < b
+stops its amounts at the first past the cap; from a higher value it stops
+sooner, but drops only pruned amounts, and it prunes one iff E's did,
+since E's admitted amounts shift within the cap.  So both admit, prune
+and revisit alike, and queue in the same order.  The closure reads
+nothing from an excursion but its reached boundary keys, flags and count,
+so its state ids, transitions (in order), frontier and truncation flag are
+those of a closure that runs every excursion.  Every shifted value lies in
+[0, impl_cap], so delta is added to a packed key as one int without a
+carry between slots.  This is the monotonicity of Karp & Miller
+("Parallel Program Schemata", JCSS 1969) and of well-structured systems
+(Abdulla, Cerans, Jonsson & Tsay, LICS 1996).  Interval mode runs every
+excursion: its intervals widen, and in a prototype that keyed intervals by
+lo, 8.5k of 22.6k excursions were reused yet the nine ranged-artifact
+checks ran 20-75% slower.
+
 The bisimulation relation maps each implementation state to the set of spec
 states related to it (as in Henzinger, Henzinger & Kopke, "Computing
 Simulations on Finite and Infinite Graphs", FOCS 1995).  A pair stays
@@ -147,7 +192,9 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
 def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
     """``derive_boundary_lts`` on int ids: the at-rest states in discovery
     order, distinct seeds first; the transitions (state id, entry port, exit
-    port, state id), ports in boundary order; the frontier ids; truncated."""
+    port, state id), ports in boundary order; the frontier ids; truncated.
+    In concrete mode an excursion is the shift of a kept one where the
+    module docstring's rule allows it."""
     ports = _boundary_ports(index.system)
     # a seed that is no sequence goes to check_states as it is, to be named
     vecs = [index.at_rest(seed) if isinstance(seed, (tuple, list)) else seed
@@ -158,7 +205,7 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
     tops = list(map(index.top, vecs))
     # every state the closure finds is within the cap, so one codec holds all
     codec = index.codec(max([impl_cap, *tops]))
-    pw = codec.pos_width
+    pw, w = codec.pos_width, codec.width
     # boundary_classes is in system.boundary order, as the ports are
     prefixes = [index.prefix[cid] for cid in index.boundary_classes]
     port_of = {prefix: k for k, prefix in enumerate(prefixes)}
@@ -175,6 +222,19 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
     above = {k: (high, index.slots_above(vec, impl_cap))
              for k, (vec, high) in enumerate(zip(vecs, tops)) if high > impl_cap}
 
+    # shift classes (module docstring): each counter slot's floor, None for
+    # a finite slot, and the value a slot at or above floor + 1 is keyed by
+    floors = [max([0, *(c.kind.floor for c in index.spec_of[inst.spec].components)])
+              if counted else None
+              for inst, counted in zip(index.system.instances, index.counter)]
+    clips = [codec.top if t is None else t + 1 for t in floors]
+    shifting = not index.interval and any(index.counter)
+    # class -> (its first member's body as an int, per entered port that
+    # member's excursion: (bounds, the boundary keys it reached as ints,
+    # overflowed, start revisited, explored), or None if it was truncated)
+    kept: dict = {}
+    reused = 0
+
     transitions: list = []  # (state id, entry port, exit port, state id), each once
     frontier: set = set()
     truncated = False
@@ -187,11 +247,40 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
         body = bodies[k]
         expanded += idle
         high, slots = above.get(k, (0, None))
-        for p, prefix in entered:
-            start = prefix + body
-            result = _bfs(codec, (start,), {start: slots} if slots else {}, impl_cap, high,
-                          _INNER_BUDGET, None)
-            visited, _, overflowed, budget_exhausted, start_revisited, explored = result[:6]
+        runs = first = None
+        if shifting and slots is None:
+            vals = body if w == 1 else [int.from_bytes(body[j:j + w], "big")
+                                        for j in range(0, len(body), w)]
+            cls = tuple(map(min, vals, clips))
+            member = kept.get(cls)
+            if member is None:
+                first = []
+                kept[cls] = (int.from_bytes(body, "big"), first)
+                # the slots a later member may hold apart: (slot, its key
+                # offset, floor, value)
+                free = [(j, off, t, vals[j])
+                        for j, ((off, _, _), t) in enumerate(zip(codec.layout, floors))
+                        if t is not None and vals[j] > t]
+            else:
+                x0, runs = member
+                delta = int.from_bytes(body, "big") - x0
+        for n, (p, prefix) in enumerate(entered):
+            run = runs[n] if runs else None
+            if run is not None and all(a <= vals[j] <= b for j, a, b in run[0]):
+                # the kept excursion shifted: one add per reached boundary key
+                _, kept_keys, overflowed, start_revisited, explored = run
+                budget_exhausted = False
+                reused += 1
+                reached = [(key + delta).to_bytes(codec.size, "big") for key in kept_keys]
+            else:
+                start = prefix + body
+                result = _bfs(codec, (start,), {start: slots} if slots else {}, impl_cap,
+                              high, _INNER_BUDGET, None)
+                visited, _, overflowed, budget_exhausted, start_revisited, explored = result[:6]
+                # the start comes first, and an excursion that reached only it
+                # (the zero-traversal one) has no transition to read
+                reached = iter(visited)
+                next(reached)
             expanded += explored
             if overflowed or budget_exhausted:
                 frontier.add(k)
@@ -199,10 +288,7 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
                 truncated = True
                 log.warning("inner sweep truncated at %s from port %s",
                             codec.unpack(start).states, ports[p])
-            # the start comes first, and an excursion that reached only it
-            # (the zero-traversal one) has no transition to read
-            reached = iter(visited)
-            next(reached)
+            t0 = len(transitions)
             for key in reached:
                 q = port_of.get(key[:pw])
                 if q is not None:
@@ -212,15 +298,41 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
                         k2 = ids[body2] = len(bodies)
                         bodies.append(body2)
                     transitions.append((k, p, q, k2))
+            if first is not None:  # keep this excursion, its boundary keys as ints
+                first.append(None if budget_exhausted else (
+                    _shift_bounds(visited, free, w, impl_cap, overflowed),
+                    [int.from_bytes(prefixes[q] + bodies[k2], "big")
+                     for _, _, q, k2 in transitions[t0:]],
+                    overflowed, start_revisited, explored))
             if start_revisited:  # a cycle straight back to the start
                 transitions.append((k, p, p, k))
         k += 1
 
     log.info("boundary closure: %d at-rest states, %d excursions, %d configurations "
-             "expanded, %d frontier states, truncated: %s", len(bodies),
-             len(bodies) * len(ports), expanded, len(frontier), truncated)
+             "expanded, %d frontier states, %d excursions reused, truncated: %s",
+             len(bodies), len(bodies) * len(ports), expanded, len(frontier), reused,
+             truncated)
     pad = prefixes[0]  # any position: unpack reads the states after it
     return [codec.unpack(pad + body).states for body in bodies], transitions, frontier, truncated
+
+
+def _shift_bounds(visited: dict, free: list[tuple], w: int, impl_cap: int,
+                  overflowed: bool) -> tuple:
+    """(slot, least, largest) for each (slot, key offset, floor, value x0)
+    of ``free``: the values that slot of a later member of the class may
+    hold for the excursion that admitted the keys of ``visited``, from x0,
+    to be a shift of it (module docstring).  Slots are ``w`` bytes wide,
+    so bytes compare as their values; a slot the excursion took below its
+    floor may not move."""
+    bounds = []
+    for j, at, floor, x0 in free:
+        low = int.from_bytes(min(key[at:at + w] for key in visited), "big")
+        top = int.from_bytes(max(key[at:at + w] for key in visited), "big")
+        if low < floor:
+            bounds.append((j, x0, x0))
+        else:  # an excursion that overflowed may not shift down
+            bounds.append((j, x0 if overflowed else x0 + floor - low, x0 + impl_cap - top))
+    return tuple(bounds)
 
 
 def spec_closure_lts(spec: GadgetSpec, cap: int) -> BoundaryLTS:
@@ -228,6 +340,7 @@ def spec_closure_lts(spec: GadgetSpec, cap: int) -> BoundaryLTS:
     exposed as a boundary node.  States are the gadget's own states 0..cap
     (or the finite state set); a state from which some traversal would
     exceed the cap lands on the cap frontier."""
+    check_integer(cap, 0, f"cap must be a natural, got {cap!r}")
     counter = isinstance(spec, CounterGadgetSpec)
     states = range(cap + 1) if counter else spec.states
     locs = spec.locations
@@ -569,6 +682,9 @@ def interval_step(artifact, vec: tuple, op: str, *,
     ("inc" / "decnz" / "pz") on an Inc[a,b]-style lowering artifact, in
     interval semantics.  Empty list = the op is blocked from this state."""
     index = canonicalize(artifact.system, "interval")
+    # a vector that is no sequence goes to check_states as it is, to be named
+    if not isinstance(vec, (tuple, list)):
+        index.check_states(vec, "vector")
     return _interval_walk(index, _op_classes(artifact, index), vec, op, counter_cap)
 
 

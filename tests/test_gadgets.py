@@ -113,6 +113,29 @@ def test_interval_moves_are_the_hull_of_concrete_moves():
                 assert got == want, (tag, params, lo, hi)
 
 
+def test_each_kind_acts_alike_from_its_floor():
+    # from its floor T up, moves(s + 1) is moves(s) with every new value + 1,
+    # and interval moves shift alike with lo; at T - 1 each fails
+    def shifts(kind, s) -> bool:
+        return kind.moves(s + 1) == [(c, s2 + 1, e) for c, s2, e in kind.moves(s)]
+
+    def interval_shifts(kind, lo, hi) -> bool:
+        return kind.interval_moves((lo + 1, hi + 1)) == [
+            (c, (a + 1, b + 1), e) for c, (a, b), e in kind.interval_moves((lo, hi))]
+
+    for tag, params, kind in _all_kinds():
+        floor = kind.floor
+        # Inc[a,b] 0, DecNZ[c,d] and Dec[c,d] d, the others 1
+        assert floor == (0 if tag == "inc" else params[1] if params else 1), (tag, params)
+        for s in range(floor, floor + 21):
+            assert shifts(kind, s), (tag, params, s)
+            assert all(interval_shifts(kind, s, hi) for hi in range(s, s + 21)), (tag, params, s)
+        if floor:
+            assert not shifts(kind, floor - 1), (tag, params)
+            assert not all(interval_shifts(kind, floor - 1, hi)
+                           for hi in range(floor - 1, floor + 20)), (tag, params)
+
+
 def test_choices_are_distinct_per_move():
     # the choice tag makes each nondeterministic branch replayable
     for _, _, kind in _all_kinds():

@@ -248,24 +248,38 @@ def test_caps_follow_the_integer_rule():
     for impl_cap in (2.5, True, -1):
         with pytest.raises(SystemFormatError, match="^impl cap must be a natural"):
             derive_boundary_lts(art.system, [art.encoding.state_for(0)], impl_cap=impl_cap)
+    # a spec closure checks its cap before it reads one, for a finite spec too
+    for spec in (G.catalog()["inc-dec-jz"], G.spec_sscd()):
+        for cap in (2.5, True, -1, "3"):
+            with pytest.raises(SystemFormatError, match=f"^cap must be a natural, got {cap!r}$"):
+                spec_closure_lts(spec, cap)
 
 
 def test_closure_logs_what_it_did(caplog, capsys, monkeypatch):
     art = lower.sim_incdecjz_via_incjzdec()
     index = canonicalize(art.system)
+    # the ports some move leaves; an excursion from any other only expands its start
+    entered = sum(index.prefix[cid] in index.codec(0).moves for cid in index.boundary_classes)
+    runs = []
+    real_bfs = verify._bfs
+    monkeypatch.setattr(verify, "_bfs", lambda *args: runs.append(1) or real_bfs(*args))
     for seeds, impl_cap, budget in (([art.encoding.state_for(q) for q in range(9)], 12, 10**6),
                                     ([art.encoding.state_for(q) for q in range(9)], 5, 10**6),
                                     ([art.encoding.state_for(3)], 12, 2)):
         caplog.clear()
+        runs.clear()
         monkeypatch.setattr(verify, "_INNER_BUDGET", budget)
         with caplog.at_level(logging.INFO, logger="gadgetforge.verify"):
             lts = derive_boundary_lts(index, seeds, impl_cap=impl_cap)
         line, = (r.getMessage() for r in caplog.records if "closure" in r.getMessage())
-        states, excursions, expanded, frontier = map(int, re.findall(r"\d+", line))
+        states, excursions, expanded, frontier, reused = map(int, re.findall(r"\d+", line))
         assert states == len(lts.states) and frontier == len(lts.cap_frontier)
         assert excursions == states * len(lts.ports)
         # each excursion expands its start, and at most the budget
         assert excursions <= expanded <= excursions * budget
+        # an entered excursion is either run or a kept one reused
+        assert reused + len(runs) == states * entered < excursions
+        assert (reused > 0) == (budget > 2)
         assert line.endswith(f"truncated: {lts.truncated}")
     assert lts.truncated and frontier
     assert capsys.readouterr().out == ""
@@ -450,6 +464,14 @@ def test_interval_ops_need_the_spec_ports():
     other = dataclasses.replace(art, provenance=dict(art.provenance, simulates="inc-decnz-pz"))
     with pytest.raises(SystemFormatError, match="no endpoint 'node:dec_in' in this system"):
         interval_step(other, art.encoding.state_for(0, "interval"), "inc", counter_cap=6)
+
+
+def test_interval_step_names_a_vector_that_is_no_sequence():
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    for vec in (5, None, "ab", {0: 0}):
+        with pytest.raises(SystemFormatError,
+                           match=f"^vector .* got {re.escape(repr(vec))}$"):
+            interval_step(art, vec, "inc", counter_cap=10)
 
 
 def test_interval_step_growing_ranges():
