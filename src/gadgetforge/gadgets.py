@@ -861,11 +861,15 @@ def _validate(system: SystemOfGadgets) -> None:
 def canonicalize(system: SystemOfGadgets | SystemIndex, mode: str | None = None
                  ) -> SystemIndex:
     """Index a system in ``mode`` (concrete when None), once.  An index is
-    returned as it is; an explicit ``mode`` must then be its own."""
+    returned as it is; an explicit ``mode`` must then be its own.  Anything
+    else is no system."""
     if isinstance(system, SystemIndex):
         if mode is not None and mode != system.mode:
             raise SystemFormatError(f"index is in {system.mode} mode, not {mode!r}")
         return system
+    if not isinstance(system, SystemOfGadgets):
+        raise SystemFormatError(
+            f"want a SystemOfGadgets or a SystemIndex, got {type(system).__name__}")
     return SystemIndex(system, "concrete" if mode is None else mode)
 
 

@@ -18,13 +18,14 @@ Everything is bounded by a cap on gadget states.  States from which some
 excursion was cap-pruned are collected in ``cap_frontier``.
 
 The closure is one loop over one key layout (``gadgets.KeyCodec``, chosen
-once from the cap and the seeds): each at-rest state is kept as its packed
-slots, the key without its position, and interned to an int; each
-excursion is one run of the BFS kernel that ``reach.sweep`` also runs
-(``reach._bfs``), from the port's position prefix plus those slots, and
-the boundary keys it reached are read by their prefix.  ``_closure``
-numbers the states in discovery order, seeds first, and refinement runs on
-those ids; only ``derive_boundary_lts`` builds a ``BoundaryLTS``.
+once from the cap and the seeds): each at-rest state is one int, its
+packed slots (the key without its position).  Each excursion is one run of
+the BFS kernel that ``reach.sweep`` also runs (``reach._bfs``), from the
+port's position prefix plus those slots as bytes, made only then, and the
+boundary keys it reached are read by their prefix.  ``_closure`` numbers
+the states in discovery order, seeds first, and refinement runs on those
+ids; state tuples are built only by ``derive_boundary_lts`` and for a
+NotEquivalent counterexample.
 
 In concrete mode an excursion may be the shift of one already run.  Each
 counter kind has a shift floor T (``floor`` on the kind): Inc[a,b] 0,
@@ -34,8 +35,8 @@ choices and exits.  A counter slot's floor T_j is the largest of its
 spec's components'.  An at-rest state's class is its slots with every
 counter value at or above T_j + 1 clipped to T_j + 1.  Per (class, entry
 port) the closure keeps the first member's excursion E, from x0, unless it
-was truncated or x0 is a seed above the cap: the boundary keys E reached
-in order, its overflow and start-revisit flags, its count of
+was truncated or x0 is a seed above the cap: the boundary states E
+reached, in order, as (exit port, int) pairs, its overflow and start-revisit flags, its count of
 configurations expanded, and each slot's least and largest value min_j,
 max_j over the configurations E admitted.  A later member
 x = x0 + delta, no seed above the cap, reuses E shifted by delta iff every
@@ -60,11 +61,11 @@ stops its amounts at the first past the cap; from a higher value it stops
 sooner, but drops only pruned amounts, and it prunes one iff E's did,
 since E's admitted amounts shift within the cap.  So both admit, prune
 and revisit alike, and queue in the same order.  The closure reads
-nothing from an excursion but its reached boundary keys, flags and count,
+nothing from an excursion but its reached boundary states, flags and count,
 so its state ids, transitions (in order), frontier and truncation flag are
 those of a closure that runs every excursion.  Every shifted value lies in
-[0, impl_cap], so delta is added to a packed key as one int without a
-carry between slots.  This is the monotonicity of Karp & Miller
+[0, impl_cap], so delta is added to a state's int without a carry
+between slots.  This is the monotonicity of Karp & Miller
 ("Parallel Program Schemata", JCSS 1969) and of well-structured systems
 (Abdulla, Cerans, Jonsson & Tsay, LICS 1996).  Interval mode runs every
 excursion: its intervals widen, and in a prototype that keyed intervals by
@@ -106,6 +107,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable
 
 from .gadgets import (
@@ -113,6 +115,7 @@ from .gadgets import (
     CounterGadgetSpec,
     GadgetInstance,
     GadgetSpec,
+    KeyCodec,
     SystemFormatError,
     SystemIndex,
     SystemOfGadgets,
@@ -140,6 +143,7 @@ _INNER_BUDGET = 200_000  # configurations per inner sweep of derive_boundary_lts
 _STATE_BUDGET = 100_000  # at-rest states per boundary closure
 _TRACE_BUDGET = 20_000   # state-set pairs per distinguishing_trace search
 _WALK_BUDGET = 500_000   # configurations per interval_step walk
+_OPS = {"inc": 1, "decnz": -1, "pz": 0}  # an interval walk's ops, each its change to n
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,8 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
     """
     check_integer(impl_cap, 0, f"impl cap must be a natural, got {impl_cap!r}")
     index = canonicalize(system)
-    states, transitions, frontier, truncated = _closure(index, seeds, impl_cap)
+    bodies, transitions, frontier, truncated, codec = _closure(index, seeds, impl_cap)
+    states = _states(codec, bodies)
     ports = index.system.boundary_ports
     return BoundaryLTS(
         frozenset(states), ports,
@@ -189,12 +194,18 @@ def derive_boundary_lts(system: SystemOfGadgets | SystemIndex,
         frozenset([states[k] for k in frontier]), impl_cap, truncated)
 
 
+def _states(codec: KeyCodec, bodies: list[int]) -> list[tuple]:
+    """The state vectors of ``_closure``'s at-rest bodies, in order."""
+    size, pad = codec.size - codec.pos_width, bytes(codec.pos_width)  # any position
+    return [codec.unpack(pad + body.to_bytes(size, "big")).states for body in bodies]
+
+
 def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
-    """``derive_boundary_lts`` on int ids: the at-rest states in discovery
-    order, distinct seeds first; the transitions (state id, entry port, exit
-    port, state id), ports in boundary order; the frontier ids; truncated.
-    In concrete mode an excursion is the shift of a kept one where the
-    module docstring's rule allows it."""
+    """``derive_boundary_lts`` on ints: the at-rest states as ints (see
+    ``_states``) in discovery order, distinct seeds first; the transitions
+    (state id, entry port, exit port, state id), ports in boundary order;
+    the frontier ids; truncated; the codec.  In concrete mode an excursion
+    is the shift of a kept one where the module docstring's rule allows it."""
     ports = _boundary_ports(index.system)
     # a seed that is no sequence goes to check_states as it is, to be named
     vecs = [index.at_rest(seed) if isinstance(seed, (tuple, list)) else seed
@@ -205,7 +216,7 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
     tops = list(map(index.top, vecs))
     # every state the closure finds is within the cap, so one codec holds all
     codec = index.codec(max([impl_cap, *tops]))
-    pw, w = codec.pos_width, codec.width
+    pw, w, size = codec.pos_width, codec.width, codec.size - codec.pos_width
     # boundary_classes is in system.boundary order, as the ports are
     prefixes = [index.prefix[cid] for cid in index.boundary_classes]
     port_of = {prefix: k for k, prefix in enumerate(prefixes)}
@@ -214,10 +225,10 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
                if prefix in codec.moves or _INNER_BUDGET < 1]
     idle = len(prefixes) - len(entered)
 
-    # at-rest states as packed keys without their position, interned in
-    # discovery order; a seed above the cap keeps its largest value and
-    # those slots (see reach._bfs)
-    bodies = [codec.pack_states(vec) for vec in vecs]
+    # at-rest states as packed slots without their position, each one int,
+    # interned in discovery order; a seed above the cap keeps its largest
+    # value and those slots (see reach._bfs)
+    bodies = [int.from_bytes(codec.pack_states(vec), "big") for vec in vecs]
     ids = {body: k for k, body in enumerate(bodies)}
     above = {k: (high, index.slots_above(vec, impl_cap))
              for k, (vec, high) in enumerate(zip(vecs, tops)) if high > impl_cap}
@@ -229,9 +240,9 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
               for inst, counted in zip(index.system.instances, index.counter)]
     clips = [codec.top if t is None else t + 1 for t in floors]
     shifting = not index.interval and any(index.counter)
-    # class -> (its first member's body as an int, per entered port that
-    # member's excursion: (bounds, the boundary keys it reached as ints,
-    # overflowed, start revisited, explored), or None if it was truncated)
+    # class -> (its first member's body, per entered port that member's
+    # excursion: (bounds, the (exit port, body) of each boundary state it
+    # reached, overflowed, start revisited, explored), or None if truncated)
     kept: dict = {}
     reused = 0
 
@@ -249,13 +260,14 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
         high, slots = above.get(k, (0, None))
         runs = first = None
         if shifting and slots is None:
-            vals = body if w == 1 else [int.from_bytes(body[j:j + w], "big")
-                                        for j in range(0, len(body), w)]
+            raw = body.to_bytes(size, "big")
+            vals = raw if w == 1 else [int.from_bytes(raw[j:j + w], "big")
+                                       for j in range(0, size, w)]
             cls = tuple(map(min, vals, clips))
             member = kept.get(cls)
             if member is None:
                 first = []
-                kept[cls] = (int.from_bytes(body, "big"), first)
+                kept[cls] = (body, first)
                 # the slots a later member may hold apart: (slot, its key
                 # offset, floor, value)
                 free = [(j, off, t, vals[j])
@@ -263,24 +275,30 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
                         if t is not None and vals[j] > t]
             else:
                 x0, runs = member
-                delta = int.from_bytes(body, "big") - x0
+                delta = body - x0
         for n, (p, prefix) in enumerate(entered):
             run = runs[n] if runs else None
-            if run is not None and all(a <= vals[j] <= b for j, a, b in run[0]):
-                # the kept excursion shifted: one add per reached boundary key
-                _, kept_keys, overflowed, start_revisited, explored = run
+            if run is not None:
+                for j, a, b in run[0]:
+                    if not a <= vals[j] <= b:
+                        run = None
+                        break
+            if run is not None:
+                # the kept excursion shifted: one add per reached boundary state
+                _, kept_reached, overflowed, start_revisited, explored = run
                 budget_exhausted = False
                 reused += 1
-                reached = [(key + delta).to_bytes(codec.size, "big") for key in kept_keys]
+                reached = [(q, body2 + delta) for q, body2 in kept_reached]
             else:
-                start = prefix + body
+                start = prefix + body.to_bytes(size, "big")
                 result = _bfs(codec, (start,), {start: slots} if slots else {}, impl_cap,
                               high, _INNER_BUDGET, None)
                 visited, _, overflowed, budget_exhausted, start_revisited, explored = result[:6]
                 # the start comes first, and an excursion that reached only it
                 # (the zero-traversal one) has no transition to read
-                reached = iter(visited)
-                next(reached)
+                reached = [(q, int.from_bytes(key[pw:], "big"))
+                           for key in islice(visited, 1, None)
+                           if (q := port_of.get(key[:pw])) is not None]
             expanded += explored
             if overflowed or budget_exhausted:
                 frontier.add(k)
@@ -288,22 +306,16 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
                 truncated = True
                 log.warning("inner sweep truncated at %s from port %s",
                             codec.unpack(start).states, ports[p])
-            t0 = len(transitions)
-            for key in reached:
-                q = port_of.get(key[:pw])
-                if q is not None:
-                    body2 = key[pw:]
-                    k2 = ids.get(body2)
-                    if k2 is None:
-                        k2 = ids[body2] = len(bodies)
-                        bodies.append(body2)
-                    transitions.append((k, p, q, k2))
-            if first is not None:  # keep this excursion, its boundary keys as ints
+            for q, body2 in reached:
+                k2 = ids.get(body2)
+                if k2 is None:
+                    k2 = ids[body2] = len(bodies)
+                    bodies.append(body2)
+                transitions.append((k, p, q, k2))
+            if first is not None:  # keep this excursion
                 first.append(None if budget_exhausted else (
                     _shift_bounds(visited, free, w, impl_cap, overflowed),
-                    [int.from_bytes(prefixes[q] + bodies[k2], "big")
-                     for _, _, q, k2 in transitions[t0:]],
-                    overflowed, start_revisited, explored))
+                    reached, overflowed, start_revisited, explored))
             if start_revisited:  # a cycle straight back to the start
                 transitions.append((k, p, p, k))
         k += 1
@@ -312,8 +324,7 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
              "expanded, %d frontier states, %d excursions reused, truncated: %s",
              len(bodies), len(bodies) * len(ports), expanded, len(frontier), reused,
              truncated)
-    pad = prefixes[0]  # any position: unpack reads the states after it
-    return [codec.unpack(pad + body).states for body in bodies], transitions, frontier, truncated
+    return bodies, transitions, frontier, truncated, codec
 
 
 def _shift_bounds(visited: dict, free: list[tuple], w: int, impl_cap: int,
@@ -418,6 +429,8 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     The system is indexed once, by ``canonicalize(impl, mode)``, so an index
     keeps its own mode.  Every input is checked before either closure runs.
     """
+    if not isinstance(spec, GadgetSpec):
+        raise SystemFormatError(f"spec must be a gadget spec, got {type(spec).__name__}")
     counter = isinstance(spec, CounterGadgetSpec)
     for bound in (cap, 0 if impl_cap is None else impl_cap):
         check_integer(bound, 0, f"cap and impl cap must be naturals, got {cap!r}, {impl_cap!r}")
@@ -463,27 +476,26 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
         impl_cap = _default_impl_cap(index, seed_vectors, cap)
 
     spec_lts = spec_closure_lts(spec, cap)
-    states, transitions, fx, truncated = _closure(index, seed_vectors, impl_cap)
+    bodies, transitions, fx, truncated, codec = _closure(index, seed_vectors, impl_cap)
 
-    # impl ids are the closure's, labels and spec ids are made once: impl
-    # successors as id lists, spec successors and frontier as bitmasks
+    # impl ids are the closure's, spec ids are made once, a label is its port
+    # pair p * n + q: impl successors as id lists, the spec's as bitmasks
     names = [port_map[p] for p in ports]
+    at = {name: p for p, name in enumerate(names)}
     spec_ids = {y: k for k, y in enumerate(spec_lts.states)}
-    labels: dict = {}
-    impl_succ: list[dict] = [{} for _ in states]
+    impl_succ: list[dict] = [{} for _ in bodies]
     for k, p, q, k2 in transitions:
-        lab = labels.setdefault((names[p], names[q]), len(labels))
-        impl_succ[k].setdefault(lab, []).append(k2)
+        impl_succ[k].setdefault(p * len(names) + q, []).append(k2)
     spec_succ: list[dict] = [{} for _ in spec_ids]
     for (s, a, b, s2) in spec_lts.transitions:
-        lab = labels.setdefault((a, b), len(labels))
+        lab = at[a] * len(names) + at[b]
         out = spec_succ[spec_ids[s]]
         out[lab] = out.get(lab, 0) | 1 << spec_ids[s2]
     fy = sum(1 << spec_ids[y] for y in spec_lts.cap_frontier)
     relation = _refine(impl_succ, spec_succ, fx, fy)
 
     skipped = sum((r if x in fx else r & fy).bit_count() for x, r in enumerate(relation))
-    seed_ids = {x: k for k, x in enumerate(states[:len(seed_vectors)])}  # seeds come first
+    seed_ids = {x: k for k, x in enumerate(dict.fromkeys(seed_vectors))}  # seeds first
     seed_pairs = list(zip(seed_vectors, spec_seed_states))
     dead = [(x, y) for x, y in seed_pairs if not relation[seed_ids[x]] >> spec_ids[y] & 1]
     counterexample = None
@@ -491,6 +503,7 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
         x0, y0 = dead[0]
         log.info("not equivalent: seed %s / %s", x0, y0)
         verdict, note = BisimVerdict.NOT_EQUIVALENT, "first dead seed pair shown"
+        states = _states(codec, bodies)
         impl_out: dict = {s: {} for s in states}
         for k, p, q, k2 in transitions:
             impl_out[states[k]].setdefault((names[p], names[q]), set()).add(states[k2])
@@ -508,7 +521,7 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
                 f"{skipped} frontier pair(s) skipped")
     return BisimReport(
         verdict, cap, impl_cap, sum(r.bit_count() for r in relation), len(seed_pairs),
-        skipped, len(states), len(spec_lts.states), counterexample, note)
+        skipped, len(bodies), len(spec_lts.states), counterexample, note)
 
 
 def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
@@ -579,12 +592,13 @@ def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
     order, seen = [], [False] * len(succs)
     stack = [(-1, iter(range(len(succs))))]
     while stack:
-        x2 = next((x2 for x2 in stack[-1][1] if not seen[x2]), None)
-        if x2 is None:
-            order.append(stack.pop()[0])
+        for x2 in stack[-1][1]:
+            if not seen[x2]:
+                seen[x2] = True
+                stack.append((x2, iter(succs[x2])))
+                break
         else:
-            seen[x2] = True
-            stack.append((x2, iter(succs[x2])))
+            order.append(stack.pop()[0])
     queued = [x not in fx for x in range(len(impl_succ))]
     queue = deque(x for x in order[:-1] if queued[x])
     checks = 0
@@ -715,7 +729,7 @@ def _interval_walk(index: SystemIndex, op_classes: dict, vec: tuple, op: str,
             if parent is not None]
 
 
-def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0
+def check_interval_invariant(artifact, ops: list[str] | tuple[str, ...], *, n0: int = 0
                              ) -> list[tuple]:
     """Drive a ranged-counter artifact (sim via Inc[a,b]-DecNZ[c,d]-PZ)
     through a feasible op sequence in interval semantics and assert the
@@ -727,8 +741,14 @@ def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0
     Every duplicator wrapper must also be back at exactly (0, 0).  Returns
     snapshots [(op, n, vector), ...] starting with ("start", n0, ...);
     raises InvariantViolation on a violated anchor, a blocked feasible op,
-    or a nondeterministic outcome.
+    an infeasible op, or a nondeterministic outcome.  ``ops`` must be a list
+    or tuple of op names and ``n0`` a natural, checked before any walk.
     """
+    check_integer(n0, 0, f"n0 must be a natural, got {n0!r}")
+    if not isinstance(ops, (list, tuple)) or not all(
+            isinstance(op, str) and op in _OPS for op in ops):
+        raise SystemFormatError(
+            f"ops must be a list or tuple of inc/decnz/pz, got {ops!r:.200}")
     enc = artifact.encoding
     if enc is None or enc.kind != "interval-affine":
         raise SystemFormatError("artifact has no interval-affine encoding")
@@ -744,8 +764,7 @@ def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0
     wrapper_idx = [k for k, i in enumerate(insts)
                    if "duplicator-wrapper" in artifact.roles.get(i.id, "")]
 
-    ops = list(ops)
-    n_peak = n0 + sum(1 for o in ops if o == "inc") + 1
+    n_peak = n0 + ops.count("inc") + 1
     hs = max(h for ((_, _), (h, _)) in enc.iaffine)
     counter_cap = hs * (n_peak + 1) + 2
 
@@ -778,7 +797,7 @@ def check_interval_invariant(artifact, ops: Iterable[str], *, n0: int = 0
                 f"step {step}: op {op!r} from {vec} yielded {len(outcomes)} "
                 f"outcomes, expected exactly 1")
         vec = outcomes[0]
-        n += {"inc": 1, "decnz": -1, "pz": 0}[op]
+        n += _OPS[op]
         snapshots.append((op, n, vec))
         check(f"step {step} ({op})")
     return snapshots

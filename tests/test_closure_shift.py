@@ -7,8 +7,9 @@ must return equal lists (states, transitions, frontier, truncated) on the
 quintet at every cap from 0 to 48 and at 96, on the concrete criterion-3
 artifacts and criterion-5 mutants with impl caps below the seeds and tiny
 inner budgets, on concrete spec closures with ranged kinds, and on small
-generated systems.  A work guard keeps the reuse from switching off
-unnoticed: a quintet pass at caps 12/24/48 runs at most 400 excursions.
+generated systems.  Work guards keep the reuse from switching off
+unnoticed, a quintet pass at caps 12/24/48 running at most 400 excursions,
+and the closure from decoding the states it returns.
 """
 
 from __future__ import annotations
@@ -131,11 +132,14 @@ def reference_closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tup
 
 def _assert_same_closure(index: SystemIndex, seeds, impl_cap: int,
                          inner_budget: int = _INNER_BUDGET) -> tuple:
-    """The closure equals the oracle, both under ``inner_budget``."""
+    """The closure, its int states decoded, equals the oracle, both under
+    ``inner_budget``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_INNER_BUDGET", inner_budget)
         patch.setitem(globals(), "_INNER_BUDGET", inner_budget)
-        got = verify._closure(index, seeds, impl_cap)
+        bodies, transitions, frontier, truncated, codec = verify._closure(
+            index, seeds, impl_cap)
+        got = verify._states(codec, bodies), transitions, frontier, truncated
         assert got == reference_closure(index, seeds, impl_cap)
     return got
 
@@ -294,3 +298,17 @@ def test_a_quintet_pass_reuses_most_excursions(monkeypatch):
         assert report.verdict is verify.BisimVerdict.EQUIVALENT
         assert (report.relation_size, report.impl_states) == pins
     assert 0 < len(runs) <= 400
+
+
+def test_a_quintet_pass_decodes_only_the_spec_states(monkeypatch):
+    # the impl closure returns its states as ints, and an Equivalent check
+    # reads none of them as tuples; only each spec closure's cap + 1 states
+    # are decoded, for its BoundaryLTS (3,831 unpacks when every state was)
+    unpacked = []
+    real = G.KeyCodec.unpack
+    monkeypatch.setattr(G.KeyCodec, "unpack", lambda *args: unpacked.append(1) or real(*args))
+    art, spec = lower.sim_incdecjz_via_incjzdec(), G.catalog()["inc-dec-jz"]
+    for cap in (12, 24, 48):
+        report = verify.check_bisimulation(art, spec, cap=cap)
+        assert report.verdict is verify.BisimVerdict.EQUIVALENT
+    assert len(unpacked) <= 13 + 25 + 49

@@ -237,6 +237,18 @@ def test_caps_and_budgets_follow_the_integer_rule(bounds):
         sweep(index, [index.start_config()], **{"visit_budget": 10, **bounds})
 
 
+@pytest.mark.parametrize("system", [5, None, "x", G.spec_inc_dec_jz()])
+def test_a_search_takes_only_a_system_or_its_index(system):
+    # canonicalize is the front door: anything else is named, not read
+    message = f"^want a SystemOfGadgets or a SystemIndex, got {type(system).__name__}$"
+    with pytest.raises(SystemFormatError, match=message):
+        bfs_reach(system, 3)
+    with pytest.raises(SystemFormatError, match=message):
+        replay(system, ())
+    with pytest.raises(SystemFormatError, match=message):
+        G.canonicalize(system, "interval")
+
+
 def test_goal_required():
     sys0 = SystemOfGadgets(
         specs=(G.spec_inc_dec_jz(),),

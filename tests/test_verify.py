@@ -228,14 +228,18 @@ def test_refinement_checks_each_impl_state_a_few_times(caplog):
 def test_refinement_visits_successors_first(caplog):
     # work guard: the first pass in DFS postorder carries a removal back
     # through a chain of states in one pass; in set order it took 30,494
-    # checks (11.3 per impl state) here
-    with caplog.at_level(logging.INFO, logger="gadgetforge.verify"):
-        report = check_bisimulation(lower.sim_incdecjz_via_incjzdec(),
-                                    G.catalog()["inc-dec-jz"], cap=48)
-    line, = (r.getMessage() for r in caplog.records if "refinement" in r.getMessage())
-    checks = int(re.findall(r"\d+", line)[2])
-    assert (report.relation_size, report.impl_states) == (10096, 2704)
-    assert checks <= 4 * report.impl_states
+    # checks (11.3 per impl state) at cap 48.  The exact counts pin the order.
+    art, spec = lower.sim_incdecjz_via_incjzdec(), G.catalog()["inc-dec-jz"]
+    for cap, pins, checks in ((12, (808, 256), 582), (24, (2752, 784), 2028),
+                              (48, (10096, 2704), 7512)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="gadgetforge.verify"):
+            report = check_bisimulation(art, spec, cap=cap)
+        line, = (r.getMessage() for r in caplog.records if "refinement" in r.getMessage())
+        got = int(re.findall(r"\d+", line)[2])
+        assert (report.relation_size, report.impl_states) == pins
+        assert got <= 4 * report.impl_states
+        assert got == checks
 
 
 def test_caps_follow_the_integer_rule():
@@ -342,6 +346,14 @@ def test_every_input_is_checked_before_a_closure_runs(monkeypatch, art, spec, ca
     bare = dataclasses.replace(art.system, boundary=())
     with pytest.raises(SystemFormatError, match="no boundary"):
         check_bisimulation(bare, spec, {}, cap=cap, mode=mode, encoding=art.encoding)
+    # a spec or a system of the wrong type is named, not read
+    for impl, spec_, message in ((art, spec.name, "^spec must be a gadget spec, got str$"),
+                                 (art, None, "^spec must be a gadget spec, got NoneType$"),
+                                 (5, spec, "^want a SystemOfGadgets or a SystemIndex, got int$")):
+        with pytest.raises(SystemFormatError, match=message):
+            check_bisimulation(impl, spec_, cap=cap, mode=mode, encoding=art.encoding)
+    with pytest.raises(SystemFormatError, match="^want a SystemOfGadgets .* got str$"):
+        derive_boundary_lts("x", [], impl_cap=3)
 
 
 def test_artifact_carries_its_own_encoding():
@@ -530,6 +542,23 @@ def test_interval_invariant_walks():
         check_interval_invariant(art, ["inc", "pz"])
     with pytest.raises(InvariantViolation, match="infeasible"):
         check_interval_invariant(art, ["decnz"], n0=0)
+
+
+def test_interval_invariant_checks_its_inputs_before_a_walk(monkeypatch):
+    # a bad argument is named; it is no InvariantViolation of the artifact
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    monkeypatch.setattr(verify, "_interval_walk", lambda *args: pytest.fail("a walk ran"))
+    for n0 in (None, 2.5, True, -1, "0"):
+        with pytest.raises(SystemFormatError,
+                           match=f"^n0 must be a natural, got {re.escape(repr(n0))}$"):
+            check_interval_invariant(art, ["inc"], n0=n0)
+    for ops in (5, None, "inc", iter(["inc"]), [5], ["inc", "dec"], [["inc"]], ("pz", None)):
+        with pytest.raises(SystemFormatError,
+                           match="^ops must be a list or tuple of inc/decnz/pz, got "):
+            check_interval_invariant(art, ops)
+    # a known op that is infeasible is still the walk's violation, before any walk
+    with pytest.raises(InvariantViolation, match="infeasible"):
+        check_interval_invariant(art, ("decnz",), n0=0)
 
 
 def test_interval_invariant_checks_the_anchor():
