@@ -387,21 +387,18 @@ class SystemOfGadgets:
         made by ``_validate``, or by the first index of a system that skipped
         it.  An endpoint that is none of the system's raises KeyError, or
         TypeError when unhashable; ``_validate`` then names it."""
-        nodes = dict(zip(self.nodes, count()))
-        table = {"node:": (0, nodes, [nodes[name] for name in sorted(nodes)])}
-        number = dict(zip(map("node:".__add__, nodes), count()))
-        of_spec = {}
-        for name, spec in self.spec_of.items():
-            place = dict(zip(dict.fromkeys(spec.locations), count()))
-            of_spec[name] = place, [place[loc] for loc in sorted(place)]
-        n = len(nodes)
+        number = dict(zip(map("node:".__add__, self.nodes), count()))
+        of_spec = {name: dict(zip(dict.fromkeys(spec.locations), count()))
+                   for name, spec in self.spec_of.items()}
+        table = {}
+        n = len(self.nodes)
         for inst in self.instances:
-            place, order = of_spec[inst.spec]
-            table[inst.id] = (n, place, order)
+            place = of_spec[inst.spec]
+            table[inst.id] = (n, place)
             number.update(zip(map(f"{inst.id}.".__add__, place), count(n)))
             if "" in place:  # no endpoint: split_endpoint rejects "ID."
                 del number[port_endpoint(inst.id, "")]
-            n += len(order)
+            n += len(place)
         at = number.__getitem__
         return Endpoints(number, table, n,
                          None if self.start is None else at(self.start),
@@ -419,13 +416,13 @@ def port_endpoint(instance_id: str, port: str) -> str:
 
 
 class Endpoints(NamedTuple):
-    """``SystemOfGadgets.endpoints``: endpoint string -> number, head
-    (``node:`` or an instance id) -> (offset, place of each name, places in
-    name order), the count of numbers, and the numbers of the start, goal,
+    """``SystemOfGadgets.endpoints``, numbered as the module docstring says:
+    endpoint string -> number, instance id -> (offset, place of each
+    location), the count of numbers, and the numbers of the start, goal,
     boundary endpoints and edge ends (two per edge), in order."""
 
     number: dict[str, int]
-    table: dict[str, tuple[int, dict[str, int], list[int]]]
+    table: dict[str, tuple[int, dict[str, int]]]
     size: int
     start: int | None
     goal: int | None
@@ -495,13 +492,13 @@ class SystemIndex:
 
     It reads the system's endpoint numbering (module docstring), built
     before it when the system was validated, and keeps only numbers:
-    ``class_at[number]`` is a class id, classes numbered by their least
-    endpoint string, ``table`` is the numbering's table of heads, which the
-    codec reads, ``boundary_classes`` the class of each boundary endpoint
-    in boundary order, ``prefix[cid]`` class ``cid`` as a key prefix and
-    ``spec_of`` the system's spec map.  The one move table is built by the
-    codec (``codec(limit)``, see KeyCodec) and read by the BFS kernel, the
-    boundary closure and ``successors`` alike.
+    ``class_at[number]`` is a class id, each class numbered from 0 in the
+    order of its first member's number, ``table`` is the numbering's table
+    of instances, which the codec reads, ``boundary_classes`` the class of
+    each boundary endpoint in boundary order, ``prefix[cid]`` class ``cid``
+    as a key prefix and ``spec_of`` the system's spec map.  The one move
+    table is built by the codec (``codec(limit)``, see KeyCodec) and read by
+    the BFS kernel, the boundary closure and ``successors`` alike.
     """
 
     def __init__(self, system: SystemOfGadgets, mode: str = "concrete") -> None:
@@ -525,17 +522,13 @@ class SystemIndex:
             if a != b:
                 parent[b] = a
 
-        # no instance id holds a dot or starts with "node:", so endpoints sort
-        # as (head + ".", name): walked in that order, each class is numbered
-        # where it is first met, at its least endpoint
         self.class_at = class_at = [0] * eps.size
         roots: dict[int, int] = {}
-        for _, (off, _, order) in sorted(eps.table.items(), key=lambda item: item[0] + "."):
-            for k in order:
-                root = e = off + k
-                while root != (up := parent[root]):
-                    parent[root] = root = parent[up]
-                class_at[e] = roots.setdefault(root, len(roots))
+        for e in range(eps.size):
+            root = e
+            while root != (up := parent[root]):
+                parent[root] = root = parent[up]
+            class_at[e] = roots.setdefault(root, len(roots))
 
         # the codec's fixed part: which instances hold counters, every
         # finite-gadget state interned to a small int, each class as a key
@@ -602,6 +595,14 @@ class SystemIndex:
             check_state(self.spec_of[inst.spec], state, where, ": ", inst.id, " state",
                         mode=self.mode)
 
+    def check_config(self, config, where: str) -> None:
+        """``check_states`` of a configuration given from outside, whose
+        position is an int (a class id or not)."""
+        if not isinstance(config, Configuration) or type(config.position) is not int:
+            raise SystemFormatError(
+                f"{where} must be a Configuration at an int position, got {config!r:.200}")
+        self.check_states(config.states, where)
+
     def start_config(self) -> Configuration:
         if self.start_class is None:
             raise SystemFormatError("system has no start endpoint")
@@ -611,7 +612,7 @@ class SystemIndex:
     def successors(self, config: Configuration) -> list[tuple[Traversal, Configuration]]:
         """Every move from ``config``, by the codec's rows applied to tuple
         states; a position that is no class id has none."""
-        self.check_states(config.states, "configuration")
+        self.check_config(config, "configuration")
         return self._successors(config)
 
     def _successors(self, config: Configuration) -> list[tuple[Traversal, Configuration]]:
@@ -685,7 +686,7 @@ class KeyCodec:
             self.layout.append((off, pair, counted))
             end = off + width * (2 if pair else 1)
             spec = index.spec_of[inst.spec]
-            base, place, _ = index.table[inst.id]
+            base, place = index.table[inst.id]
             # its entrances as (entry port, kind, exit ports)
             parts = ([(c.entry, c.kind, c.exit_ports) for c in spec.components] if counted
                      else [(a, _FiniteStep(code[s], code[s2], k), (b,))
@@ -739,16 +740,8 @@ class KeyCodec:
 
     def unpack(self, key: bytes) -> Configuration:
         """The configuration ``key`` holds: ``state`` for every instance."""
-        w, from_bytes, names = self.width, int.from_bytes, self.index.finite_states
-        states = []
-        for off, pair, counted in self.layout:
-            v = from_bytes(key[off:off + w], "big")
-            if pair:
-                v = (v, from_bytes(key[off + w:off + 2 * w], "big"))
-            elif not counted:
-                v = names[v]
-            states.append(v)
-        return Configuration(from_bytes(key[:self.pos_width], "big"), tuple(states))
+        return Configuration(int.from_bytes(key[:self.pos_width], "big"),
+                             tuple([self.state(key, i) for i in range(len(self.layout))]))
 
     def slot_moves(self, move: tuple, slot: bytes, cap: int) -> tuple:
         """The moves of a ``moves`` row from its slot bytes ``slot``, ranged

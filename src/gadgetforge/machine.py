@@ -304,21 +304,26 @@ def run(program: Program, initial: dict[str, int] | tuple[int, ...] | None = Non
     ``initial`` assigns starting counter values (dict by name, or a tuple in
     declaration order; missing names are 0).  Values must be naturals.
     """
-    if max_steps < 0:
-        raise ProgramError(f"max_steps must be a natural, got {max_steps}")
+    if not isinstance(program, Program):
+        raise ProgramError(f"program must be a Program, got {type(program).__name__}")
+    if type(max_steps) is not int or max_steps < 0:
+        raise ProgramError(f"max_steps must be a natural, got {max_steps!r}")
     if initial is None:
         vals = (0,) * len(program.counters)
     elif isinstance(initial, dict):
         unknown = set(initial) - set(program.counters)
         if unknown:
-            raise ProgramError(f"unknown counters in initial values: {sorted(unknown)}")
+            raise ProgramError(f"unknown counters in initial values: {sorted(unknown, key=repr)}")
         vals = tuple(initial.get(c, 0) for c in program.counters)
+    elif not isinstance(initial, (tuple, list)):
+        raise ProgramError(
+            f"initial values must be a dict, a tuple or None, got {type(initial).__name__}")
     else:
         if len(initial) != len(program.counters):
             raise ProgramError(
                 f"expected {len(program.counters)} initial values, got {len(initial)}")
         vals = tuple(initial)
-    if any(v < 0 or not isinstance(v, int) for v in vals):
+    if any(type(v) is not int or v < 0 for v in vals):
         raise ProgramError("initial counter values must be naturals")
 
     # compact dispatch loop; step() is the same semantics one step at a time

@@ -145,23 +145,27 @@ class Sweep:
                 for key, edge in self.visited.items() if int.from_bytes(key[:pw], "big") in at}
 
 
-def sweep(index: SystemIndex, starts: list[Configuration], *, counter_cap: int,
+def sweep(index: SystemOfGadgets | SystemIndex, starts: list[Configuration], *, counter_cap: int,
           visit_budget: int, goal_class: int | None = None) -> Sweep:
     """Bounded BFS from ``starts``, in the index's state mode.  Stops early
     when a configuration at ``goal_class`` is dequeued.  Start configurations
     are admitted without a cap check (they were given, not found)."""
+    index = canonicalize(index)
     message = f"cap and budget must be naturals, got {counter_cap!r} and {visit_budget!r}"
     check_integer(counter_cap, 0, message)
     check_integer(visit_budget, 0, message)
+    if not isinstance(starts, (list, tuple)):
+        raise SystemFormatError(f"starts must be a list of configurations, got {starts!r:.200}")
     for cfg in starts:
-        index.check_states(cfg.states, "start")
+        index.check_config(cfg, "start")
     tops = [index.top(cfg.states) for cfg in starts]
     start_max = max(tops, default=0)
     codec = index.codec(max(counter_cap, start_max))  # holds every start and successor
     keys = [codec.pack(cfg) for cfg in starts]
     over_cap = {key: index.slots_above(cfg.states, counter_cap)
                 for key, cfg, high in zip(keys, starts, tops) if high > counter_cap}
-    if goal_class is not None and not 0 <= goal_class < len(index.prefix):
+    if goal_class is not None and (type(goal_class) is not int
+                                   or not 0 <= goal_class < len(index.prefix)):
         raise SystemFormatError(f"goal class {goal_class!r} is no class of this system")
     goal = None if goal_class is None else index.prefix[goal_class]
     (visited, goal_hit, overflowed, budget_exhausted, start_revisited, explored,
@@ -294,7 +298,10 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
     """
     index = canonicalize(system)
     cfg = index.start_config() if start is None else start
-    index.check_states(cfg.states, "start")  # each later step is a successor
+    index.check_config(cfg, "start")  # each later step is a successor
+    if not isinstance(witness, (list, tuple)) or not all(
+            isinstance(label, Traversal) for label in witness):
+        raise SystemFormatError(f"witness must be a tuple of traversals, got {witness!r:.200}")
     trace = [cfg]
     for i, label in enumerate(witness):
         matches = [

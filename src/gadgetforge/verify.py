@@ -105,10 +105,10 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable
 
 from .gadgets import (
     Configuration,
@@ -207,6 +207,8 @@ def _closure(index: SystemIndex, seeds: Iterable, impl_cap: int) -> tuple:
     the frontier ids; truncated; the codec.  In concrete mode an excursion
     is the shift of a kept one where the module docstring's rule allows it."""
     ports = _boundary_ports(index.system)
+    if not isinstance(seeds, Iterable):
+        raise SystemFormatError(f"seeds must be state vectors, got {seeds!r:.200}")
     # a seed that is no sequence goes to check_states as it is, to be named
     vecs = [index.at_rest(seed) if isinstance(seed, (tuple, list)) else seed
             for seed in seeds]
@@ -351,6 +353,8 @@ def spec_closure_lts(spec: GadgetSpec, cap: int) -> BoundaryLTS:
     exposed as a boundary node.  States are the gadget's own states 0..cap
     (or the finite state set); a state from which some traversal would
     exceed the cap lands on the cap frontier."""
+    if not isinstance(spec, GadgetSpec):
+        raise SystemFormatError(f"spec must be a gadget spec, got {type(spec).__name__}")
     check_integer(cap, 0, f"cap must be a natural, got {cap!r}")
     counter = isinstance(spec, CounterGadgetSpec)
     states = range(cap + 1) if counter else spec.states
@@ -695,28 +699,33 @@ def interval_step(artifact, vec: tuple, op: str, *,
     """All at-rest state vectors reachable by performing one simulated op
     ("inc" / "decnz" / "pz") on an Inc[a,b]-style lowering artifact, in
     interval semantics.  Empty list = the op is blocked from this state."""
-    index = canonicalize(artifact.system, "interval")
+    index, op_classes = _op_classes(artifact)
     # a vector that is no sequence goes to check_states as it is, to be named
     if not isinstance(vec, (tuple, list)):
         index.check_states(vec, "vector")
-    return _interval_walk(index, _op_classes(artifact, index), vec, op, counter_cap)
+    return _interval_walk(index, op_classes, vec, op, counter_cap)
 
 
-def _op_classes(artifact, index: SystemIndex) -> dict[str, tuple[int, ...]]:
-    """op -> (entry class, exit class) of an Inc[a,b]-style artifact: the tag,
-    entry and first exit of each component of the spec it simulates."""
+def _op_classes(artifact) -> tuple[SystemIndex, dict[str, tuple[int, ...]]]:
+    """The interval-mode index of an Inc[a,b]-style artifact, and op ->
+    (entry class, exit class): the tag, entry and first exit of each
+    component of the spec it simulates."""
+    if not isinstance(artifact, LoweringArtifact):
+        raise SystemFormatError(
+            f"artifact must be a LoweringArtifact, got {type(artifact).__name__}")
+    index = canonicalize(artifact.system, "interval")
     simulates = artifact.provenance.get("simulates")
     comps = getattr(catalog().get(simulates), "components", ())  # none if finite
     if sorted(c.kind.tag for c in comps) != ["decnz", "inc", "pz"]:
         raise SystemFormatError(f"artifact simulates {simulates!r}, not an Inc-DecNZ-PZ spec")
-    return {c.kind.tag: tuple(index.endpoint_class(node_endpoint(p))
-                              for p in (c.entry, c.exit_ports[0])) for c in comps}
+    return index, {c.kind.tag: tuple(index.endpoint_class(node_endpoint(p))
+                                     for p in (c.entry, c.exit_ports[0])) for c in comps}
 
 
 def _interval_walk(index: SystemIndex, op_classes: dict, vec: tuple, op: str,
                    counter_cap: int) -> list[tuple]:
     """interval_step on an interval-mode index and its artifact's _op_classes."""
-    if op not in op_classes:
+    if not isinstance(op, str) or op not in op_classes:
         raise SystemFormatError(f"unknown op {op!r}; want inc/decnz/pz")
     entry_cls, exit_cls = op_classes[op]
     start = Configuration(entry_cls, index.at_rest(vec))
@@ -749,6 +758,7 @@ def check_interval_invariant(artifact, ops: list[str] | tuple[str, ...], *, n0: 
             isinstance(op, str) and op in _OPS for op in ops):
         raise SystemFormatError(
             f"ops must be a list or tuple of inc/decnz/pz, got {ops!r:.200}")
+    index, classes = _op_classes(artifact)
     enc = artifact.encoding
     if enc is None or enc.kind != "interval-affine":
         raise SystemFormatError("artifact has no interval-affine encoding")
@@ -768,8 +778,6 @@ def check_interval_invariant(artifact, ops: list[str] | tuple[str, ...], *, n0: 
     hs = max(h for ((_, _), (h, _)) in enc.iaffine)
     counter_cap = hs * (n_peak + 1) + 2
 
-    index = canonicalize(artifact.system, "interval")
-    classes = _op_classes(artifact, index)
     n = n0
     vec = index.at_rest(enc.state_for(n0, "interval"))
     snapshots = [("start", n, vec)]

@@ -1,0 +1,106 @@
+"""Every library entry point names a bad argument with a typed error.
+
+One property over the public calls of ``reach``, ``verify`` and ``machine``:
+each call draws up to two arguments from a pool of values of the wrong
+type and the others from a pool of well-formed ones (small caps and
+budgets, the quintet, a ranged artifact), and whatever the call does, only
+the library's own errors may escape.
+A bare TypeError, AttributeError, KeyError or IndexError means some input
+was read before it was checked.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from gadgetforge import gadgets as G, lower, machine, reach, verify
+from gadgetforge.gadgets import SystemFormatError
+from gadgetforge.machine import ProgramError
+from gadgetforge.reach import ReplayError
+from gadgetforge.verify import InvariantViolation
+
+TYPED = (SystemFormatError, ProgramError, InvariantViolation, ReplayError)
+WRONG = [None, 5, 2.5, True, "x", [5], {}, ("x",), (True,)]
+
+PROGRAM = machine.parse_program("0: INC c0\n1: HALT\n")
+REACH = lower.pipeline(PROGRAM, "inc-dec-jz").system  # has a start and a goal
+REACH_INDEX = G.canonicalize(REACH)
+WITNESS = reach.bfs_reach(REACH, 4).witness
+QUINTET = lower.sim_incdecjz_via_incjzdec()
+RANGED = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+RANGED_VEC = RANGED.encoding.state_for(1, "interval")
+
+CAPS = [0, 1, 2, 4]
+BUDGETS = [0, 1, 10, 50]
+SYSTEMS = [REACH, REACH_INDEX, QUINTET.system, G.canonicalize(RANGED.system, "interval")]
+SPECS = [G.catalog()["inc-dec-jz"], G.catalog()["inc-decnz-pz"], G.spec_inc_jzdec()]
+OPS = ["inc", "decnz", "pz"]
+
+# entry point -> argument -> pool of well-formed values (the wrong ones are added)
+CALLS = {
+    reach.sweep: {
+        "index": [REACH_INDEX, REACH],
+        "starts": [[REACH_INDEX.start_config()], [], (REACH_INDEX.start_config(),)],
+        "counter_cap": CAPS, "visit_budget": BUDGETS,
+        "goal_class": [None, REACH_INDEX.goal_class, 0],
+    },
+    reach.bfs_reach: {"system": SYSTEMS, "counter_cap": CAPS, "visit_budget": BUDGETS},
+    reach.replay: {
+        "system": SYSTEMS, "witness": [(), WITNESS, WITNESS[:1]],
+        "start": [None, REACH_INDEX.start_config()],
+    },
+    verify.derive_boundary_lts: {
+        "system": SYSTEMS,
+        "seeds": [[], [QUINTET.encoding.state_for(1)], [RANGED_VEC]],
+        "impl_cap": CAPS,
+    },
+    verify.spec_closure_lts: {"spec": SPECS, "cap": CAPS},
+    verify.check_bisimulation: {
+        "impl": [QUINTET, QUINTET.system, RANGED], "spec": SPECS,
+        "port_map": [None, {p: p for p in QUINTET.system.boundary_ports}],
+        "cap": CAPS, "mode": [None, "concrete", "interval"],
+        "encoding": [None, QUINTET.encoding, RANGED.encoding], "impl_cap": [None, *CAPS],
+    },
+    verify.interval_step: {
+        "artifact": [RANGED, QUINTET], "vec": [RANGED_VEC, list(RANGED_VEC)],
+        "op": OPS, "counter_cap": [2, 6, 20],
+    },
+    verify.check_interval_invariant: {
+        "artifact": [RANGED, QUINTET], "ops": [[], ["inc", "decnz"], ("inc", "inc"), ["pz"]],
+        "n0": [0, 1],
+    },
+    machine.run: {
+        "program": [PROGRAM], "initial": [None, (1,), [2], {"c0": 1}, {}],
+        "max_steps": BUDGETS,
+    },
+}
+
+
+@pytest.mark.parametrize("call", CALLS, ids=lambda call: f"{call.__module__}.{call.__name__}")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_bad_argument_gets_a_typed_error(call, data):
+    # a few arguments are wrong, the others well formed, so that each wrong
+    # one also meets calls that would read it
+    pools = CALLS[call]
+    wrong = data.draw(st.sets(st.sampled_from(list(pools)), max_size=2), label="wrong")
+    kwargs = {name: data.draw(st.sampled_from(WRONG if name in wrong else pool), label=name)
+              for name, pool in pools.items()}
+    with contextlib.suppress(*TYPED):
+        call(**kwargs)
+
+
+@pytest.mark.parametrize("call", CALLS, ids=lambda call: f"{call.__module__}.{call.__name__}")
+def test_each_wrong_argument_alone_gets_a_typed_error(call):
+    # every wrong value in every argument, the others at their first
+    # well-formed value: the cases the property may not draw, each run once
+    pools = CALLS[call]
+    for name in pools:
+        for value in WRONG:
+            with contextlib.suppress(*TYPED):
+                call(**{other: value if other == name else pool[0]
+                        for other, pool in pools.items()})

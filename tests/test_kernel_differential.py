@@ -735,8 +735,7 @@ def reference_tables(system: SystemOfGadgets) -> tuple:
     members: dict[str, list[str]] = {}
     for ep in uf.parent:
         members.setdefault(uf.find(ep), []).append(ep)
-    classes = sorted((sorted(eps) for eps in members.values()), key=lambda eps: eps[0])
-    classes: list[tuple[str, ...]] = [tuple(eps) for eps in classes]
+    classes: list[tuple[str, ...]] = [tuple(sorted(eps)) for eps in members.values()]
     class_of = {ep: cid for cid, eps in enumerate(classes) for ep in eps}
 
     # per spec, its entrances as (entry port, kind, exit ports)
@@ -833,14 +832,16 @@ def _outcome(build):
 
 def _index_tables(system: SystemOfGadgets) -> tuple:
     """The index's tables in the shape ``reference_tables`` returns: each
-    endpoint's class read from ``class_at`` at its number in the table of
-    heads (``endpoint_class`` must agree), grouped into classes by id; the
-    codec's rows read back to class -> (slot, instance, entry, kind, exit
-    ports, exit classes), a finite step's codes turned back into names; and
-    the boundary classes paired with the boundary endpoints."""
+    endpoint's class read from ``class_at`` at its number (the nodes from 0,
+    then the table of instances; ``endpoint_class`` must agree), grouped
+    into classes by id; the codec's rows read back to class -> (slot,
+    instance, entry, kind, exit ports, exit classes), a finite step's codes
+    turned back into names; and the boundary classes paired with the
+    boundary endpoints."""
     index = canonicalize(system)
     class_of = {}
-    for head, (off, place, _) in index.table.items():
+    nodes = {name: k for k, name in enumerate(system.nodes)}
+    for head, (off, place) in {"node:": (0, nodes), **index.table}.items():
         for name, k in place.items():
             ep = node_endpoint(name) if head == "node:" else port_endpoint(head, name)
             class_of[ep] = index.class_at[off + k]
@@ -873,8 +874,8 @@ def _index_cases():
     for _, system, _, _ in _criterion_3_derivations():
         yield system
     yield lower.sim_incdecnzpz_via_incab(1, 2, 1, 2, expand="via-duplicators").system
-    # ids that sort around "node:" and below "." put the node endpoints
-    # between port endpoints in string order
+    # ids that sort around "node:" and below ".", so that string order and
+    # table order disagree: the classes must follow table order
     spec = G.spec_inc_decnz()
     ids = ("nod", "node-", "nodez", "noda", "a-b", "a", "z")
     yield SystemOfGadgets(

@@ -8,6 +8,8 @@ programs on paper before the interpreter existed.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -224,6 +226,27 @@ def test_run_rejects_bad_initials():
         run(p2, (1, 2))
     with pytest.raises(ProgramError):
         run(p2, (-1,))
+
+
+def test_run_checks_its_arguments_by_the_integer_rule():
+    # an int, not a bool, a float or a string, and a natural; checked
+    # before the program runs
+    p = parse_program("0: INC c0\n1: HALT\n")
+    for initial in (("a",), (True,), (2.5,), {"c0": "1"}, {"c0": False}):
+        with pytest.raises(ProgramError, match="^initial counter values must be naturals$"):
+            run(p, initial)
+    for initial in (5, "5", 2.5):
+        with pytest.raises(ProgramError, match="^initial values must be a dict, a tuple or None"):
+            run(p, initial)
+    for max_steps in ("5", 2.5, True, None, -1):
+        message = f"^max_steps must be a natural, got {re.escape(repr(max_steps))}$"
+        with pytest.raises(ProgramError, match=message):
+            run(p, max_steps=max_steps)
+    with pytest.raises(ProgramError, match="^program must be a Program, got str$"):
+        run("0: HALT\n")
+    with pytest.raises(ProgramError, match=r"^unknown counters in initial values: \['x', 5\]$"):
+        run(p, {"x": 2, 5: 1})
+    assert run(p, [3], max_steps=2).final.counters == (4,)
 
 
 _slot = st.sampled_from(["inc0", "inc1", "dec0", "jz0", "jz1", "halt"])

@@ -246,7 +246,28 @@ def test_a_search_takes_only_a_system_or_its_index(system):
     with pytest.raises(SystemFormatError, match=message):
         replay(system, ())
     with pytest.raises(SystemFormatError, match=message):
+        sweep(system, [], counter_cap=1, visit_budget=1)
+    with pytest.raises(SystemFormatError, match=message):
         G.canonicalize(system, "interval")
+
+
+def test_a_configuration_is_read_at_an_int_position():
+    # a position that is no int is named where the configuration comes in,
+    # not compared with a class count or replayed as it is
+    index = G.canonicalize(_single_gadget("jz_out_zero"))
+    states = index.start_config().states
+    for position in ("x", 2.5, None, True):
+        cfg = Configuration(position, states)
+        message = rf"^{{}} must be a Configuration at an int position, got {re.escape(repr(cfg))}$"
+        with pytest.raises(SystemFormatError, match=message.format("configuration")):
+            index.successors(cfg)
+        with pytest.raises(SystemFormatError, match=message.format("start")):
+            sweep(index, [cfg], counter_cap=2, visit_budget=5)
+        with pytest.raises(SystemFormatError, match=message.format("start")):
+            replay(index, (), cfg)
+    for start in (5, (0, states), [cfg]):
+        with pytest.raises(SystemFormatError, match="^start must be a Configuration"):
+            replay(index, (), start)
 
 
 def test_goal_required():

@@ -577,6 +577,53 @@ def test_interval_invariant_requires_interval_artifact():
         check_interval_invariant(quintet, ["inc"])
 
 
+def test_interval_invariant_resets_every_duplicator_wrapper():
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2, expand="via-duplicators")
+    ops = ["inc", "inc", "decnz", "decnz", "pz", "inc"]
+    snaps = check_interval_invariant(art, ops)
+    assert [n for (_, n, _) in snaps] == [0, 1, 2, 1, 0, 0, 1]
+    wrappers = [k for k, inst in enumerate(art.system.instances)
+                if art.roles[inst.id].startswith("duplicator-wrapper")]
+    assert len(wrappers) == 16
+    assert all(vec[k] == (0, 0) for (_, _, vec) in snaps for k in wrappers)
+    # a wrapper seeded away from (0, 0) is caught before the first op
+    iaffine = list(art.encoding.iaffine)
+    iaffine[wrappers[0]] = ((0, 1), (0, 1))
+    seeded = dataclasses.replace(
+        art, encoding=dataclasses.replace(art.encoding, iaffine=tuple(iaffine)))
+    wrapper = art.system.instances[wrappers[0]].id
+    with pytest.raises(InvariantViolation,
+                       match=rf"^after start: wrapper {wrapper} not reset: \(1, 1\)$"):
+        check_interval_invariant(seeded, ops)
+
+
+def test_interval_invariant_needs_the_anchor_and_its_roles():
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    provenance = {k: v for k, v in art.provenance.items() if k != "anchor"}
+    with pytest.raises(SystemFormatError, match="lacks the anchor product"):
+        check_interval_invariant(dataclasses.replace(art, provenance=provenance), ["inc"])
+    roles = dict(art.roles, g1="")
+    with pytest.raises(SystemFormatError, match="lacks low-anchor/high-anchor roles"):
+        check_interval_invariant(dataclasses.replace(art, roles=roles), ["inc"])
+
+
+def test_interval_step_reports_a_walk_past_its_cap():
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    vec = art.encoding.state_for(3, "interval")
+    with pytest.raises(InvariantViolation,
+                       match=r"^op 'inc' from .* hit the cap/budget \(cap=2\)"):
+        interval_step(art, vec, "inc", counter_cap=2)
+
+
+def test_interval_step_names_an_op_that_is_no_string():
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    vec = art.encoding.state_for(1, "interval")
+    for op in (["inc"], {}, 5, None, "dec"):
+        with pytest.raises(SystemFormatError,
+                           match=rf"^unknown op {re.escape(repr(op))}; want inc/decnz/pz$"):
+            interval_step(art, vec, op, counter_cap=6)
+
+
 def test_a_closure_checks_its_seeds(monkeypatch):
     # a bool is no counter value, and a concrete index holds no interval
     system = lower.sim_incjzdec_via_incdecnzpz().system
