@@ -86,7 +86,7 @@ __all__ = [
     "Configuration", "Traversal", "SystemIndex", "KeyCodec",
     "node_endpoint", "port_endpoint", "split_endpoint", "split_for_prefix",
     "boundary_port",
-    "check_integer", "check_state", "canonicalize",
+    "check_integer", "check_mode", "check_state", "canonicalize",
     "serialize_system", "read_json", "parse_system", "parse_spec", "to_dot",
     "spec_inc_dec_jz", "spec_inc_jzdec", "spec_inc_decnz", "spec_inc_decnz_pz",
     "spec_inc_decnz_pz_merged", "spec_inc_decnz_decnz", "spec_inc_ab",
@@ -111,6 +111,12 @@ def check_integer(value, low: int | None = None, message: str | None = None) -> 
         raise SystemFormatError(message or f"{value!r} is not an integer"
                                 + ("" if low is None else f" >= {low}"))
     return value
+
+
+def check_mode(mode) -> None:
+    """A state mode of an index: "concrete" or "interval"."""
+    if mode not in ("concrete", "interval"):
+        raise SystemFormatError(f"mode must be concrete or interval, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -502,8 +508,7 @@ class SystemIndex:
     """
 
     def __init__(self, system: SystemOfGadgets, mode: str = "concrete") -> None:
-        if mode not in ("concrete", "interval"):
-            raise SystemFormatError(f"mode must be concrete or interval, got {mode!r}")
+        check_mode(mode)
         self.system = system
         self.mode = mode
         self.interval = mode == "interval"

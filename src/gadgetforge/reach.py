@@ -31,7 +31,7 @@ slot and the position spliced in, and the visited map keeps (parent key,
 move, choice, exit) per key.  Traversal labels are built only for a path
 asked for (``Sweep.path_to``: the witness), and Configurations only for the
 keys a caller reads (``Sweep.configurations``).  The loop itself is
-``_bfs``, which ``sweep`` and the boundary closure of ``verify`` both call.
+``_bfs``, under ``sweep`` and the closure and interval walk of ``verify``.
 
 A move reads and writes one gadget's slots, so its successors depend only
 on its kind and those slot bytes.  The codec keeps them in memo tables, one
@@ -177,8 +177,8 @@ def sweep(index: SystemOfGadgets | SystemIndex, starts: list[Configuration], *, 
 
 def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozenset[int]],
          counter_cap: int, start_max: int, visit_budget: int, goal: bytes | None) -> tuple:
-    """The one BFS loop on packed keys, under ``sweep`` and the boundary
-    closure of ``verify``; it admits the starts.  ``over_cap`` maps each
+    """The one BFS loop on packed keys, under ``sweep`` and the closure and
+    interval walk of ``verify``; it admits the starts.  ``over_cap`` maps each
     start above ``counter_cap`` to those slots, ``start_max`` is the largest
     start value, and ``codec`` must hold both caps.  Ranged moves stop one
     amount past the larger cap: nothing they skip could be admitted, or be

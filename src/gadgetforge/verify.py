@@ -96,22 +96,23 @@ Interval mode runs the same machinery over (lo, hi) possible-value states;
 see gadgets module docs.  This is how constructions with drawn amounts
 (Inc[a,b] etc.) are verified: their per-visit nondeterminism is absorbed
 into exact possible-value intervals.  ``check_bisimulation`` takes the mode
-and indexes the system in it once, or takes an index in its own mode; a
-caller of ``derive_boundary_lts`` in interval mode passes
-``canonicalize(system, "interval")``.
+and indexes a system in it, or takes an index in its own mode.  An artifact
+keeps its ``SystemIndex`` per mode (codecs and memo tables too) in its
+``__dict__``, as ``cached_property`` keeps a value, for its lifetime, and
+the interval walks share it.  A caller of ``derive_boundary_lts`` in
+interval mode passes ``canonicalize(system, "interval")``.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
 from .gadgets import (
-    Configuration,
     CounterGadgetSpec,
     GadgetInstance,
     GadgetSpec,
@@ -122,11 +123,12 @@ from .gadgets import (
     canonicalize,
     catalog,
     check_integer,
+    check_mode,
     node_endpoint,
     port_endpoint,
 )
 from .lower import Encoding, LoweringArtifact
-from .reach import _bfs, sweep
+from .reach import _bfs, sweep  # noqa: F401  (bench/tracing.py traces verify.sweep)
 
 log = logging.getLogger(__name__)
 
@@ -441,11 +443,9 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     if counter and cap + 1 > _STATE_BUDGET:  # spec_closure_lts could never close
         raise SystemFormatError(
             f"cap {cap} gives more spec states than the closure budget {_STATE_BUDGET}")
-    if isinstance(impl, LoweringArtifact):
-        if encoding is None:
-            encoding = impl.encoding
-        impl = impl.system
-    index = canonicalize(impl, mode)
+    index = _index(impl, mode)
+    if isinstance(impl, LoweringArtifact) and encoding is None:
+        encoding = impl.encoding
     ports = _boundary_ports(index.system)
 
     # the map must be a bijection: boundary ports <-> spec locations
@@ -528,6 +528,17 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
         skipped, len(bodies), len(spec_lts.states), counterexample, note)
 
 
+def _index(impl, mode: str | None) -> SystemIndex:
+    """``canonicalize(impl, mode)``, kept on a lowering artifact (module docstring)."""
+    if not isinstance(impl, LoweringArtifact):
+        return canonicalize(impl, mode)
+    check_mode(mode := "concrete" if mode is None else mode)  # before it names an entry
+    kept, name = impl.__dict__, f"_{mode}_index"
+    if name not in kept:
+        kept[name] = canonicalize(impl.system, mode)
+    return kept[name]
+
+
 def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
             ) -> list[int]:
     """Each impl state's related spec states, by the refinement and the
@@ -567,21 +578,19 @@ def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
     initial = sum(r.bit_count() for r in relation)
 
     # (bit of y, y's targets) per label, off the frontier; inside() is
-    # memoized per (label, mask), on no more entries than impl states
+    # memoized per label by mask, on no more entries than impl states in all
     spec_moves: dict = {}
     for y, yo in enumerate(spec_succ):
         if not fy >> y & 1:
             for lab, ys in yo.items():
                 spec_moves.setdefault(lab, []).append((1 << y, ys))
-    memo: dict = {}
+    memo: defaultdict[int, dict] = defaultdict(dict)
 
-    def inside(lab: int, mask: int) -> int:
-        got = memo.get((lab, mask))
-        if got is None:
-            if len(memo) > len(impl_succ):
-                memo.clear()
-            memo[lab, mask] = got = sum(bit for bit, ys in spec_moves.get(lab, ())
-                                        if not ys & ~mask)
+    def inside(lab: int, mask: int) -> int:  # a miss; hits are read inline
+        if sum(map(len, memo.values())) > len(impl_succ):
+            memo.clear()  # entries never go stale, so a table still held stays right
+        memo[lab][mask] = got = sum(bit for bit, ys in spec_moves.get(lab, ())
+                                    if not ys & ~mask)
         return got
 
     # successors in increasing id, and predecessors; frontier states are never checked
@@ -613,14 +622,18 @@ def _refine(impl_succ: list[dict], spec_succ: list[dict], fx: set[int], fy: int
         rx = relation[x]
         keep = rx & ~fy
         for lab, xs in impl_succ[x].items():
+            known = memo[lab]
             if len(xs) == 1:
                 union = relation[xs[0]]
             else:
                 union = 0
                 for x2 in xs:
                     union |= relation[x2]
-                    keep &= ~inside(lab, every & ~relation[x2])  # forth
-            keep &= inside(lab, union)  # back
+                    out = every & ~relation[x2]
+                    got = known.get(out)
+                    keep &= ~(inside(lab, out) if got is None else got)  # forth
+            got = known.get(union)
+            keep &= inside(lab, union) if got is None else got  # back
         keep |= rx & fy
         if keep != rx:
             relation[x] = keep
@@ -713,7 +726,7 @@ def _op_classes(artifact) -> tuple[SystemIndex, dict[str, tuple[int, ...]]]:
     if not isinstance(artifact, LoweringArtifact):
         raise SystemFormatError(
             f"artifact must be a LoweringArtifact, got {type(artifact).__name__}")
-    index = canonicalize(artifact.system, "interval")
+    index = _index(artifact, "interval")
     simulates = artifact.provenance.get("simulates")
     comps = getattr(catalog().get(simulates), "components", ())  # none if finite
     if sorted(c.kind.tag for c in comps) != ["decnz", "inc", "pz"]:
@@ -728,14 +741,21 @@ def _interval_walk(index: SystemIndex, op_classes: dict, vec: tuple, op: str,
     if not isinstance(op, str) or op not in op_classes:
         raise SystemFormatError(f"unknown op {op!r}; want inc/decnz/pz")
     entry_cls, exit_cls = op_classes[op]
-    start = Configuration(entry_cls, index.at_rest(vec))
-    result = sweep(index, [start], counter_cap=counter_cap, visit_budget=_WALK_BUDGET)
-    if result.overflowed or result.budget_exhausted:
+    states = index.at_rest(vec)  # checked as reach.sweep checks a start
+    check_integer(counter_cap, 0, f"cap and budget must be naturals, "
+                                  f"got {counter_cap!r} and {_WALK_BUDGET!r}")
+    index.check_states(states, "start")
+    codec = index.codec(max(counter_cap, high := index.top(states)))
+    start = index.prefix[entry_cls] + codec.pack_states(states)
+    over_cap = {start: index.slots_above(states, counter_cap)} if high > counter_cap else {}
+    visited, _, overflowed, budget_exhausted = _bfs(
+        codec, (start,), over_cap, counter_cap, high, _WALK_BUDGET, None)[:4]
+    if overflowed or budget_exhausted:
         raise InvariantViolation(
             f"op {op!r} from {vec} hit the cap/budget (cap={counter_cap}); "
             f"raise counter_cap to make the walk conclusive")
-    return [cfg.states for cfg, parent in result.configurations((exit_cls,)).values()
-            if parent is not None]
+    return [codec.unpack(key).states for key in islice(visited, 1, None)  # not the start
+            if key.startswith(index.prefix[exit_cls])]
 
 
 def check_interval_invariant(artifact, ops: list[str] | tuple[str, ...], *, n0: int = 0

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -374,6 +375,93 @@ def test_verify_sim_rejects_an_unknown_sidecar_mode(tmp_path, capsys):
 
 def test_verify_sim_rejects_a_sidecar_that_is_not_an_object(tmp_path, capsys):
     assert _rejected(*_verify_sim_with_sidecar(tmp_path, capsys, lambda doc: []))
+
+
+# verify-sim on exported artifacts whose sidecars are mutated: every run
+# ends in a verdict or an error exit, and says the same the second time
+_SIDECAR_BUILDS = {"quintet": (lower.sim_incdecjz_via_incjzdec, "inc-dec-jz"),
+                   "interval": (lambda: lower.sim_incdecnzpz_via_incab(1, 2, 1, 2),
+                                "inc-decnz-pz")}
+_SIDECAR_NUMBERS = st.one_of(st.integers(-2, 6), st.sampled_from([10**30, -(10**30), 2**63]),
+                             st.sampled_from([None, "1", 1.5, True, [], {}]))
+_SIDECAR_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("number"), st.integers(0, 500), _SIDECAR_NUMBERS),
+    st.tuples(st.just("ports"), st.sampled_from(["drop", "swap", "unknown", "extra", "null",
+                                                 "list"]), st.integers(0, 50)),
+    st.tuples(st.just("mode"), st.sampled_from([None, "concrete", "interval", "sideways", 5,
+                                                [5], "drop"])),
+    st.tuples(st.just("kind"), st.sampled_from(["affine", "table", "interval-affine", "x",
+                                                None, "drop"]))), max_size=3)
+
+
+def _number_paths(node, path=()):
+    """The path to every number in a JSON document, in document order."""
+    if isinstance(node, list):
+        return [p for k, item in enumerate(node) for p in _number_paths(item, path + (k,))]
+    if isinstance(node, dict):
+        return [p for k in sorted(node) for p in _number_paths(node[k], path + (k,))]
+    return [path] if isinstance(node, int) else []
+
+
+def _edit_sidecar(doc: dict, edits) -> dict:
+    for what, *args in edits:
+        encoding, ports = doc.get("encoding"), doc.get("ports")
+        if what == "number" and isinstance(encoding, dict) and _number_paths(encoding):
+            at, value = args
+            paths = _number_paths(encoding)
+            *head, last = paths[at % len(paths)]
+            node = encoding
+            for k in head:
+                node = node[k]
+            node[last] = value
+        elif what == "ports" and isinstance(ports, dict) and ports:
+            how, k = args
+            names = sorted(ports)
+            name, other = names[k % len(names)], names[(k + 1) % len(names)]
+            if how == "drop":
+                del ports[name]
+            elif how == "swap":
+                ports[name], ports[other] = ports[other], ports[name]
+            elif how == "unknown":
+                ports[name] = "nowhere"
+            elif how == "extra":
+                ports["zz"] = ports[name]
+            else:
+                doc["ports"] = None if how == "null" else sorted(ports.items())
+        elif what == "mode":
+            if args[0] == "drop":
+                doc.pop("mode", None)
+            else:
+                doc["mode"] = args[0]
+        elif what == "kind" and isinstance(encoding, dict):
+            if args[0] == "drop":
+                encoding.pop("kind", None)
+            else:
+                encoding["kind"] = args[0]
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_SIDECAR_BUILDS)), _SIDECAR_EDITS, st.integers(0, 6),
+       st.one_of(st.none(), st.integers(0, 6)))
+def test_verify_sim_on_a_mutated_sidecar_ends_in_an_exit_code(build, edits, cap, impl_cap):
+    make, spec = _SIDECAR_BUILDS[build]
+    with tempfile.TemporaryDirectory() as tmp:
+        impl, meta = lower.export_artifact(make(), os.path.join(tmp, "a.json"))
+        doc = _edit_sidecar(json.loads(Path(meta).read_text()), edits)
+        Path(meta).write_text(json.dumps(doc))
+        argv = ["verify-sim", impl, "--spec", spec, "--map", meta, "--cap", str(cap)]
+        if impl_cap is not None:
+            argv += ["--impl-cap", str(impl_cap)]
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            runs.append((code, out.getvalue()))
+    assert runs[0][0] in (0, 1, 2, 3)
+    assert runs[0] == runs[1]
+    assert (runs[0][1] == "") == (runs[0][0] == 1)
 
 
 def _sscd_table(tmp_path, capsys, table):
