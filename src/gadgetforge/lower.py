@@ -30,7 +30,9 @@ succinct inputs).
 
 Substitution is name-based: an artifact that simulates spec S names its
 boundary nodes exactly after S's locations, so splicing it in place of an
-S-instance is purely mechanical (``substitute``).
+S-instance is purely mechanical (``substitute``).  Every part is built by
+``_part``, which is where that rule lives, and ``pipeline`` runs a prefix
+of one list of stages, each a replaced spec and the part that replaces it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .gadgets import (
     split_endpoint,
     split_for_prefix,
 )
-from .machine import Dec, Fragment, Halt, Inc, Jz, Program
+from .machine import Dec, Fragment, Halt, Inc, Jz, Program, ProgramError
 
 log = logging.getLogger(__name__)
 
@@ -106,6 +108,9 @@ class Encoding:
     concrete: tuple[tuple[int, int], ...] | None = None
 
     def state_for(self, q, mode: str = "concrete") -> tuple:
+        # substitute seeds every copy through here, so the check stays one type test
+        if type(q) is not int and self.kind != "table":
+            raise SystemFormatError(f"{self.kind} encoding maps counter values, not state {q!r}")
         if self.kind == "affine":
             return tuple(s * q + o for (s, o) in self.affine)
         if self.kind == "table":
@@ -176,6 +181,21 @@ def _dedupe_specs(specs) -> tuple[GadgetSpec, ...]:
     return tuple(out)
 
 
+def _part(specs, instances, ports, edges, *, inner=(), roles, encoding,
+          provenance) -> LoweringArtifact:
+    """A part that simulates a spec, by the splice rule ``substitute``
+    relies on: one port per location of the simulated spec, each a
+    boundary node, and the nodes are the ports first, then the inner ones."""
+    system = SystemOfGadgets(
+        specs=_dedupe_specs(specs),
+        instances=tuple(instances),
+        nodes=(*ports, *inner),
+        edges=tuple(edges),
+        boundary=tuple(node_endpoint(q) for q in ports),
+    )
+    return LoweringArtifact(system, roles=roles, encoding=encoding, provenance=provenance)
+
+
 # ---------------------------------------------------------------------------
 # flow gadget: Inc-DecNZ-DecNZ out of three Inc-Dec-JZ
 
@@ -203,15 +223,8 @@ def build_inc_decnz_decnz() -> LoweringArtifact:
         (port_endpoint("bot", "jz_out_nonzero"), port_endpoint("bot", "dec_in")),
         (port_endpoint("bot", "dec_out"), node_endpoint("d1_out")),
     )
-    system = SystemOfGadgets(
-        specs=(idj,),
-        instances=tuple(GadgetInstance(i, idj.name, 0) for i in ids),
-        nodes=ports,
-        edges=edges,
-        boundary=tuple(node_endpoint(p) for p in ports),
-    )
-    return LoweringArtifact(
-        system,
+    return _part(
+        (idj,), (GadgetInstance(i, idj.name, 0) for i in ids), ports, edges,
         roles={"top": "value", "mid": "d0-return-guard", "bot": "d1-return-guard"},
         encoding=Encoding("affine", affine=((1, 0), (0, 0), (0, 0))),
         provenance={"construction": "flow-from-inc-dec-jz",
@@ -255,15 +268,8 @@ def sim_incdecjz_via_incjzdec() -> LoweringArtifact:
         (p("g1", "jz_out_nonzero"), p("h2", "jz_in")),
         (p("h2", "jz_out_zero"), p("h1", "inc_in")),
     )
-    system = SystemOfGadgets(
-        specs=(spec,),
-        instances=tuple(GadgetInstance(i, spec.name, 0) for i in ids),
-        nodes=ports,
-        edges=edges,
-        boundary=tuple(node_endpoint(q) for q in ports),
-    )
-    return LoweringArtifact(
-        system,
+    return _part(
+        (spec,), (GadgetInstance(i, spec.name, 0) for i in ids), ports, edges,
         roles={"g0": "value-copy-0", "g1": "value-copy-1",
                "h0": "jz-entry-turnstile", "h1": "restore-escort",
                "h2": "decrement-escort"},
@@ -282,15 +288,9 @@ def sim_incjzdec_via_incdecnzpz() -> LoweringArtifact:
     switch: at 0 only the PZ side is open, at >=1 only the DecNZ side."""
     spec = spec_inc_decnz_pz_merged()
     ports = ("inc_in", "inc_out", "jz_in", "jz_out_zero", "jz_out_nonzero")
-    system = SystemOfGadgets(
-        specs=(spec,),
-        instances=(GadgetInstance("g", spec.name, 0),),
-        nodes=ports,
-        edges=tuple((node_endpoint(q), port_endpoint("g", q)) for q in ports),
-        boundary=tuple(node_endpoint(q) for q in ports),
-    )
-    return LoweringArtifact(
-        system,
+    return _part(
+        (spec,), (GadgetInstance("g", spec.name, 0),), ports,
+        ((node_endpoint(q), port_endpoint("g", q)) for q in ports),
         roles={"g": "counter"},
         encoding=Encoding("affine", affine=((1, 0),)),
         provenance={"construction": "jzdec-from-merged-entrances",
@@ -306,23 +306,15 @@ def build_sscd_from_incdecnz() -> LoweringArtifact:
     arms latch b, which is what opens tunnel 2, and symmetrically."""
     spec = spec_inc_decnz()
     p = port_endpoint
-    system = SystemOfGadgets(
-        specs=(spec,),
-        instances=(GadgetInstance("a", spec.name, 1),
-                   GadgetInstance("b", spec.name, 0)),
-        nodes=("L1", "R1", "L2", "R2"),
-        edges=(
-            (node_endpoint("L1"), p("a", "dec_in")),
-            (p("a", "dec_out"), p("b", "inc_in")),
-            (p("b", "inc_out"), node_endpoint("R1")),
-            (node_endpoint("L2"), p("b", "dec_in")),
-            (p("b", "dec_out"), p("a", "inc_in")),
-            (p("a", "inc_out"), node_endpoint("R2")),
-        ),
-        boundary=tuple(node_endpoint(q) for q in ("L1", "R1", "L2", "R2")),
-    )
-    return LoweringArtifact(
-        system,
+    return _part(
+        (spec,), (GadgetInstance("a", spec.name, 1), GadgetInstance("b", spec.name, 0)),
+        ("L1", "R1", "L2", "R2"),
+        ((node_endpoint("L1"), p("a", "dec_in")),
+         (p("a", "dec_out"), p("b", "inc_in")),
+         (p("b", "inc_out"), node_endpoint("R1")),
+         (node_endpoint("L2"), p("b", "dec_in")),
+         (p("b", "dec_out"), p("a", "inc_in")),
+         (p("a", "inc_out"), node_endpoint("R2"))),
         roles={"a": "door-1-latch", "b": "door-2-latch"},
         encoding=Encoding("table", table=(("1", (1, 0)), ("2", (0, 1)))),
         provenance={"construction": "sscd-from-inc-decnz",
@@ -380,20 +372,15 @@ def build_edge_duplicator(a: int, b: int, c: int, d: int) -> LoweringArtifact:
     wrapper's DecNZ is shut at 0, so there is no cross talk; with the shared
     tunnel blocked the agent strands at E0 and no boundary transition
     exists at all."""
+    for v in (a, b, c, d):
+        check_integer(v, message=f"range parameters must be integers; got {(a, b, c, d)!r}")
     _require_overlap(a, b, c, d)
     wrap = spec_inc_ab(a, b, c, d)
     # standalone artifact: E0/E1 stay open splice points, no shared tunnel yet
     nodes, edges = _duplicator_edges("", "w0", "w1", None, None)
-    system = SystemOfGadgets(
-        specs=(wrap,),
-        instances=(GadgetInstance("w0", wrap.name, 0),
-                   GadgetInstance("w1", wrap.name, 0)),
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        boundary=tuple(node_endpoint(q) for q in ("In0", "Out0", "In1", "Out1")),
-    )
-    return LoweringArtifact(
-        system,
+    return _part(
+        (wrap,), (GadgetInstance("w0", wrap.name, 0), GadgetInstance("w1", wrap.name, 0)),
+        nodes[:4], edges, inner=nodes[4:],
         roles={"w0": "interface-0-wrapper", "w1": "interface-1-wrapper"},
         encoding=Encoding("table", table=(("idle", (0, 0)),)),
         provenance={"construction": "edge-duplicator",
@@ -431,6 +418,8 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
     [a,b] n [c,d] nonempty).  merged=True exposes the JZDec-style boundary
     (jz_in feeding both the DecNZ chain and the PZ chain) instead of
     separate dec/pz ports."""
+    for v in (a, b, c, d):
+        check_integer(v, message=f"range parameters must be integers; got {(a, b, c, d)!r}")
     if min(a, c) < 1:
         raise SystemFormatError(
             f"range parameters need a > 0 and c > 0 (Inc must add and DecNZ "
@@ -516,7 +505,6 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
         ports = ("inc_in", "inc_out", "dec_in", "dec_out", "pz_in", "pz_out")
         chains = [("inc_in", "inc_out"), ("dec_in", "dec_out"), ("pz_in", "pz_out")]
         simulates = spec_inc_decnz_pz().name
-    nodes[:0] = ports
     for (head, tail), hops in zip(chains, (inc_hops, dec_hops, pz_hops)):
         _chain(edges, node_endpoint(head), hops, node_endpoint(tail))
 
@@ -524,15 +512,8 @@ def sim_incdecnzpz_via_incab(a: int, b: int, c: int, d: int, *,
     ia = [((a * acd, 0), (abcd, 0)), ((abcd, 0), (b * bcd, 0))]
     ia += [((0, 0), (0, 0))] * n_wrappers
     conc = [(abcd, 0), (abcd, 0)] + [(0, 0)] * n_wrappers
-    system = SystemOfGadgets(
-        specs=_dedupe_specs(specs),
-        instances=tuple(instances),
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        boundary=tuple(node_endpoint(q) for q in ports),
-    )
-    return LoweringArtifact(
-        system,
+    return _part(
+        specs, instances, ports, edges, inner=nodes,
         roles=roles,
         encoding=Encoding("interval-affine", iaffine=tuple(ia), concrete=tuple(conc)),
         provenance={"construction": "inc-decnz-pz-from-inc-ab",
@@ -566,12 +547,18 @@ def compile_machine_to_incdecjz(program: Program,
     instances; flow="expanded" builds each from three more Inc-Dec-JZ
     gadgets (build_inc_decnz_decnz), leaving a pure Inc-Dec-JZ system.
     """
+    if not isinstance(program, Program):
+        raise ProgramError(f"program must be a Program, got {type(program).__name__}")
     if flow not in ("primitive", "expanded"):
         raise SystemFormatError(f"unknown flow mode {flow!r}")
+    if not isinstance(initial, (dict, type(None))):
+        raise SystemFormatError(
+            f"initial values must be a dict or None, got {type(initial).__name__}")
     initial = dict(initial or {})
     unknown = set(initial) - set(program.counters)
     if unknown:
-        raise SystemFormatError(f"initial values for unknown counters {sorted(unknown)}")
+        raise SystemFormatError(
+            f"initial values for unknown counters {sorted(unknown, key=repr)}")
     idj = spec_inc_dec_jz()
     flow_spec = spec_inc_decnz_decnz()
     p = port_endpoint
@@ -675,6 +662,10 @@ def substitute(host: LoweringArtifact, spec_name: str,
     name of the output is fresh, and every seeded copy holds a state of
     its gadget.  Every edge then joins endpoints that exist.  The tests
     run the full validator on substitute outputs as the oracle."""
+    if not (isinstance(host, LoweringArtifact) and isinstance(part, LoweringArtifact)):
+        raise SystemFormatError("substitute takes a host and a part LoweringArtifact")
+    if not isinstance(spec_name, str):
+        raise SystemFormatError(f"spec name must be a string, got {type(spec_name).__name__}")
     hsys = host.system
     target_spec = hsys.spec_of.get(spec_name)
     if target_spec is None:
@@ -769,8 +760,11 @@ def emit_initializer(values) -> Fragment:
     loop's backward jump needs a counter that is always 0; init_zero is
     reserved for that.  Instruction count is O(log value) per counter,
     inside 8*(floor(log2(v+1)) + 1)."""
-    if not isinstance(values, dict):
+    if isinstance(values, (list, tuple)):
         values = {f"c{i}": v for i, v in enumerate(values)}
+    elif not (isinstance(values, dict) and all(isinstance(k, str) for k in values)):
+        raise SystemFormatError(
+            "initializer values must be a dict with string names, a list or a tuple")
     for name, v in values.items():
         check_integer(v, 0, f"{name}: initializer values must be naturals")
     if {"init_tmp", "init_zero"} & set(values):
@@ -812,6 +806,19 @@ def emit_initializer(values) -> Fragment:
 
 PIPELINE_TARGETS = ("inc-dec-jz", "inc-jzdec", "inc-decnz-pz", "inc-ab")
 
+# (replaced spec, part builder) below the expanded compile, one per target
+# past inc-dec-jz.  The builders are looked up when a stage runs, so a
+# patched module attribute is the one called.
+_STAGES = (
+    (spec_inc_dec_jz().name,
+     lambda range_params, expand: _constant_part(sim_incdecjz_via_incjzdec)),
+    (spec_inc_jzdec().name,
+     lambda range_params, expand: _constant_part(sim_incjzdec_via_incdecnzpz)),
+    (spec_inc_decnz_pz_merged().name,
+     lambda range_params, expand: sim_incdecnzpz_via_incab(
+         *range_params, merged=True, expand=expand)),
+)
+
 
 def pipeline(program: Program, target: str,
              initial: dict[str, int] | None = None,
@@ -827,29 +834,20 @@ def pipeline(program: Program, target: str,
     if target not in PIPELINE_TARGETS:
         raise SystemFormatError(
             f"unknown target {target!r}; expected one of {PIPELINE_TARGETS}")
-    if target == "inc-ab" and range_params is None:
+    if target == "inc-ab" and not (isinstance(range_params, (list, tuple))
+                                   and len(range_params) == 4):
         raise SystemFormatError("target inc-ab needs range_params=(a,b,c,d)")
     if target == "inc-dec-jz":
         return compile_machine_to_incdecjz(program, initial, flow="primitive")
-
-    def sub(art: LoweringArtifact, name: str,
-            part: LoweringArtifact) -> LoweringArtifact:
-        # a program with no counters compiles to a bare start->goal system;
-        # there is then nothing to replace and the stage is a no-op
-        if any(s.name == name for s in art.system.specs):
-            return substitute(art, name, part)
-        return art
-
     art = compile_machine_to_incdecjz(program, initial, flow="expanded")
-    art = sub(art, spec_inc_dec_jz().name, _constant_part(sim_incdecjz_via_incjzdec))
-    if target == "inc-jzdec":
-        return art
-    art = sub(art, spec_inc_jzdec().name, _constant_part(sim_incjzdec_via_incdecnzpz))
-    if target == "inc-decnz-pz":
-        return art
-    a, b, c, d = range_params
-    part = sim_incdecnzpz_via_incab(a, b, c, d, merged=True, expand=expand)
-    return sub(art, spec_inc_decnz_pz_merged().name, part)
+    for replaced, build in _STAGES[:PIPELINE_TARGETS.index(target)]:
+        # every part is built, so its arguments are checked; a program with
+        # no counters compiles to a bare start->goal system, with nothing to
+        # replace
+        part = build(range_params, expand)
+        if replaced in art.system.spec_of:
+            art = substitute(art, replaced, part)
+    return art
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class SearchOutcome:
 
 @dataclass
 class Sweep:
-    """Raw result of one bounded BFS sweep (shared by reach and verify).
+    """Raw result of one bounded BFS sweep.
 
     The sweep runs on packed keys (``codec``, see ``gadgets.KeyCodec``).
     ``visited`` maps each reached key to its BFS parent edge (parent key,

@@ -141,7 +141,7 @@ __all__ = [
 
 Label = tuple[str, str]  # (entry port, exit port)
 
-_INNER_BUDGET = 200_000  # configurations per inner sweep of derive_boundary_lts
+_INNER_BUDGET = 200_000  # configurations per excursion of the boundary closure
 _STATE_BUDGET = 100_000  # at-rest states per boundary closure
 _TRACE_BUDGET = 20_000   # state-set pairs per distinguishing_trace search
 _WALK_BUDGET = 500_000   # configurations per interval_step walk

@@ -53,3 +53,14 @@ def test_a_sweep_feeds_the_tracer_hooks():
     assert starts == 1
     per_config = tracing.bytes_per_config(gadgetforge, tracer)
     assert isinstance(per_config, float) and per_config > 0
+
+
+def test_the_tracer_sees_the_builders_through_pipeline():
+    # pipeline looks its stage builders up when a stage runs, so the
+    # patched module attributes are the ones it calls
+    tracing = _tracing()
+    program = machine.parse_program("0: INC c0\n1: JZ c0 0\n2: HALT\n")
+    with tracing.installed(tracing.Tracer(), gadgetforge) as tracer:
+        lower.pipeline(program, "inc-ab", range_params=(1, 2, 1, 2))
+    assert {"lower.pipeline", "lower.substitute", "lower.sim_incdecjz_via_incjzdec",
+            "lower.sim_incdecnzpz_via_incab"} <= set(tracer.names)

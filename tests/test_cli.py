@@ -497,6 +497,20 @@ def test_verify_sim_rejects_an_encoding_that_seeds_a_negative_counter(tmp_path, 
     assert _rejected(code, out, err) and "natural" in err
 
 
+@pytest.mark.parametrize("encoding", [
+    {"kind": "affine", "per_instance": [[1, 0], [0, 1]]},
+    {"kind": "interval-affine", "per_instance": [[[1, 0], [1, 0]], [[0, 1], [0, 1]]],
+     "concrete": [[1, 0], [0, 1]]},
+], ids=["affine", "interval-affine"])
+def test_verify_sim_rejects_an_arithmetic_encoding_of_a_finite_spec(
+        tmp_path, capsys, encoding):
+    # sscd's states are the names "1" and "2", not counter values
+    code, out, err = _verify_sim_with_sidecar(
+        tmp_path, capsys, lambda doc: {**doc, "encoding": encoding},
+        lower.build_sscd_from_incdecnz, "sscd")
+    assert _rejected(code, out, err) and "'1'" in err
+
+
 @pytest.mark.parametrize("scale", [float("inf"), 2.7, True, "3"],
                          ids=["infinity", "float", "bool", "string"])
 def test_verify_sim_rejects_an_encoding_number_that_is_not_an_integer(

@@ -1,9 +1,10 @@
 """Every library entry point names a bad argument with a typed error.
 
-One property over the public calls of ``reach``, ``verify`` and ``machine``:
+One property over the public calls of ``reach``, ``verify``, ``machine`` and
+``lower``:
 each call draws up to two arguments from a pool of values of the wrong
 type and the others from a pool of well-formed ones (small caps and
-budgets, the quintet, a ranged artifact), and whatever the call does, only
+budgets, the quintet, a ranged artifact, the sscd door), and whatever the call does, only
 the library's own errors may escape.
 A bare TypeError, AttributeError, KeyError or IndexError means some input
 was read before it was checked.
@@ -33,11 +34,14 @@ WITNESS = reach.bfs_reach(REACH, 4).witness
 QUINTET = lower.sim_incdecjz_via_incjzdec()
 RANGED = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
 RANGED_VEC = RANGED.encoding.state_for(1, "interval")
+SSCD = lower.build_sscd_from_incdecnz()  # a finite spec's part: its states are names
+HOST = lower.compile_machine_to_incdecjz(PROGRAM)
 
 CAPS = [0, 1, 2, 4]
 BUDGETS = [0, 1, 10, 50]
 SYSTEMS = [REACH, REACH_INDEX, QUINTET.system, G.canonicalize(RANGED.system, "interval")]
-SPECS = [G.catalog()["inc-dec-jz"], G.catalog()["inc-decnz-pz"], G.spec_inc_jzdec()]
+SPECS = [G.catalog()["inc-dec-jz"], G.catalog()["inc-decnz-pz"], G.spec_inc_jzdec(),
+         G.spec_sscd()]
 OPS = ["inc", "decnz", "pz"]
 
 # entry point -> argument -> pool of well-formed values (the wrong ones are added)
@@ -60,7 +64,7 @@ CALLS = {
     },
     verify.spec_closure_lts: {"spec": SPECS, "cap": CAPS},
     verify.check_bisimulation: {
-        "impl": [QUINTET, QUINTET.system, RANGED], "spec": SPECS,
+        "impl": [QUINTET, QUINTET.system, RANGED, SSCD], "spec": SPECS,
         "port_map": [None, {p: p for p in QUINTET.system.boundary_ports}],
         "cap": CAPS, "mode": [None, "concrete", "interval"],
         "encoding": [None, QUINTET.encoding, RANGED.encoding], "impl_cap": [None, *CAPS],
@@ -76,6 +80,24 @@ CALLS = {
     machine.run: {
         "program": [PROGRAM], "initial": [None, (1,), [2], {"c0": 1}, {}],
         "max_steps": BUDGETS,
+    },
+    lower.pipeline: {
+        "program": [PROGRAM], "target": list(lower.PIPELINE_TARGETS),
+        "initial": [None, {"c0": 1}, {}], "range_params": [(1, 2, 1, 2), [1, 1, 1, 1]],
+        "expand": ["direct", "via-duplicators"],
+    },
+    lower.compile_machine_to_incdecjz: {
+        "program": [PROGRAM], "initial": [None, {"c0": 2}], "flow": ["primitive", "expanded"],
+    },
+    lower.sim_incdecnzpz_via_incab: {
+        "a": [1, 2], "b": [2, 1], "c": [1, 2], "d": [2, 1], "merged": [False, True],
+        "expand": ["direct", "via-duplicators"],
+    },
+    lower.build_edge_duplicator: {"a": [1, 2], "b": [2, 1], "c": [1, 2], "d": [2, 1]},
+    lower.emit_initializer: {"values": [{"c0": 9}, [3, 0], (2,)]},
+    lower.substitute: {
+        "host": [HOST, QUINTET], "spec_name": ["inc-dec-jz", "inc-decnz-decnz"],
+        "part": [QUINTET, lower.build_inc_decnz_decnz()],
     },
 }
 

@@ -9,6 +9,7 @@ their contracts through the bisimulation checker and reachability.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -41,6 +42,7 @@ from gadgetforge.lower import (
 from gadgetforge.machine import Dec, Halt, Inc, Jz, Program, RunStatus, parse_program, run
 from gadgetforge.reach import Verdict, bfs_reach
 from gadgetforge.verify import BisimVerdict, check_bisimulation, derive_boundary_lts
+from test_acceptance import _corpus
 
 
 # ------------------------------------------------- compile wiring oracle
@@ -145,6 +147,8 @@ def test_compile_structure():
     assert art.roles["i:0"] == "instruction:0:inc"
     with pytest.raises(SystemFormatError, match="unknown counters"):
         compile_machine_to_incdecjz(program, {"c9": 1})
+    with pytest.raises(SystemFormatError, match=r"unknown counters \['zz', 5\]"):
+        compile_machine_to_incdecjz(program, {5: 1, "zz": 2})
 
 
 def test_compile_empty_program():
@@ -515,7 +519,55 @@ def test_pipeline_argument_checks():
         pipeline(program, "inc-ab")
     with pytest.raises(SystemFormatError, match="unknown expand mode"):
         pipeline(program, "inc-ab", range_params=(1, 1, 1, 1), expand="sideways")
+    with pytest.raises(SystemFormatError, match="range_params"):
+        pipeline(program, "inc-ab", range_params=(1, 2, 1))
+    # a counterless program has nothing to replace, and its parts are still built
+    bare = parse_program("0: HALT\n")
+    with pytest.raises(SystemFormatError, match="unknown expand mode"):
+        pipeline(bare, "inc-ab", range_params=(1, 1, 1, 1), expand="sideways")
+    with pytest.raises(SystemFormatError, match="a > 0 and c > 0"):
+        pipeline(bare, "inc-ab", range_params=(0, 1, 1, 1))
+    # the program is compiled before any part is built
+    with pytest.raises(SystemFormatError, match="unknown counters"):
+        pipeline(program, "inc-ab", initial={"zz": 1}, range_params=(0, 1, 1, 1))
     assert PIPELINE_TARGETS == ("inc-dec-jz", "inc-jzdec", "inc-decnz-pz", "inc-ab")
+
+
+# SHA-256 of the bytes export_artifact writes for each group of
+# constructions, pinned while every builder still wrote out its own system
+_LOWERING_DIGESTS = {
+    "fixed": "48ade63c363309f06fb211706d8409edbd638df459fb55974ce8647f98e36410",
+    "ranged": "2eae083ace6bbea30eed0841d45cef6cd14c63640f51fb58f22a0a1e69ea0f80",
+    "pipeline": "31f9c685d780671c43182e39cb8db3440f10d859542e06f3a889fa802763f3a4",
+}
+
+
+def test_the_lowering_bytes_are_pinned(tmp_path):
+    path = str(tmp_path / "a.json")
+    digests = {group: hashlib.sha256() for group in _LOWERING_DIGESTS}
+
+    def feed(group, build, *args, **kwargs):
+        try:
+            art = build(*args, **kwargs)
+        except SystemFormatError as exc:
+            digests[group].update(f"{exc}\n".encode())
+            return
+        for written in export_artifact(art, path):
+            digests[group].update(Path(written).read_bytes())
+
+    for build in (build_inc_decnz_decnz, sim_incdecjz_via_incjzdec,
+                  sim_incjzdec_via_incdecnzpz, build_sscd_from_incdecnz):
+        feed("fixed", build)
+    for params in [(a, b, c, d) for a in (1, 2) for b in range(a, 3)
+                   for c in (1, 2) for d in range(c, 3)]:
+        feed("ranged", build_edge_duplicator, *params)
+        for expand in ("direct", "via-duplicators"):
+            for merged in (False, True):
+                feed("ranged", sim_incdecnzpz_via_incab, *params, merged=merged, expand=expand)
+    for program, initial in _corpus()[::10]:
+        for target in PIPELINE_TARGETS:
+            feed("pipeline", pipeline, program, target, initial, range_params=(1, 2, 1, 2))
+    assert {group: h.hexdigest() for group, h in digests.items()} == _LOWERING_DIGESTS
 
 
 def test_pipeline_is_deterministic():

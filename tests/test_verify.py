@@ -364,6 +364,19 @@ def test_artifact_carries_its_own_encoding():
         check_bisimulation(art.system, G.spec_inc_dec_jz(), cap=6)
 
 
+@pytest.mark.parametrize("mode", ["concrete", "interval"])
+@pytest.mark.parametrize("encoding", [
+    lower.Encoding("affine", affine=((1, 0), (0, 1))),
+    lower.Encoding("interval-affine", iaffine=(((1, 0), (1, 0)), ((0, 1), (0, 1))),
+                   concrete=((1, 0), (0, 1))),
+], ids=["affine", "interval-affine"])
+def test_an_arithmetic_encoding_needs_counter_states(mode, encoding):
+    # sscd's states are the names "1" and "2"
+    with pytest.raises(SystemFormatError, match="maps counter values, not state '1'"):
+        check_bisimulation(lower.build_sscd_from_incdecnz(), G.spec_sscd(), cap=3,
+                           mode=mode, encoding=encoding)
+
+
 # ------------------------------------------------ counterexample replay
 
 def _without_h0_diode():
