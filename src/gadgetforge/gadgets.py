@@ -673,11 +673,15 @@ class KeyCodec:
     kind.interval_moves, two slots?, a counter?): everything a move needs
     but the state.  A finite step's row compares interned codes.  Rows of
     equal kinds share one memo table, slot bytes -> ``slot_moves``; a
-    concrete ranged kind with lo < hi has none (``reach`` docstring).
+    concrete ranged kind with lo < hi has none (``reach`` docstring).  The
+    spec's part of a row (entry and exit places, memo, step, ports) is
+    worked out once per spec; each instance adds its offsets, classes, slot
+    and id.
     """
 
     def __init__(self, index: SystemIndex, width: int) -> None:
-        self.index = index
+        # not the index, which keeps its codecs: no cycle, so a dropped index is freed at once
+        self.finite_code, self.finite_states = index.finite_code, index.finite_states
         self.width = width
         self.pos_width = off = index.pos_width
         self.top = (1 << 8 * width) - 1  # the largest value a slot holds
@@ -686,23 +690,27 @@ class KeyCodec:
         self.layout: list[tuple[int, bool, bool]] = []
         self.moves: dict[bytes, list[tuple]] = {}
         memos: defaultdict[object, dict[bytes, tuple]] = defaultdict(dict)
+        templates: dict[str, list[tuple]] = {}  # spec name -> its rows' fixed part
         for i, (inst, counted) in enumerate(zip(index.system.instances, index.counter)):
             pair = counted and index.interval
+            base, place = index.table[inst.id]
+            if (rows := templates.get(inst.spec)) is None:
+                spec = index.spec_of[inst.spec]
+                # its entrances as (entry port, kind, exit ports)
+                parts = ([(c.entry, c.kind, c.exit_ports) for c in spec.components] if counted
+                         else [(a, _FiniteStep(code[s], code[s2], k), (b,))
+                               for k, (s, a, s2, b) in enumerate(spec.transitions)])
+                rows = templates[inst.spec] = [
+                    (place[entry], [place[p] for p in exit_ports],
+                     memos[kind] if pair or not isinstance(kind, _Ranged) or kind.lo == kind.hi
+                     else None, kind.interval_moves if pair else kind.moves, entry, exit_ports)
+                    for entry, kind, exit_ports in parts]
             self.layout.append((off, pair, counted))
             end = off + width * (2 if pair else 1)
-            spec = index.spec_of[inst.spec]
-            base, place = index.table[inst.id]
-            # its entrances as (entry port, kind, exit ports)
-            parts = ([(c.entry, c.kind, c.exit_ports) for c in spec.components] if counted
-                     else [(a, _FiniteStep(code[s], code[s2], k), (b,))
-                           for k, (s, a, s2, b) in enumerate(spec.transitions)])
-            for entry, kind, exit_ports in parts:
-                cached = pair or not isinstance(kind, _Ranged) or kind.lo == kind.hi
-                self.moves.setdefault(prefix[cls[base + place[entry]]], []).append(
-                    (off, end, memos[kind] if cached else None,
-                     tuple([prefix[cls[base + place[p]]] for p in exit_ports]),
-                     i, inst.id, entry, exit_ports,
-                     kind.interval_moves if pair else kind.moves, pair, counted))
+            for at, exits, memo, step, entry, exit_ports in rows:
+                self.moves.setdefault(prefix[cls[base + at]], []).append(
+                    (off, end, memo, tuple([prefix[cls[base + p]] for p in exits]),
+                     i, inst.id, entry, exit_ports, step, pair, counted))
             off = end
         self.size = off  # bytes per key
 
@@ -717,7 +725,7 @@ class KeyCodec:
     def pack_states(self, states: tuple) -> bytes:
         """The state slots of a key: ``pack`` without the position."""
         w = self.width
-        code = self.index.finite_code
+        code = self.finite_code
         try:
             parts = []
             for (_, pair, counted), state in zip(self.layout, states, strict=True):
@@ -741,7 +749,7 @@ class KeyCodec:
         v = int.from_bytes(key[off:off + w], "big")
         if pair:
             return (v, int.from_bytes(key[off + w:off + 2 * w], "big"))
-        return v if counted else self.index.finite_states[v]
+        return v if counted else self.finite_states[v]
 
     def unpack(self, key: bytes) -> Configuration:
         """The configuration ``key`` holds: ``state`` for every instance."""
@@ -795,7 +803,8 @@ def _validate(system: SystemOfGadgets) -> None:
     """The one validity check, run by SystemOfGadgets on construction.
     Linear in specs, instances, nodes and endpoints.  A ``lower.substitute``
     output skips it: it is valid by the splice rule, and this check is its
-    test oracle."""
+    test oracle.  An initial is checked once per distinct (spec, type, value)
+    when an int or str, else every time (True == 1 == 1.0 hash alike)."""
     spec_locations: dict[str, frozenset[str]] = {}
     for spec in system.specs:  # each spec checked itself when it was built
         if not isinstance(spec, GadgetSpec):
@@ -804,6 +813,7 @@ def _validate(system: SystemOfGadgets) -> None:
             raise SystemFormatError(f"duplicate spec name {spec.name!r}")
         spec_locations[spec.name] = frozenset(spec.locations)
     ports_of: dict[str, frozenset[str]] = {}  # instance id -> its locations
+    checked: set[tuple | None] = set()
     for inst in system.instances:
         if not isinstance(inst.id, str) or "." in inst.id or not inst.id:
             raise SystemFormatError(f"bad instance id {inst.id!r} (no dots, nonempty)")
@@ -816,7 +826,11 @@ def _validate(system: SystemOfGadgets) -> None:
         spec = system.spec_of.get(inst.spec) if isinstance(inst.spec, str) else None
         if spec is None:
             raise SystemFormatError(f"no spec named {inst.spec!r}")
-        check_state(spec, inst.initial, inst.id, ": initial state")
+        q = inst.initial
+        key = (spec.name, type(q), q) if type(q) in (int, str) else None
+        if key is None or key not in checked:
+            check_state(spec, q, inst.id, ": initial state")
+            checked.add(key)
         ports_of[inst.id] = spec_locations[spec.name]
     _check_names("node name", system.nodes)
     node_set = set(system.nodes)

@@ -108,7 +108,6 @@ class Encoding:
     concrete: tuple[tuple[int, int], ...] | None = None
 
     def state_for(self, q, mode: str = "concrete") -> tuple:
-        # substitute seeds every copy through here, so the check stays one type test
         if type(q) is not int and self.kind != "table":
             raise SystemFormatError(f"{self.kind} encoding maps counter values, not state {q!r}")
         if self.kind == "affine":
@@ -661,7 +660,9 @@ def substitute(host: LoweringArtifact, spec_name: str,
     named exactly after the spec's locations, every instance id and node
     name of the output is fresh, and every seeded copy holds a state of
     its gadget.  Every edge then joins endpoints that exist.  The tests
-    run the full validator on substitute outputs as the oracle."""
+    run the full validator on substitute outputs as the oracle.  A seed is
+    made and checked once per distinct host state (int or str, else every
+    time), so a bad one is named by the first copy of that state."""
     if not (isinstance(host, LoweringArtifact) and isinstance(part, LoweringArtifact)):
         raise SystemFormatError("substitute takes a host and a part LoweringArtifact")
     if not isinstance(spec_name, str):
@@ -695,6 +696,8 @@ def substitute(host: LoweringArtifact, spec_name: str,
     # part's endpoints are copied under the prefix INSTANCE/
     hoisted: dict[str, str] = {}
     part_edges = [(*split_for_prefix(ea), *split_for_prefix(eb)) for ea, eb in psys.edges]
+    subs = [(sub.id, sub.spec, part.roles.get(sub.id, "")) for sub in psys.instances]
+    seeds: dict[tuple | None, tuple] = {}  # (type, host state) -> its checked seed
 
     for x in replaced:
         prefix = f"{x.id}/"
@@ -702,16 +705,19 @@ def substitute(host: LoweringArtifact, spec_name: str,
         port, node = port_endpoint(x.id, ""), node_endpoint(prefix)
         for loc in target_spec.locations:
             hoisted[port + loc] = node + loc
-        seed = part.encoding.state_for(x.initial, "concrete")
-        if len(seed) != len(psys.instances):
-            raise SystemFormatError("part encoding arity mismatch")
-        for sub, s0 in zip(psys.instances, seed):
-            check_state(psys.spec_of[sub.spec], s0, prefix, sub.id, ": initial state")
-            out_instances.append(GadgetInstance(prefix + sub.id, sub.spec, s0))
-            sub_role = part.roles.get(sub.id, "")
-            roles[prefix + sub.id] = (
-                f"{host.roles.get(x.id, x.id)}/{sub_role}" if sub_role
-                else host.roles.get(x.id, x.id))
+        q = x.initial
+        key = (type(q), q) if type(q) in (int, str) else None
+        if key is None or (seed := seeds.get(key)) is None:
+            seed = part.encoding.state_for(q, "concrete")
+            if len(seed) != len(subs):
+                raise SystemFormatError("part encoding arity mismatch")
+            for (sub_id, sub_spec, _), s0 in zip(subs, seed):
+                check_state(psys.spec_of[sub_spec], s0, prefix, sub_id, ": initial state")
+            seeds[key] = seed
+        role = host.roles.get(x.id, x.id)
+        for (sub_id, sub_spec, sub_role), s0 in zip(subs, seed):
+            out_instances.append(GadgetInstance(prefix + sub_id, sub_spec, s0))
+            roles[prefix + sub_id] = f"{role}/{sub_role}" if sub_role else role
         out_nodes += [prefix + n for n in psys.nodes]
         out_edges += [(ha + prefix + ta, hb + prefix + tb) for ha, ta, hb, tb in part_edges]
 

@@ -377,6 +377,22 @@ def test_verify_sim_rejects_a_sidecar_that_is_not_an_object(tmp_path, capsys):
     assert _rejected(*_verify_sim_with_sidecar(tmp_path, capsys, lambda doc: []))
 
 
+@pytest.mark.parametrize("scale", [[10**30, 0], [-1, 100]])
+def test_verify_sim_ends_a_huge_scale_sidecar_at_the_state_budget(tmp_path, capsys, scale):
+    # the seeds lie far above --cap, so the closure runs to its state budget:
+    # about half a second on a 2-core 2.1 GHz Xeon, against 9.7 s once
+    impl, meta = _exported(tmp_path, lower.sim_incdecjz_via_incjzdec(), "q")
+    doc = json.loads(Path(meta).read_text())
+    doc["encoding"]["per_instance"][0] = scale
+    huge = _write(tmp_path, "huge.map.json", json.dumps(doc))
+    began = time.perf_counter()
+    code, out, err = _run_cli(capsys, "verify-sim", impl, "--spec", "inc-dec-jz",
+                              "--map", huge, "--cap", "3")
+    assert time.perf_counter() - began < 5.0
+    assert _rejected(code, out, err)
+    assert "boundary closure exceeded 100000 at-rest states" in err
+
+
 # verify-sim on exported artifacts whose sidecars are mutated: every run
 # ends in a verdict or an error exit, and says the same the second time
 _SIDECAR_BUILDS = {"quintet": (lower.sim_incdecjz_via_incjzdec, "inc-dec-jz"),

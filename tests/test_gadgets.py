@@ -333,6 +333,18 @@ def test_validation_errors():
         SystemOfGadgets((spec,), (good,), nodes=("n", "n"))
 
 
+@pytest.mark.parametrize("first, second", [(1, True), (1, 1.0), (0, [0]), (0, {})])
+def test_an_initial_equal_to_a_checked_one_is_still_checked(first, second):
+    # _validate checks an int or str initial once per spec; True == 1 == 1.0
+    # hash alike, and a list or dict hashes not at all, so each is checked
+    spec = G.spec_inc_dec_jz()
+    with pytest.raises(SystemFormatError) as caught:
+        SystemOfGadgets((spec,), (GadgetInstance("a", spec.name, first),
+                                  GadgetInstance("b", spec.name, second)))
+    assert str(caught.value) == (
+        f"b: initial state of a counter gadget must be a natural, got {second!r}")
+
+
 def test_initial_config_requires_start():
     spec = G.spec_inc_dec_jz()
     sys0 = SystemOfGadgets((spec,), (GadgetInstance("a", "inc-dec-jz", 0),))

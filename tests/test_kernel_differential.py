@@ -27,7 +27,7 @@ pass both.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import pytest
@@ -906,6 +906,91 @@ def test_index_tables_match_the_union_find_reference():
 def test_index_tables_match_the_reference_on_generated_systems(system):
     # a boundary collision must raise the same error in both
     assert _outcome(lambda: _index_tables(system)) == _outcome(lambda: reference_tables(system))
+
+
+# KeyCodec builds one row template per spec and fills in each instance's
+# offsets, classes, slot and id.  Its loop that built every row from the
+# spec, one instance at a time, is kept below verbatim as the oracle.
+
+def reference_codec(index: SystemIndex, width: int) -> tuple:
+    """(layout, moves, size) as KeyCodec.__init__ built them per instance."""
+    off = index.pos_width
+    code, prefix, cls = index.finite_code, index.prefix, index.class_at
+    layout: list[tuple[int, bool, bool]] = []
+    moves: dict[bytes, list[tuple]] = {}
+    memos: defaultdict[object, dict[bytes, tuple]] = defaultdict(dict)
+    for i, (inst, counted) in enumerate(zip(index.system.instances, index.counter)):
+        pair = counted and index.interval
+        layout.append((off, pair, counted))
+        end = off + width * (2 if pair else 1)
+        spec = index.spec_of[inst.spec]
+        base, place = index.table[inst.id]
+        # its entrances as (entry port, kind, exit ports)
+        parts = ([(c.entry, c.kind, c.exit_ports) for c in spec.components] if counted
+                 else [(a, G._FiniteStep(code[s], code[s2], k), (b,))
+                       for k, (s, a, s2, b) in enumerate(spec.transitions)])
+        for entry, kind, exit_ports in parts:
+            cached = pair or not isinstance(kind, G._Ranged) or kind.lo == kind.hi
+            moves.setdefault(prefix[cls[base + place[entry]]], []).append(
+                (off, end, memos[kind] if cached else None,
+                 tuple([prefix[cls[base + place[p]]] for p in exit_ports]),
+                 i, inst.id, entry, exit_ports,
+                 kind.interval_moves if pair else kind.moves, pair, counted))
+        off = end
+    return layout, moves, off
+
+
+def _assert_rows_match(index: SystemIndex) -> int:
+    """A fresh codec at slot widths 1 and 2 has the reference's layout, size
+    and rows: the same prefixes in the same order, and every row's 11 fields
+    equal and of one type, the step as the same function of an equal kind.
+    Rows of equal kinds share one memo table, and unequal kinds do not.
+    Returns the number of rows."""
+    for width in (1, 2):
+        codec = G.KeyCodec(index, width)
+        layout, moves, size = reference_codec(index, width)
+        assert (codec.layout, codec.size) == (layout, size)
+        assert list(codec.moves) == list(moves)
+        memo_of: dict[object, dict] = {}
+        for prefix, want_rows in moves.items():
+            rows = codec.moves[prefix]
+            assert len(rows) == len(want_rows)
+            for row, want in zip(rows, want_rows):
+                assert len(row) == len(want) == 11
+                for k, (got, ref) in enumerate(zip(row, want)):
+                    if k == 8:  # kind.moves or kind.interval_moves, bound
+                        got, ref = (got.__func__, got.__self__), (ref.__func__, ref.__self__)
+                    assert type(got) is type(ref) and got == ref, (prefix, k)
+                if row[2] is not None:
+                    assert memo_of.setdefault(row[8].__self__, row[2]) is row[2]
+        assert len({id(memo) for memo in memo_of.values()}) == len(memo_of)
+    return sum(map(len, moves.values()))
+
+
+def _codec_cases():
+    yield from _index_cases()
+    for params in _RANGE_PARAMS:
+        yield lower.sim_incdecnzpz_via_incab(*params).system
+    frag = lower.emit_initializer([24])
+    yield lower.pipeline(frag.concat(Program(frag.counters, (Halt(),))), "inc-jzdec").system
+    yield _finite_system(3)
+    yield _finite_system(300)
+
+
+@pytest.mark.parametrize("mode", ["concrete", "interval"])
+def test_codec_rows_match_the_per_instance_reference(mode):
+    rows = sum(_assert_rows_match(canonicalize(system, mode)) for system in _codec_cases())
+    assert rows > 10_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), st.sampled_from(["concrete", "interval"]))
+def test_codec_rows_match_the_reference_on_generated_systems(system, mode):
+    try:
+        index = canonicalize(system, mode)
+    except SystemFormatError:  # two boundary endpoints in one class
+        return
+    _assert_rows_match(index)
 
 
 class _Unchecked(SystemOfGadgets):

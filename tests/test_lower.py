@@ -466,6 +466,25 @@ def test_a_bad_initial_state_is_named_alike_by_both_checks():
                                  " of a counter gadget must be a natural, got -1")
 
 
+@pytest.mark.parametrize("spec, part, encoding, initials, message", [
+    (G.spec_inc_decnz_decnz(), build_inc_decnz_decnz(),
+     Encoding("affine", affine=((1, 0), (-1, 1), (0, 0))), (0, 1, 0, 2, 2),
+     "x3/mid: initial state of a counter gadget must be a natural, got -1"),
+    (G.spec_sscd(), build_sscd_from_incdecnz(),
+     Encoding("table", table=(("1", (1, 0)), ("2", (0, -1)))), ("1", "1", "2", "2"),
+     "x2/b: initial state of a counter gadget must be a natural, got -1")],
+    ids=["counter", "finite"])
+def test_substitute_names_the_first_copy_of_a_badly_seeded_state(spec, part, encoding,
+                                                                  initials, message):
+    # seeds are checked once per distinct host state: the states met
+    # before give good seeds, so the error names the first copy of the bad one
+    host = LoweringArtifact(SystemOfGadgets(specs=(spec,), instances=tuple(
+        GadgetInstance(f"x{k}", spec.name, q) for k, q in enumerate(initials))))
+    with pytest.raises(SystemFormatError) as caught:
+        substitute(host, spec.name, dataclasses.replace(part, encoding=encoding))
+    assert str(caught.value) == message
+
+
 # ------------------------------------------------------------- pipeline
 
 def test_pipeline_instance_counts():

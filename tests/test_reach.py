@@ -8,10 +8,12 @@ reach.bfs_reach, so agreement actually means something.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import re
 import time
+import weakref
 from collections import defaultdict
 
 import pytest
@@ -496,3 +498,22 @@ def test_every_verdict_logs_one_info_line(caplog, capsys):
                                          out.stats.max_counter)
         assert (width, key_bytes) == (1, 1 + len(system.instances))
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode", ["concrete", "interval"])
+def test_a_dropped_index_is_freed_without_the_collector(mode):
+    # the index keeps its codecs and memo tables, and nothing it holds points
+    # back at it, so a search's index goes as soon as the caller drops it
+    program = M.parse_program("0: INC c0\n1: JZ c0 0\n2: HALT\n")
+    system = lower.pipeline(program, "inc-jzdec", initial={"c0": 1}).system
+    gc.collect()
+    gc.disable()
+    try:
+        index = G.canonicalize(system, mode)
+        outcome = bfs_reach(index, counter_cap=6)
+        assert outcome.verdict is Verdict.REACHABLE and index.codec(6).moves
+        alive = weakref.ref(index)
+        del index, outcome
+        assert alive() is None
+    finally:
+        gc.enable()
