@@ -8,11 +8,11 @@ Five layers, lowest first:
   their traversal semantics in concrete or possible-value-interval form.
 - reach: bounded breadth-first reachability over a system, with honest
   verdicts about what a bounded search can and cannot conclude.
-- verify: boundary behavior of a subsystem as a labeled transition system,
-  and bounded bisimulation against a spec gadget.
 - lower: the reduction pipeline from machine programs down through
   Inc-Dec-JZ, Inc-JZDec, Inc-DecNZ-PZ, and ranged Inc[a,b]-DecNZ[c,d]-PZ
   gadgets, plus tunnel duplication and counter initializers.
+- verify: boundary behavior of a subsystem as a labeled transition system,
+  and bounded bisimulation against a spec gadget.
 
 The ``gadgetforge`` console script fronts all of it; see the cli module.
 """

@@ -626,15 +626,15 @@ class SystemIndex:
         pos, states = config.position, config.states
         if not 0 <= pos < len(self.prefix):
             return []
-        code, names = self.finite_code, self.finite_states
+        code, names, codec = self.finite_code, self.finite_states, self.codec(0)
         out: list[tuple[Traversal, Configuration]] = []
-        for move in self.codec(0).moves.get(self.prefix[pos], ()):
-            _, _, _, exits, i, inst_id, entry, exit_ports, step, _, counted = move
+        for _, _, _, exits, i, (entry, exit_ports, step, _, counted) in codec.moves.get(
+                self.prefix[pos], ()):
             state = states[i]
             for (choice, s2, e) in step(state) if counted else step(code.get(state)):
                 if not counted:
                     s2 = names[s2]
-                out.append((Traversal(inst_id, entry, exit_ports[e], choice, state, s2),
+                out.append((Traversal(codec.ids[i], entry, exit_ports[e], choice, state, s2),
                             Configuration(int.from_bytes(exits[e], "big"),
                                           states[:i] + (s2,) + states[i + 1:])))
         return out
@@ -669,14 +669,13 @@ class KeyCodec:
     declaration order, component order), so successor enumeration is
     reproducible byte for byte.  A row is (first byte of the state's slots,
     one past its last, its memo table or None, exit positions as key
-    prefixes, slot, instance id, entry port, exit ports, kind.moves or
-    kind.interval_moves, two slots?, a counter?): everything a move needs
-    but the state.  A finite step's row compares interned codes.  Rows of
+    prefixes, slot, entrance): the BFS kernel's five fields, then the
+    entrance record (entry port, exit ports, kind.moves or
+    kind.interval_moves, two slots?, a counter?), built once per (spec,
+    component) and shared by every instance's row.  ``ids[slot]`` is the
+    instance id.  A finite step's row compares interned codes.  Rows of
     equal kinds share one memo table, slot bytes -> ``slot_moves``; a
-    concrete ranged kind with lo < hi has none (``reach`` docstring).  The
-    spec's part of a row (entry and exit places, memo, step, ports) is
-    worked out once per spec; each instance adds its offsets, classes, slot
-    and id.
+    concrete ranged kind with lo < hi has none (``reach`` docstring).
     """
 
     def __init__(self, index: SystemIndex, width: int) -> None:
@@ -685,12 +684,13 @@ class KeyCodec:
         self.width = width
         self.pos_width = off = index.pos_width
         self.top = (1 << 8 * width) - 1  # the largest value a slot holds
+        self.ids = tuple(index.table)  # instance ids, in instance order
         code, prefix, cls = index.finite_code, index.prefix, index.class_at
         # per instance: (first byte, two slots?, counter?)
         self.layout: list[tuple[int, bool, bool]] = []
         self.moves: dict[bytes, list[tuple]] = {}
         memos: defaultdict[object, dict[bytes, tuple]] = defaultdict(dict)
-        templates: dict[str, list[tuple]] = {}  # spec name -> its rows' fixed part
+        templates: dict[str, list[tuple]] = {}  # spec name -> (places, memo, entrance) per row
         for i, (inst, counted) in enumerate(zip(index.system.instances, index.counter)):
             pair = counted and index.interval
             base, place = index.table[inst.id]
@@ -703,14 +703,14 @@ class KeyCodec:
                 rows = templates[inst.spec] = [
                     (place[entry], [place[p] for p in exit_ports],
                      memos[kind] if pair or not isinstance(kind, _Ranged) or kind.lo == kind.hi
-                     else None, kind.interval_moves if pair else kind.moves, entry, exit_ports)
+                     else None, (entry, exit_ports, kind.interval_moves if pair else kind.moves,
+                                 pair, counted))
                     for entry, kind, exit_ports in parts]
             self.layout.append((off, pair, counted))
             end = off + width * (2 if pair else 1)
-            for at, exits, memo, step, entry, exit_ports in rows:
+            for at, exits, memo, entrance in rows:
                 self.moves.setdefault(prefix[cls[base + at]], []).append(
-                    (off, end, memo, tuple([prefix[cls[base + p]] for p in exits]),
-                     i, inst.id, entry, exit_ports, step, pair, counted))
+                    (off, end, memo, tuple([prefix[cls[base + p]] for p in exits]), i, entrance))
             off = end
         self.size = off  # bytes per key
 
@@ -761,7 +761,7 @@ class KeyCodec:
         amounts bounded by ``cap``, as (choice, the new slot bytes or None
         when the value exceeds ``top``, exit, the new counter value or None);
         kept in the row's memo table, if it has one."""
-        _, _, memo, _, _, _, _, _, step, pair, counted = move
+        _, _, memo, _, _, (_, _, step, pair, counted) = move
         w, base, v = self.width, self.top + 1, int.from_bytes(slot, "big")
         if pair:  # (lo, hi) as one number, lo * base + hi
             out = tuple((choice, (lo * base + m).to_bytes(2 * w, "big") if m < base else None,
@@ -776,8 +776,8 @@ class KeyCodec:
     def label(self, move: tuple, choice: int, e: int, before: bytes,
               after: bytes) -> Traversal:
         """The Traversal of a ``moves`` row from key ``before`` to ``after``."""
-        i, inst_id, entry, exit_ports = move[4:8]
-        return Traversal(inst_id, entry, exit_ports[e], choice,
+        i, (entry, exit_ports, *_) = move[4:]
+        return Traversal(self.ids[i], entry, exit_ports[e], choice,
                          self.state(before, i), self.state(after, i))
 
 

@@ -107,6 +107,26 @@ class Encoding:
     iaffine: tuple[tuple[tuple[int, int], tuple[int, int]], ...] | None = None
     concrete: tuple[tuple[int, int], ...] | None = None
 
+    def __post_init__(self) -> None:
+        """Each field ``kind`` reads is a tuple of pairs: of ints (not bools),
+        of such int pairs (``iaffine``) or of (state, tuple) (``table``)."""
+        def pairs(value, each) -> bool:
+            return isinstance(value, tuple) and all(
+                isinstance(p, tuple) and len(p) == 2 and each(p) for p in value)
+
+        def ints(pair) -> bool:
+            for x in pair:
+                check_integer(x)  # its error names a number that is no int
+            return True
+        fields = {"affine": {"affine": ints}, "table": {"table": lambda p: isinstance(p[1], tuple)},
+                  "interval-affine": {"iaffine": lambda p: pairs(p, ints), "concrete": ints}}
+        if not isinstance(self.kind, str) or self.kind not in fields:
+            raise SystemFormatError(f"unknown encoding kind {self.kind!r}")
+        for name, each in fields[self.kind].items():
+            if not pairs(value := getattr(self, name), each):
+                raise SystemFormatError(
+                    f"{self.kind} encoding needs {name} as a tuple of pairs, got {value!r:.200}")
+
     def state_for(self, q, mode: str = "concrete") -> tuple:
         if type(q) is not int and self.kind != "table":
             raise SystemFormatError(f"{self.kind} encoding maps counter values, not state {q!r}")
@@ -117,12 +137,9 @@ class Encoding:
                 if key == q:
                     return tuple(vec)
             raise SystemFormatError(f"no encoding for state {q!r}")
-        if self.kind == "interval-affine":
-            if mode == "interval":
-                return tuple(((ls * q + lo), (hs * q + ho))
-                             for ((ls, lo), (hs, ho)) in self.iaffine)
-            return tuple(s * q + o for (s, o) in self.concrete)
-        raise SystemFormatError(f"unknown encoding kind {self.kind!r}")
+        if mode == "interval":  # interval-affine
+            return tuple(((ls * q + lo), (hs * q + ho)) for ((ls, lo), (hs, ho)) in self.iaffine)
+        return tuple(s * q + o for (s, o) in self.concrete)
 
     def to_json(self) -> dict:
         if self.kind == "affine":
@@ -136,21 +153,16 @@ class Encoding:
 
     @staticmethod
     def from_json(doc: dict) -> "Encoding":
-        n = check_integer
         try:
             kind = doc["kind"]
             if kind == "affine":
-                return Encoding("affine", affine=tuple(
-                    (n(s), n(o)) for (s, o) in doc["per_instance"]))
+                return Encoding("affine", affine=tuple((s, o) for (s, o) in doc["per_instance"]))
             if kind == "table":
-                return Encoding("table", table=tuple(
-                    (k, tuple(v)) for (k, v) in doc["map"]))
+                return Encoding("table", table=tuple((k, tuple(v)) for (k, v) in doc["map"]))
             if kind == "interval-affine":
-                return Encoding(
-                    "interval-affine",
-                    iaffine=tuple(((n(a), n(b)), (n(c), n(d)))
-                                  for ((a, b), (c, d)) in doc["per_instance"]),
-                    concrete=tuple((n(s), n(o)) for (s, o) in doc["concrete"]))
+                return Encoding("interval-affine", iaffine=tuple(
+                    ((a, b), (c, d)) for ((a, b), (c, d)) in doc["per_instance"]),
+                    concrete=tuple((s, o) for (s, o) in doc["concrete"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SystemFormatError(f"bad encoding document: {exc}") from exc
         raise SystemFormatError(f"unknown encoding kind {doc.get('kind')!r}")

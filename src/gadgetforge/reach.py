@@ -126,8 +126,8 @@ class Sweep:
         edge = self.visited[key]
         while edge is not None:
             parent, move, choice, e = edge
-            first, end = move[:2]
-            at = (move[4], move[6], move[7][e], choice, parent[first:end], key[first:end])
+            first, end, _, _, i, (entry, exit_ports, *_) = move
+            at = (i, entry, exit_ports[e], choice, parent[first:end], key[first:end])
             label = made.get(at)
             if label is None:
                 label = made[at] = self.codec.label(move, choice, e, parent, key)
@@ -214,7 +214,7 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
         # only a start above the cap needs its other slots checked (module docstring)
         over = over_cap.get(key) if over_cap else None
         for move in moves.get(key[:pw], ()):
-            off, end, memo, exits, i, _, _, _, _, _, _ = move
+            off, end, memo, exits, i, _ = move
             slot = key[off:end]
             out = memo.get(slot) if memo is not None else None
             if out is None:

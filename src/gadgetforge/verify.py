@@ -456,12 +456,14 @@ def check_bisimulation(impl, spec: GadgetSpec, port_map: dict[str, str] | None =
     missing = set(ports) - set(port_map)
     if missing:
         raise SystemFormatError(f"port_map misses implementation ports {sorted(missing)}")
-    bad = set(port_map.values()) - set(spec.locations)
+    bad = {(not isinstance(v, str), v if isinstance(v, str) else repr(v)): v  # others by repr
+           for v in port_map.values() if not (isinstance(v, str) and v in spec.locations)}
     if bad:
-        raise SystemFormatError(f"port_map targets unknown spec locations {sorted(bad)}")
+        raise SystemFormatError(
+            f"port_map targets unknown spec locations {[bad[k] for k in sorted(bad)]}")
     if len(set(port_map.values())) != len(port_map):
         raise SystemFormatError("port_map is not injective")
-    uncovered = set(spec.locations) - set(port_map.values())
+    uncovered = set(spec.locations) - {port_map[p] for p in ports}
     if uncovered:
         raise SystemFormatError(
             f"port_map covers no implementation port for spec locations "

@@ -367,6 +367,24 @@ def test_verify_sim_rejects_an_empty_port_map(tmp_path, capsys):
     assert _rejected(code, out, err) and "misses implementation ports" in err
 
 
+def test_verify_sim_rejects_a_port_map_key_that_is_no_boundary_port(tmp_path, capsys):
+    # the exported quintet without its jz_out_nonzero port, its sidecar
+    # mapping a key that is no port to that location: nothing covers it
+    impl, meta = _exported(tmp_path, lower.sim_incdecjz_via_incjzdec(), "q2")
+    system = json.loads(Path(impl).read_text())
+    system["boundary"].remove("node:jz_out_nonzero")
+    Path(impl).write_text(json.dumps(system))
+    doc = json.loads(Path(meta).read_text())
+    del doc["ports"]["jz_out_nonzero"]
+    doc["ports"]["extra"] = "jz_out_nonzero"
+    Path(meta).write_text(json.dumps(doc))
+    code, out, err = _run_cli(capsys, "verify-sim", impl, "--spec", "inc-dec-jz",
+                              "--map", meta, "--cap", "3")
+    assert _rejected(code, out, err)
+    assert err == ("error: port_map covers no implementation port for spec locations "
+                   "['jz_out_nonzero']\n")
+
+
 def test_verify_sim_rejects_an_unknown_sidecar_mode(tmp_path, capsys):
     code, out, err = _verify_sim_with_sidecar(
         tmp_path, capsys, lambda doc: {**doc, "mode": "sideways"})

@@ -13,6 +13,7 @@ was read before it was checked.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,13 @@ RANGED = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
 RANGED_VEC = RANGED.encoding.state_for(1, "interval")
 SSCD = lower.build_sscd_from_incdecnz()  # a finite spec's part: its states are names
 HOST = lower.compile_machine_to_incdecjz(PROGRAM)
+# the quintet without its jz_out_nonzero port, and port maps that name a
+# location from a key that is no port, or by a value that is no string
+DROPPED = dataclasses.replace(QUINTET, system=dataclasses.replace(QUINTET.system, boundary=tuple(
+    ep for ep in QUINTET.system.boundary if ep != "node:jz_out_nonzero")))
+PORTS = QUINTET.system.boundary_ports
+BAD_MAPS = [{**{p: p for p in DROPPED.system.boundary_ports}, "extra": "jz_out_nonzero"},
+            {p: [p] for p in PORTS}, {**{p: p for p in PORTS}, PORTS[0]: 5, PORTS[1]: "zz"}]
 
 CAPS = [0, 1, 2, 4]
 BUDGETS = [0, 1, 10, 50]
@@ -64,8 +72,8 @@ CALLS = {
     },
     verify.spec_closure_lts: {"spec": SPECS, "cap": CAPS},
     verify.check_bisimulation: {
-        "impl": [QUINTET, QUINTET.system, RANGED, SSCD], "spec": SPECS,
-        "port_map": [None, {p: p for p in QUINTET.system.boundary_ports}],
+        "impl": [QUINTET, QUINTET.system, RANGED, SSCD, DROPPED], "spec": SPECS,
+        "port_map": [None, {p: p for p in PORTS}, *BAD_MAPS],
         "cap": CAPS, "mode": [None, "concrete", "interval"],
         "encoding": [None, QUINTET.encoding, RANGED.encoding], "impl_cap": [None, *CAPS],
     },

@@ -27,7 +27,7 @@ pass both.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
 import pytest
@@ -853,9 +853,10 @@ def _index_tables(system: SystemOfGadgets) -> tuple:
         members[cid].append(ep)
     classes = [tuple(sorted(eps)) for eps in members]
     names, cid = index.finite_states, lambda prefix: int.from_bytes(prefix, "big")
-    moves = {}
-    for prefix, rows in index.codec(0).moves.items():
-        for (_, _, _, exits, i, inst_id, entry, exit_ports, step, _, counted) in rows:
+    moves, codec = {}, index.codec(0)
+    for prefix, rows in codec.moves.items():
+        for row in rows:
+            _, _, _, exits, i, inst_id, entry, exit_ports, step, _, counted = _row_view(codec, row)
             kind = step.__self__
             if not counted:
                 kind = dataclasses.replace(kind, before=names[kind.before],
@@ -864,6 +865,13 @@ def _index_tables(system: SystemOfGadgets) -> tuple:
                 (i, inst_id, entry, kind, exit_ports, tuple(map(cid, exits))))
     assert len(set(index.boundary_classes)) == len(system.boundary)
     return classes, class_of, moves, dict(zip(index.boundary_classes, system.boundary))
+
+
+def _row_view(codec: G.KeyCodec, row: tuple) -> tuple:
+    """A codec row in the 11 fields of ``reference_codec``'s rows: the
+    kernel's five, the instance id, then the shared entrance record's five."""
+    assert len(row) == 6 and len(row[5]) == 5
+    return row[:5] + (codec.ids[row[4]],) + row[5]
 
 
 def _index_cases():
@@ -943,19 +951,28 @@ def reference_codec(index: SystemIndex, width: int) -> tuple:
 def _assert_rows_match(index: SystemIndex) -> int:
     """A fresh codec at slot widths 1 and 2 has the reference's layout, size
     and rows: the same prefixes in the same order, and every row's 11 fields
-    equal and of one type, the step as the same function of an equal kind.
-    Rows of equal kinds share one memo table, and unequal kinds do not.
-    Returns the number of rows."""
+    equal and of one type (read through ``_row_view``), the step as the
+    same function of an equal kind.  Rows of equal kinds share one memo
+    table, and unequal kinds do not; the rows of one (spec, component)
+    share one entrance record: a spec has as many records as components
+    (or transitions), each of them its own.  Returns the number of rows."""
+    specs = [inst.spec for inst in index.system.instances]
+    parts = {name: n for name, spec in index.spec_of.items() if name in specs and (n := len(
+        spec.components if isinstance(spec, CounterGadgetSpec) else spec.transitions))}
     for width in (1, 2):
         codec = G.KeyCodec(index, width)
         layout, moves, size = reference_codec(index, width)
         assert (codec.layout, codec.size) == (layout, size)
         assert list(codec.moves) == list(moves)
         memo_of: dict[object, dict] = {}
+        entrances: dict[int, str] = {}  # id of a record the codec keeps -> its spec
         for prefix, want_rows in moves.items():
             rows = codec.moves[prefix]
             assert len(rows) == len(want_rows)
-            for row, want in zip(rows, want_rows):
+            for got_row, want in zip(rows, want_rows):
+                spec = specs[want[4]]
+                assert entrances.setdefault(id(got_row[5]), spec) == spec
+                row = _row_view(codec, got_row)
                 assert len(row) == len(want) == 11
                 for k, (got, ref) in enumerate(zip(row, want)):
                     if k == 8:  # kind.moves or kind.interval_moves, bound
@@ -964,6 +981,7 @@ def _assert_rows_match(index: SystemIndex) -> int:
                 if row[2] is not None:
                     assert memo_of.setdefault(row[8].__self__, row[2]) is row[2]
         assert len({id(memo) for memo in memo_of.values()}) == len(memo_of)
+        assert Counter(entrances.values()) == parts
     return sum(map(len, moves.values()))
 
 

@@ -701,6 +701,32 @@ def test_encoding_kinds():
         Encoding.from_json({"kind": "bogus"})
 
 
+@pytest.mark.parametrize("kind, fields, message", [
+    ("affine", {}, "affine encoding needs affine as a tuple of pairs, got None"),
+    ("affine", {"affine": ((1,),)}, "affine encoding needs affine as a tuple of pairs, "
+                                    "got ((1,),)"),
+    ("affine", {"affine": [(1, 0)]}, "affine encoding needs affine as a tuple of pairs, "
+                                     "got [(1, 0)]"),
+    ("affine", {"affine": ((True, 0),)}, "True is not an integer"),
+    ("table", {"table": 5}, "table encoding needs table as a tuple of pairs, got 5"),
+    ("table", {"table": (("idle", [0]),)}, "table encoding needs table as a tuple of pairs, "
+                                           "got (('idle', [0]),)"),
+    ("interval-affine", {}, "interval-affine encoding needs iaffine as a tuple of pairs, "
+                            "got None"),
+    ("interval-affine", {"iaffine": (((1, 0), (1, 0)),)},
+     "interval-affine encoding needs concrete as a tuple of pairs, got None"),
+    ("interval-affine", {"iaffine": ((1, 0),), "concrete": ((1, 0),)},
+     "interval-affine encoding needs iaffine as a tuple of pairs, got ((1, 0),)"),
+    ("interval-affine", {"iaffine": (((1, 0), (1, 2.5)),), "concrete": ((1, 0),)},
+     "2.5 is not an integer"),
+    (["affine"], {"affine": ((1, 0),)}, "unknown encoding kind ['affine']"),
+])
+def test_an_encoding_checks_its_fields_when_built(kind, fields, message):
+    with pytest.raises(SystemFormatError) as exc:
+        Encoding(kind, **fields)
+    assert str(exc.value) == message
+
+
 def test_encoding_json_round_trip():
     for enc in (
         Encoding("affine", affine=((1, 0), (0, 0))),

@@ -270,6 +270,17 @@ def test_a_configuration_is_read_at_an_int_position():
     for start in (5, (0, states), [cfg]):
         with pytest.raises(SystemFormatError, match="^start must be a Configuration"):
             replay(index, (), start)
+    # an int position must fit the key's position bytes, and is named by its
+    # own value if not; one that fits but is no class id has no moves
+    for position in (-1, 256 ** index.pos_width):
+        with pytest.raises(SystemFormatError, match=rf"^position {position} does not fit$"):
+            sweep(index, [Configuration(position, states)], counter_cap=2, visit_budget=5)
+    nowhere = Configuration(len(index.prefix), states)
+    assert nowhere.position < 256 ** index.pos_width
+    assert index.successors(nowhere) == []
+    result = sweep(index, [nowhere], counter_cap=2, visit_budget=5)
+    assert list(result.visited) == [result.codec.pack(nowhere)]
+    assert (result.stats.explored, result.overflowed, result.budget_exhausted) == (1, False, False)
 
 
 def test_goal_required():

@@ -31,6 +31,7 @@ from gadgetforge.verify import (
     check_bisimulation,
     check_interval_invariant,
     derive_boundary_lts,
+    distinguishing_trace,
     interval_step,
     spec_closure_lts,
     trace_splits,
@@ -313,6 +314,22 @@ def test_port_map_must_be_a_bijection():
     partial = identity_subsystem(spec, expose=("inc_in", "inc_out", "dec_in"))
     with pytest.raises(SystemFormatError, match="covers no implementation port"):
         check_bisimulation(partial, spec, encoding=enc, cap=4)
+    # nor does a key that is no boundary port cover its location
+    extra = {"inc_in": "inc_in", "inc_out": "inc_out", "dec_in": "dec_in", "extra": "dec_out"}
+    with pytest.raises(SystemFormatError, match=re.escape(
+            "port_map covers no implementation port for spec locations ['dec_out']")):
+        check_bisimulation(partial, spec, extra, encoding=enc, cap=4)
+
+    # a value that is no string is an unknown location, listed after the
+    # strings by repr
+    listed = {p: [p] for p in spec.locations}
+    with pytest.raises(SystemFormatError, match=re.escape(
+            f"port_map targets unknown spec locations {sorted(listed.values())}")):
+        check_bisimulation(impl, spec, listed, encoding=enc, cap=4)
+    mixed = dict(ident, inc_in=5, dec_in="zz", dec_out=(1,))
+    with pytest.raises(SystemFormatError, match=re.escape(
+            "port_map targets unknown spec locations ['zz', (1,), 5]")):
+        check_bisimulation(impl, spec, mixed, encoding=enc, cap=4)
 
 
 @pytest.mark.parametrize("art, spec, cap, mode", [
@@ -459,6 +476,16 @@ def test_equivalent_sides_agree_on_short_traces():
             == _trace_set(spec_out, q, 3), q
 
 
+def test_a_trace_equivalent_pair_that_is_not_bisimilar_has_no_trace():
+    # both sides admit ab cd and ab ef, but the spec picks its branch at ab
+    ab, cd, ef = ("a", "b"), ("c", "d"), ("e", "f")
+    impl_out = {0: {ab: {1}}, 1: {cd: {2}, ef: {3}}}
+    spec_out = {0: {ab: {1, 2}}, 1: {cd: {3}}, 2: {ef: {4}}}
+    assert distinguishing_trace(impl_out, spec_out, frozenset(), frozenset(), 0, 0) is None
+    assert distinguishing_trace(impl_out, {0: {ab: {1}}, 1: {cd: {3}}}, frozenset(),
+                                frozenset(), 0, 0) == (ab, ef)
+
+
 # ------------------------------------------------- interval invariant
 
 def test_interval_step_unit_ranges_track_exactly():
@@ -588,6 +615,10 @@ def test_interval_invariant_requires_interval_artifact():
     quintet = lower.sim_incdecjz_via_incjzdec()
     with pytest.raises(SystemFormatError):
         check_interval_invariant(quintet, ["inc"])
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    flat = lower.Encoding("affine", affine=((1, 0),) * len(art.system.instances))
+    with pytest.raises(SystemFormatError, match="^artifact has no interval-affine encoding$"):
+        check_interval_invariant(dataclasses.replace(art, encoding=flat), ["inc"])
 
 
 def test_interval_invariant_resets_every_duplicator_wrapper():
@@ -608,6 +639,24 @@ def test_interval_invariant_resets_every_duplicator_wrapper():
     with pytest.raises(InvariantViolation,
                        match=rf"^after start: wrapper {wrapper} not reset: \(1, 1\)$"):
         check_interval_invariant(seeded, ops)
+
+
+def test_interval_invariant_rejects_a_second_inc_route():
+    # one more gadget from inc_in to inc_out, idle at (0, 0): inc now ends in
+    # two vectors, the artifact's own and the one with the new gadget raised
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    spec, system, enc = G.spec_inc_decnz(), art.system, art.encoding
+    twice = dataclasses.replace(
+        art, system=dataclasses.replace(
+            system, specs=system.specs + (spec,),
+            instances=system.instances + (GadgetInstance("extra", spec.name, 0),),
+            edges=system.edges + ((node_endpoint("inc_in"), port_endpoint("extra", "inc_in")),
+                                  (port_endpoint("extra", "inc_out"), node_endpoint("inc_out")))),
+        encoding=dataclasses.replace(enc, iaffine=enc.iaffine + (((0, 0), (0, 0)),),
+                                     concrete=enc.concrete + ((0, 0),)))
+    with pytest.raises(InvariantViolation,
+                       match=r"^step 0: op 'inc' from .* yielded 2 outcomes, expected exactly 1$"):
+        check_interval_invariant(twice, ["inc"])
 
 
 def test_interval_invariant_needs_the_anchor_and_its_roles():
