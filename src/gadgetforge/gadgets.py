@@ -1,24 +1,26 @@
 """Unbounded-state gadgets, systems of gadgets, and their step semantics.
 
-A *counter gadget* holds a natural number and offers tunnels/switches whose
-traversability depends on that number:
+A *counter gadget* holds a natural number and offers components whose
+traversability depends on that number.  Each kind follows one of two rules:
 
-    Inc[a,b]     tunnel, always open; crossing adds some i in [a,b]
-    DecNZ[c,d]   tunnel, open iff state >= c; crossing subtracts i in
-                 [c, min(state, d)] (never goes negative, never free)
-    Dec[a,b]     tunnel, always open; subtracts i in [a,b] saturating at 0
-    PZ           tunnel, open iff state == 0; state unchanged
-    PNZ          tunnel, open iff state >= 1; state unchanged
-    JZ           switch: one entrance, zero-exit taken iff state == 0,
-                 nonzero-exit otherwise; state unchanged
-    JZDec        switch: zero-exit iff state == 0; otherwise nonzero-exit
-                 and the state decrements by 1
+- a ranged tunnel crosses by a chosen amount i in [lo, hi], 1 <= lo <= hi:
+      Inc[a,b]     always open; adds i
+      DecNZ[c,d]   open iff state >= c; subtracts i in [c, min(state, d)]
+                   (never goes negative, never free)
+      Dec[a,b]     always open; subtracts i, saturating at 0
+- a zero test leaves by its zero exit iff state == 0, the state staying 0,
+  and else by its nonzero exit, subtracting its step down; a missing exit
+  is closed:
+      PZ           tunnel: zero exit only
+      PNZ          tunnel: nonzero exit only, step 0
+      JZ           switch: zero exit 0, nonzero exit 1, step 0
+      JZDec        switch: zero exit 0, nonzero exit 1, step 1
 
 Each kind's ``floor`` T is the least value from which the kind acts the
 same on every value: for s >= T, ``moves(s + 1)`` is ``moves(s)`` with every
 new value + 1 and the same choices and exits, and ``interval_moves`` acts
-alike on an interval whose lo is at least T.  Inc[a,b] has 0, DecNZ[c,d]
-and Dec[c,d] have d, and PZ, PNZ, JZ and JZDec 1 (``verify`` reuses
+alike on an interval whose lo is at least T.  A ranged tunnel's floor is
+hi, except Inc's, which is 0; a zero test's is 1 (``verify`` reuses
 boundary excursions by it).
 
 A gadget *spec* is a named bundle of such components with named ports.
@@ -72,10 +74,10 @@ from __future__ import annotations
 import json
 import logging
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
 from itertools import chain, count
-from typing import NamedTuple, Union
+from typing import NamedTuple, NoReturn, Union, get_args
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +123,8 @@ def check_mode(mode) -> None:
 
 @dataclass(frozen=True)
 class _Ranged:
-    """A tunnel that draws its amount from [lo, hi], 1 <= lo <= hi."""
+    """A tunnel that draws its amount from [lo, hi], 1 <= lo <= hi; it acts
+    alike from its floor hi up (Inc's is 0)."""
 
     lo: int
     hi: int
@@ -130,6 +133,10 @@ class _Ranged:
     def __post_init__(self) -> None:
         if not (1 <= check_integer(self.lo) <= check_integer(self.hi)):
             raise SystemFormatError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
+
+    @property
+    def floor(self) -> int:
+        return self.hi
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
         # one move or none; its choice is a one-amount range's amount, as in moves, else 0
@@ -160,10 +167,6 @@ class DecNZRange(_Ranged):
 
     tag = "decnz"
 
-    @property
-    def floor(self) -> int:
-        return self.hi
-
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         if s < self.lo:
             return []
@@ -180,10 +183,6 @@ class DecRange(_Ranged):
 
     tag = "dec"
 
-    @property
-    def floor(self) -> int:
-        return self.hi
-
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         # under a cap, stop at the first amount that saturates: the rest repeat it
         hi = self.hi if cap is None else min(self.hi, max(self.lo, s))
@@ -194,84 +193,67 @@ class DecRange(_Ranged):
 
 
 @dataclass(frozen=True)
-class PZ:
-    """Tunnel open iff state == 0."""
+class _ZeroTest:
+    """A zero test: from 0 it leaves by exit ``zero`` and the state stays 0;
+    from s >= 1 it leaves by exit ``nonzero`` and the state becomes
+    s - ``step``.  An exit of None is closed.  Each kind states its tag, its
+    two exits and its step as unannotated class attributes, which are no
+    dataclass fields: a kind is built with no argument, writes to JSON as
+    its tag alone, and equals only its own kind."""
 
-    exits = 1
-    tag = "pz"
     floor = 1
 
-    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
-        return [(0, 0, 0)] if s == 0 else []
-
-    def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
-        return [(0, (0, 0), 0)] if iv[0] == 0 else []
-
-
-@dataclass(frozen=True)
-class PNZ:
-    """Tunnel open iff state >= 1."""
-
-    exits = 1
-    tag = "pnz"
-    floor = 1
+    @property
+    def exits(self) -> int:
+        return 2 - (self.zero, self.nonzero).count(None)
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
-        return [(0, s, 0)] if s >= 1 else []
-
-    def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
-        lo, hi = iv
-        return [(0, (max(lo, 1), hi), 0)] if hi >= 1 else []
-
-
-@dataclass(frozen=True)
-class JZSwitch:
-    """One entrance, two exits: exit 0 iff state == 0, exit 1 otherwise.
-    Behaviorally PZ and PNZ glued at the entrance."""
-
-    exits = 2
-    tag = "jz"
-    floor = 1
-
-    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
-        return [(0, 0, 0)] if s == 0 else [(0, s, 1)]
+        e = self.nonzero if s else self.zero
+        return [] if e is None else [(0, s - self.step if s else 0, e)]
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
         lo, hi = iv
         out = []
-        if lo == 0:
-            out.append((0, (0, 0), 0))
-        if hi >= 1:
-            out.append((0, (max(lo, 1), hi), 1))
+        if lo == 0 and self.zero is not None:
+            out.append((0, (0, 0), self.zero))
+        if hi >= 1 and self.nonzero is not None:
+            out.append((0, (max(lo, 1) - self.step, hi - self.step), self.nonzero))
         return out
 
 
 @dataclass(frozen=True)
-class JZDecSwitch:
+class PZ(_ZeroTest):
+    """Tunnel open iff state == 0."""
+
+    tag, zero, nonzero, step = "pz", 0, None, 0
+
+
+@dataclass(frozen=True)
+class PNZ(_ZeroTest):
+    """Tunnel open iff state >= 1; state unchanged."""
+
+    tag, zero, nonzero, step = "pnz", None, 0, 0
+
+
+@dataclass(frozen=True)
+class JZSwitch(_ZeroTest):
+    """Exit 0 iff state == 0, exit 1 otherwise; state unchanged.
+    Behaviorally PZ and PNZ glued at the entrance."""
+
+    tag, zero, nonzero, step = "jz", 0, 1, 0
+
+
+@dataclass(frozen=True)
+class JZDecSwitch(_ZeroTest):
     """Like JZ, but taking the nonzero exit decrements the state.
     Behaviorally PZ and DecNZ[1,1] glued at the entrance."""
 
-    exits = 2
-    tag = "jzdec"
-    floor = 1
-
-    def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
-        return [(0, 0, 0)] if s == 0 else [(0, s - 1, 1)]
-
-    def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
-        lo, hi = iv
-        out = []
-        if lo == 0:
-            out.append((0, (0, 0), 0))
-        if hi >= 1:
-            out.append((0, (max(lo, 1) - 1, hi - 1), 1))
-        return out
+    tag, zero, nonzero, step = "jzdec", 0, 1, 1
 
 
 ComponentKind = Union[IncRange, DecNZRange, DecRange, PZ, PNZ, JZSwitch, JZDecSwitch]
 
-_RANGED_TAGS = {"inc": IncRange, "decnz": DecNZRange, "dec": DecRange}
-_PLAIN_TAGS = {"pz": PZ, "pnz": PNZ, "jz": JZSwitch, "jzdec": JZDecSwitch}
+_KINDS = {kind.tag: kind for kind in get_args(ComponentKind)}  # tag -> kind, for JSON
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +263,13 @@ def _check_names(what: str, names) -> None:
     for name in names:
         if not isinstance(name, str):
             raise SystemFormatError(f"{what} must be a string, got {name!r}")
+
+
+def _check_tuples(value, names: str, where: str = "") -> None:
+    """Each field of ``value`` named in ``names`` is a tuple."""
+    for name in names.split():
+        if not isinstance(field := getattr(value, name), tuple):
+            raise SystemFormatError(f"{where}{name} must be a tuple, got {type(field).__name__}")
 
 
 @dataclass(frozen=True)
@@ -333,10 +322,16 @@ class FiniteGadgetSpec:
 
     def __post_init__(self) -> None:
         _check_names("spec name", (self.name,))
+        _check_tuples(self, "states locations transitions", f"{self.name}: ")
         _check_names(f"{self.name}: state or location", (*self.states, *self.locations))
         if not self.states:
             raise SystemFormatError(f"{self.name}: a finite gadget needs a state")
-        for (s, a, s2, b) in self.transitions:
+        for t in self.transitions:
+            if not (isinstance(t, tuple) and len(t) == 4):
+                raise SystemFormatError(
+                    f"{self.name}: a transition must be a tuple (state, entry, state, exit), "
+                    f"got {t!r:.200}")
+            s, a, s2, b = t
             if s not in self.states or s2 not in self.states:
                 raise SystemFormatError(f"{self.name}: unknown state in {(s, a, s2, b)}")
             if a not in self.locations or b not in self.locations:
@@ -367,7 +362,18 @@ class SystemOfGadgets:
     boundary: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        _validate(self)
+        try:
+            _validate(self)
+        except (TypeError, ValueError) as exc:
+            # the one bare error _validate lets out is an edge's unpacking:
+            # only a failure pays for finding and naming that edge
+            if not isinstance(exc, SystemFormatError):
+                for edge in self.edges:
+                    try:
+                        _, _ = edge
+                    except (TypeError, ValueError):
+                        _bad_edge(edge)
+            raise
 
     @classmethod
     def _spliced(cls, **fields) -> SystemOfGadgets:
@@ -804,7 +810,10 @@ def _validate(system: SystemOfGadgets) -> None:
     Linear in specs, instances, nodes and endpoints.  A ``lower.substitute``
     output skips it: it is valid by the splice rule, and this check is its
     test oracle.  An initial is checked once per distinct (spec, type, value)
-    when an int or str, else every time (True == 1 == 1.0 hash alike)."""
+    when an int or str, else every time (True == 1 == 1.0 hash alike).  An
+    edge that is no pair fails as it is unpacked, with a bare TypeError or
+    ValueError; the constructor names it."""
+    _check_tuples(system, "specs instances nodes edges boundary")
     spec_locations: dict[str, frozenset[str]] = {}
     for spec in system.specs:  # each spec checked itself when it was built
         if not isinstance(spec, GadgetSpec):
@@ -815,23 +824,27 @@ def _validate(system: SystemOfGadgets) -> None:
     ports_of: dict[str, frozenset[str]] = {}  # instance id -> its locations
     checked: set[tuple | None] = set()
     for inst in system.instances:
-        if not isinstance(inst.id, str) or "." in inst.id or not inst.id:
-            raise SystemFormatError(f"bad instance id {inst.id!r} (no dots, nonempty)")
-        if inst.id == "node" or inst.id.startswith("node:"):
+        try:
+            iid, spec_name, q = inst.id, inst.spec, inst.initial
+        except AttributeError:
             raise SystemFormatError(
-                f"instance id {inst.id!r} is reserved: its port endpoints "
+                f"instances must hold GadgetInstances, got {inst!r:.200}") from None
+        if not isinstance(iid, str) or "." in iid or not iid:
+            raise SystemFormatError(f"bad instance id {iid!r} (no dots, nonempty)")
+        if iid == "node" or iid.startswith("node:"):
+            raise SystemFormatError(
+                f"instance id {iid!r} is reserved: its port endpoints "
                 "would read as connection nodes")
-        if inst.id in ports_of:
-            raise SystemFormatError(f"duplicate instance id {inst.id!r}")
-        spec = system.spec_of.get(inst.spec) if isinstance(inst.spec, str) else None
+        if iid in ports_of:
+            raise SystemFormatError(f"duplicate instance id {iid!r}")
+        spec = system.spec_of.get(spec_name) if isinstance(spec_name, str) else None
         if spec is None:
-            raise SystemFormatError(f"no spec named {inst.spec!r}")
-        q = inst.initial
-        key = (spec.name, type(q), q) if type(q) in (int, str) else None
+            raise SystemFormatError(f"no spec named {spec_name!r}")
+        key = (spec_name, type(q), q) if type(q) in (int, str) else None
         if key is None or key not in checked:
-            check_state(spec, q, inst.id, ": initial state")
+            check_state(spec, q, iid, ": initial state")
             checked.add(key)
-        ports_of[inst.id] = spec_locations[spec.name]
+        ports_of[iid] = spec_locations[spec_name]
     _check_names("node name", system.nodes)
     node_set = set(system.nodes)
     if len(node_set) != len(system.nodes):
@@ -900,25 +913,23 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _edge(value) -> tuple:
-    """A document's edge entry as a pair; anything but a two-item list is
-    an error."""
-    a, b = _list(value, "edge")
-    return a, b
+def _bad_edge(value) -> NoReturn:
+    """The one error for an edge that is not a pair of endpoints, whether a
+    document's entry or one built in code."""
+    raise SystemFormatError(f"edge must be a pair of endpoints, got {value!r:.200}")
 
 
 def _kind_from_json(d: dict) -> ComponentKind:
     if not isinstance(d, dict):
         raise SystemFormatError(f"component must be an object, got {type(d).__name__}")
     tag = d.get("kind")
-    if tag in _RANGED_TAGS:
-        try:
-            return _RANGED_TAGS[tag](d["lo"], d["hi"])
-        except KeyError as exc:
-            raise SystemFormatError(f"{tag} component needs lo/hi") from exc
-    if tag in _PLAIN_TAGS:
-        return _PLAIN_TAGS[tag]()
-    raise SystemFormatError(f"unknown component kind {tag!r}")
+    kind = _KINDS.get(tag) if isinstance(tag, str) else None
+    if kind is None:
+        raise SystemFormatError(f"unknown component kind {tag!r}")
+    try:
+        return kind(*[d[field.name] for field in fields(kind)])  # lo and hi, if ranged
+    except KeyError as exc:
+        raise SystemFormatError(f"{tag} component needs lo/hi") from exc
 
 
 def _spec_to_json(spec: GadgetSpec) -> dict:
@@ -938,6 +949,12 @@ def _spec_to_json(spec: GadgetSpec) -> dict:
         "locations": list(spec.locations),
         "transitions": [list(t) for t in spec.transitions],
     }
+
+
+def _check_system(system) -> None:
+    """The argument of a writer is a system."""
+    if not isinstance(system, SystemOfGadgets):
+        raise SystemFormatError(f"system must be a SystemOfGadgets, got {type(system).__name__}")
 
 
 _quote = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses
@@ -976,6 +993,7 @@ def serialize_system(system: SystemOfGadgets) -> str:
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``
     plus a newline, written directly, because with an indent json.dumps runs
     its pure-Python encoder."""
+    _check_system(system)
     q = _quote
     return "".join((
         '{\n  "boundary": ', _top_list(list(map(q, system.boundary))),
@@ -1015,7 +1033,7 @@ def parse_system(text: str) -> SystemOfGadgets:
                 GadgetInstance(i["id"], i["spec"], i["initial"])
                 for i in entries("instances")),
             nodes=tuple(entries("nodes")),
-            edges=tuple([tuple(e) if type(e) is list and len(e) == 2 else _edge(e)
+            edges=tuple([tuple(e) if type(e) is list and len(e) == 2 else _bad_edge(e)
                          for e in entries("edges")]),
             start=doc.get("start"),
             goal=doc.get("goal"),
@@ -1060,6 +1078,7 @@ def _q(s: str) -> str:
 def to_dot(system: SystemOfGadgets) -> str:
     """Undirected DOT graph: one cluster per instance (a node per port),
     one box node per connection node, free-travel edges between them."""
+    _check_system(system)
     lines = ["graph system {", "  node [shape=circle, fontsize=10];"]
     for n, inst in enumerate(system.instances):
         spec = system.spec_of[inst.spec]

@@ -28,10 +28,10 @@ ids; state tuples are built only by ``derive_boundary_lts`` and for a
 NotEquivalent counterexample.
 
 In concrete mode an excursion may be the shift of one already run.  Each
-counter kind has a shift floor T (``floor`` on the kind): Inc[a,b] 0,
-DecNZ[c,d] and Dec[c,d] d, PZ, PNZ, JZ and JZDec 1.  From T up,
-``moves(s + 1)`` is ``moves(s)`` with every new value + 1 and the same
-choices and exits.  A counter slot's floor T_j is the largest of its
+counter kind has a shift floor T (``floor`` on the kind): a ranged
+tunnel's is its hi, except Inc's, which is 0, and a zero test's is 1.
+From T up, ``moves(s + 1)`` is ``moves(s)`` with every new value + 1 and
+the same choices and exits.  A counter slot's floor T_j is the largest of its
 spec's components'.  An at-rest state's class is its slots with every
 counter value at or above T_j + 1 clipped to T_j + 1.  Per (class, entry
 port) the closure keeps the first member's excursion E, from x0, unless it
@@ -802,6 +802,7 @@ def check_interval_invariant(artifact, ops: list[str] | tuple[str, ...], *, n0: 
 
     n = n0
     vec = index.at_rest(enc.state_for(n0, "interval"))
+    index.check_states(vec, "start")  # each walk's output is then valid by construction
     snapshots = [("start", n, vec)]
 
     def check(tag: str) -> None:

@@ -1,7 +1,7 @@
 """Every library entry point names a bad argument with a typed error.
 
-One property over the public calls of ``reach``, ``verify``, ``machine`` and
-``lower``:
+One property over the public calls of ``gadgets``, ``reach``, ``verify``,
+``machine`` and ``lower``:
 each call draws up to two arguments from a pool of values of the wrong
 type and the others from a pool of well-formed ones (small caps and
 budgets, the quintet, a ranged artifact, the sscd door), and whatever the call does, only
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,9 @@ RANGED = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
 RANGED_VEC = RANGED.encoding.state_for(1, "interval")
 SSCD = lower.build_sscd_from_incdecnz()  # a finite spec's part: its states are names
 HOST = lower.compile_machine_to_incdecjz(PROGRAM)
+# a ranged artifact whose interval encoding gives one state for its many instances
+SHORT = dataclasses.replace(RANGED, encoding=lower.Encoding(
+    "interval-affine", iaffine=(((4, 0), (4, 0)),), concrete=((4, 0),)))
 # the quintet without its jz_out_nonzero port, and port maps that name a
 # location from a key that is no port, or by a value that is no string
 DROPPED = dataclasses.replace(QUINTET, system=dataclasses.replace(QUINTET.system, boundary=tuple(
@@ -51,9 +55,32 @@ SYSTEMS = [REACH, REACH_INDEX, QUINTET.system, G.canonicalize(RANGED.system, "in
 SPECS = [G.catalog()["inc-dec-jz"], G.catalog()["inc-decnz-pz"], G.spec_inc_jzdec(),
          G.spec_sscd()]
 OPS = ["inc", "decnz", "pz"]
+DOOR = G.spec_sscd()
+SPEC_DOCS = json.loads(G.serialize_system(G.SystemOfGadgets(specs=tuple(SPECS), instances=())))[
+    "specs"]  # each spec in the JSON form a spec file holds
 
 # entry point -> argument -> pool of well-formed values (the wrong ones are added)
 CALLS = {
+    G.SystemOfGadgets: {
+        "specs": [REACH.specs, (), (DOOR,)],
+        "instances": [REACH.instances, (), (G.GadgetInstance("d", DOOR.name, DOOR.states[0]),)],
+        "nodes": [REACH.nodes, (), ("a",)], "edges": [REACH.edges, (), (("node:a", "d.L1"),)],
+        "start": [REACH.start, None, "node:a"], "goal": [REACH.goal, None, "node:a"],
+        "boundary": [(), ("node:a",)],
+    },
+    G.CounterGadgetSpec: {"name": ["c"], "components": [G.spec_inc_dec_jz().components, ()]},
+    G.FiniteGadgetSpec: {
+        "name": ["f"], "states": [DOOR.states, ("idle",)], "locations": [DOOR.locations, ()],
+        "transitions": [DOOR.transitions, ()],
+    },
+    G.Component: {
+        "kind": [G.IncRange(1, 2), G.JZDecSwitch(), G.PZ()], "entry": ["a"],
+        "exit_ports": [("b",), ("b", "c")],
+    },
+    G.parse_spec: {"doc": SPEC_DOCS},
+    G.canonicalize: {"system": SYSTEMS, "mode": [None, "concrete", "interval"]},
+    G.serialize_system: {"system": [REACH, QUINTET.system]},
+    G.to_dot: {"system": [REACH, QUINTET.system]},
     reach.sweep: {
         "index": [REACH_INDEX, REACH],
         "starts": [[REACH_INDEX.start_config()], [], (REACH_INDEX.start_config(),)],
@@ -82,7 +109,8 @@ CALLS = {
         "op": OPS, "counter_cap": [2, 6, 20],
     },
     verify.check_interval_invariant: {
-        "artifact": [RANGED, QUINTET], "ops": [[], ["inc", "decnz"], ("inc", "inc"), ["pz"]],
+        "artifact": [RANGED, QUINTET, SHORT],
+        "ops": [[], ["inc", "decnz"], ("inc", "inc"), ["pz"]],
         "n0": [0, 1],
     },
     machine.run: {

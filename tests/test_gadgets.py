@@ -178,6 +178,38 @@ def test_range_validation():
             IncRange(lo, hi)
 
 
+# kind, tag, exits, and floor at each of two ranges (none for a zero test)
+KIND_TABLE = [
+    (IncRange, "inc", 1, {(1, 2): 0, (3, 7): 0}),
+    (DecNZRange, "decnz", 1, {(1, 2): 2, (3, 7): 7}),
+    (DecRange, "dec", 1, {(1, 2): 2, (3, 7): 7}),
+    (PZ, "pz", 1, {(): 1}),
+    (PNZ, "pnz", 1, {(): 1}),
+    (JZSwitch, "jz", 2, {(): 1}),
+    (JZDecSwitch, "jzdec", 2, {(): 1}),
+]
+
+
+@pytest.mark.parametrize("make, tag, exits, floors", KIND_TABLE,
+                         ids=[row[1] for row in KIND_TABLE])
+def test_each_kind_is_pinned(make, tag, exits, floors):
+    # equality and hash key the memo tables; the JSON form is a tag, plus
+    # lo and hi for a ranged kind
+    every = [other(*params) for other, _, _, ranges in KIND_TABLE for params in ranges]
+    for params, floor in floors.items():
+        kind, twin = make(*params), make(*params)
+        assert (kind.tag, kind.exits, kind.floor) == (tag, exits, floor)
+        exit_ports = ("b", "c")[:exits]
+        spec = CounterGadgetSpec("k", (Component(kind, "a", exit_ports),))
+        doc = json.loads(serialize_system(SystemOfGadgets((spec,), ())))["specs"][0]
+        assert doc["components"] == [{"kind": tag, **dict(zip(("lo", "hi"), params)),
+                                      "entry": "a", "exits": list(exit_ports)}]
+        assert parse_spec(doc) == spec
+        assert kind == twin and hash(kind) == hash(twin) and kind is not twin
+        assert [other == kind for other in every].count(True) == 1
+        assert len({kind, twin, *every}) == len(every)
+
+
 def test_component_arity_checked():
     with pytest.raises(SystemFormatError):
         Component(JZSwitch(), "in", ("only_one",))
@@ -303,6 +335,39 @@ def test_finite_spec_traversals():
     # from state 2 the L1 traversal is gone
     assert index.successors(Configuration(c.position, ("2",))) == [] or all(
         tr.entry != "L1" for tr, _ in index.successors(c))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: SystemOfGadgets(specs=5, instances=()), "specs"),
+    (lambda: SystemOfGadgets(specs=(), instances=[]), "instances"),
+    (lambda: SystemOfGadgets(specs=(), instances=(5,)), "instances"),
+    (lambda: SystemOfGadgets(specs=(), instances=(), nodes=5), "nodes"),
+    (lambda: SystemOfGadgets(specs=(), instances=(), boundary=5), "boundary"),
+    (lambda: SystemOfGadgets(specs=(), instances=(), edges=(5,)), "edge"),
+    (lambda: SystemOfGadgets(specs=(), instances=(), edges=(("node:a",) * 3,)), "edge"),
+    (lambda: FiniteGadgetSpec("f", 5, (), ()), "states"),
+    (lambda: FiniteGadgetSpec("f", ("a",), "xy", ()), "locations"),
+    (lambda: FiniteGadgetSpec("f", ("a",), (), 5), "transitions"),
+    (lambda: FiniteGadgetSpec("f", ("a",), (), ((1, 2),)), "transition"),
+    (lambda: serialize_system(5), "system"),
+    (lambda: to_dot(5), "system"),
+], ids=["int-specs", "list-instances", "int-instance", "int-nodes", "int-boundary",
+        "int-edge", "three-ends", "int-states", "string-locations", "int-transitions",
+        "short-transition", "serialize-int", "dot-int"])
+def test_a_value_built_in_code_names_its_bad_field(build, field):
+    with pytest.raises(SystemFormatError, match=rf"^(f: )?(a )?{field} must "):
+        build()
+
+
+def test_an_edge_that_is_no_pair_gets_one_error_from_a_document_or_code():
+    for edge in (5, "x", None, ["node:a"] * 3):
+        with pytest.raises(SystemFormatError) as parsed:
+            parse_system(json.dumps({"edges": [edge]}))
+        built = edge if not isinstance(edge, list) else tuple(edge)
+        with pytest.raises(SystemFormatError) as made:
+            SystemOfGadgets((), (), edges=(built,))
+        assert str(parsed.value) == f"edge must be a pair of endpoints, got {edge!r}"
+        assert str(made.value) == f"edge must be a pair of endpoints, got {built!r}"
 
 
 def test_validation_errors():
@@ -773,6 +838,27 @@ def test_the_node_prefix_is_taken_off_in_one_place():
                         for n in ast.walk(node.test))
                 and any(isinstance(n, ast.Slice) for n in ast.walk(node)))
     assert _functions(strips) == ["gadgets.split_for_prefix"]
+
+
+def test_each_component_kind_rule_is_stated_once():
+    # the four zero tests state only their tag, exits and step: moves and
+    # interval_moves are _ZeroTest's; a ranged kind's floor is _Ranged's hi,
+    # which only Inc overrides
+    tree = ast.parse(Path(G.__file__).read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("PZ", "PNZ", "JZSwitch", "JZDecSwitch"):
+        assert [ast.unparse(base) for base in classes[name].bases] == ["_ZeroTest"], name
+        assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda))
+                       for node in ast.walk(classes[name])), name
+
+    def states_floor(cls) -> bool:
+        return any(isinstance(node, ast.FunctionDef) and node.name == "floor"
+                   or isinstance(node, ast.Name) and node.id == "floor"
+                   and isinstance(node.ctx, ast.Store) for node in ast.walk(cls))
+    ranged = [name for name, cls in classes.items()
+              if [ast.unparse(base) for base in cls.bases] == ["_Ranged"]]
+    assert ranged == ["IncRange", "DecNZRange", "DecRange"]
+    assert [name for name in ranged if states_floor(classes[name])] == ["IncRange"]
 
 
 def test_a_system_is_told_from_an_index_in_one_place():

@@ -601,6 +601,24 @@ def test_interval_invariant_checks_its_inputs_before_a_walk(monkeypatch):
         check_interval_invariant(art, ("decnz",), n0=0)
 
 
+def test_interval_invariant_checks_its_start_vector(monkeypatch):
+    # an encoding with one state for the artifact's many instances, or with
+    # negative values, is a bad start vector, named before it is read
+    art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
+    short = dataclasses.replace(art, encoding=lower.Encoding(
+        "interval-affine", iaffine=(((4, 0), (4, 0)),), concrete=((4, 0),)))
+    below = dataclasses.replace(art, encoding=lower.Encoding(
+        "interval-affine", concrete=art.encoding.concrete,
+        iaffine=tuple(((ls, lo - 100), (hs, ho - 100))
+                      for (ls, lo), (hs, ho) in art.encoding.iaffine)))
+    monkeypatch.setattr(verify, "_interval_walk", lambda *args: pytest.fail("a walk ran"))
+    for ops in ([], ["inc"]):
+        with pytest.raises(SystemFormatError, match="^start must have one state per instance"):
+            check_interval_invariant(short, ops)
+        with pytest.raises(SystemFormatError, match="^start: .* must be an interval of naturals"):
+            check_interval_invariant(below, ops)
+
+
 def test_interval_invariant_checks_the_anchor():
     # a poisoned artifact (anchor claim off by one) must be rejected
     art = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
