@@ -362,18 +362,7 @@ class SystemOfGadgets:
     boundary: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        try:
-            _validate(self)
-        except (TypeError, ValueError) as exc:
-            # the one bare error _validate lets out is an edge's unpacking:
-            # only a failure pays for finding and naming that edge
-            if not isinstance(exc, SystemFormatError):
-                for edge in self.edges:
-                    try:
-                        _, _ = edge
-                    except (TypeError, ValueError):
-                        _bad_edge(edge)
-            raise
+        _validate(self)
 
     @classmethod
     def _spliced(cls, **fields) -> SystemOfGadgets:
@@ -626,18 +615,22 @@ class SystemIndex:
         self.check_config(config, "configuration")
         return self._successors(config)
 
-    def _successors(self, config: Configuration) -> list[tuple[Traversal, Configuration]]:
+    def _successors(self, config: Configuration, cap: int | None = None
+                    ) -> list[tuple[Traversal, Configuration]]:
         """``successors`` of a configuration whose states are known to be
-        valid: one that ``successors`` returned."""
+        valid: one that ``successors`` returned.  A given ``cap`` goes to a
+        concrete counter row's ``kind.moves``, whose ranged amounts stop
+        early under it; interval and finite rows take none."""
         pos, states = config.position, config.states
         if not 0 <= pos < len(self.prefix):
             return []
         code, names, codec = self.finite_code, self.finite_states, self.codec(0)
         out: list[tuple[Traversal, Configuration]] = []
-        for _, _, _, exits, i, (entry, exit_ports, step, _, counted) in codec.moves.get(
+        for _, _, _, exits, i, (entry, exit_ports, step, pair, counted), _ in codec.moves.get(
                 self.prefix[pos], ()):
             state = states[i]
-            for (choice, s2, e) in step(state) if counted else step(code.get(state)):
+            for (choice, s2, e) in (step(state) if pair else step(state, cap) if counted
+                                    else step(code.get(state))):
                 if not counted:
                     s2 = names[s2]
                 out.append((Traversal(codec.ids[i], entry, exit_ports[e], choice, state, s2),
@@ -675,13 +668,16 @@ class KeyCodec:
     declaration order, component order), so successor enumeration is
     reproducible byte for byte.  A row is (first byte of the state's slots,
     one past its last, its memo table or None, exit positions as key
-    prefixes, slot, entrance): the BFS kernel's five fields, then the
-    entrance record (entry port, exit ports, kind.moves or
+    prefixes, slot, entrance, row number): the BFS kernel's five fields,
+    then the entrance record (entry port, exit ports, kind.moves or
     kind.interval_moves, two slots?, a counter?), built once per (spec,
-    component) and shared by every instance's row.  ``ids[slot]`` is the
-    instance id.  A finite step's row compares interned codes.  Rows of
-    equal kinds share one memo table, slot bytes -> ``slot_moves``; a
-    concrete ranged kind with lo < hi has none (``reach`` docstring).
+    component) and shared by every instance's row, then the row's index in
+    ``rows``, the flat list of every row in build order.  A visited record
+    names its row by that int, so it holds no tuple the garbage collector
+    tracks (``reach`` docstring).  ``ids[slot]`` is the instance id.  A
+    finite step's row compares interned codes.  Rows of equal kinds share
+    one memo table, slot bytes -> ``slot_moves``; a concrete ranged kind
+    with lo < hi has none (``reach`` docstring).
     """
 
     def __init__(self, index: SystemIndex, width: int) -> None:
@@ -695,6 +691,7 @@ class KeyCodec:
         # per instance: (first byte, two slots?, counter?)
         self.layout: list[tuple[int, bool, bool]] = []
         self.moves: dict[bytes, list[tuple]] = {}
+        self.rows: list[tuple] = []  # every row of ``moves``, numbered by its last field
         memos: defaultdict[object, dict[bytes, tuple]] = defaultdict(dict)
         templates: dict[str, list[tuple]] = {}  # spec name -> (places, memo, entrance) per row
         for i, (inst, counted) in enumerate(zip(index.system.instances, index.counter)):
@@ -715,8 +712,10 @@ class KeyCodec:
             self.layout.append((off, pair, counted))
             end = off + width * (2 if pair else 1)
             for at, exits, memo, entrance in rows:
-                self.moves.setdefault(prefix[cls[base + at]], []).append(
-                    (off, end, memo, tuple([prefix[cls[base + p]] for p in exits]), i, entrance))
+                row = (off, end, memo, tuple([prefix[cls[base + p]] for p in exits]), i,
+                       entrance, len(self.rows))
+                self.rows.append(row)
+                self.moves.setdefault(prefix[cls[base + at]], []).append(row)
             off = end
         self.size = off  # bytes per key
 
@@ -767,7 +766,7 @@ class KeyCodec:
         amounts bounded by ``cap``, as (choice, the new slot bytes or None
         when the value exceeds ``top``, exit, the new counter value or None);
         kept in the row's memo table, if it has one."""
-        _, _, memo, _, _, (_, _, step, pair, counted) = move
+        _, _, memo, _, _, (_, _, step, pair, counted), _ = move
         w, base, v = self.width, self.top + 1, int.from_bytes(slot, "big")
         if pair:  # (lo, hi) as one number, lo * base + hi
             out = tuple((choice, (lo * base + m).to_bytes(2 * w, "big") if m < base else None,
@@ -782,7 +781,7 @@ class KeyCodec:
     def label(self, move: tuple, choice: int, e: int, before: bytes,
               after: bytes) -> Traversal:
         """The Traversal of a ``moves`` row from key ``before`` to ``after``."""
-        i, (entry, exit_ports, *_) = move[4:]
+        i, (entry, exit_ports, *_), _ = move[4:]
         return Traversal(self.ids[i], entry, exit_ports[e], choice,
                          self.state(before, i), self.state(after, i))
 
@@ -811,8 +810,8 @@ def _validate(system: SystemOfGadgets) -> None:
     output skips it: it is valid by the splice rule, and this check is its
     test oracle.  An initial is checked once per distinct (spec, type, value)
     when an int or str, else every time (True == 1 == 1.0 hash alike).  An
-    edge that is no pair fails as it is unpacked, with a bare TypeError or
-    ValueError; the constructor names it."""
+    edge must be a tuple pair: a list pair would build a system that does
+    not hash."""
     _check_tuples(system, "specs instances nodes edges boundary")
     spec_locations: dict[str, frozenset[str]] = {}
     for spec in system.specs:  # each spec checked itself when it was built
@@ -853,9 +852,9 @@ def _validate(system: SystemOfGadgets) -> None:
         raise SystemFormatError("node names and instance ids overlap")
 
     # the numbering reads each endpoint once, and the index keeps it; only a
-    # miss walks the endpoints one by one, so that the first bad one is named
+    # miss walks the edges and endpoints one by one, so that the first bad one is named
     try:
-        if {*map(len, system.edges)} <= {2}:
+        if {*map(type, system.edges)} <= {tuple} and {*map(len, system.edges)} <= {2}:
             system.endpoints
             return
     except (KeyError, TypeError):  # an unknown, unhashable or unsized value
@@ -875,9 +874,11 @@ def _validate(system: SystemOfGadgets) -> None:
             if rest not in locs:
                 raise SystemFormatError(f"unknown port in endpoint {ep!r}")
 
-    for (a, b) in system.edges:
-        check_ep(a)
-        check_ep(b)
+    for edge in system.edges:
+        if type(edge) is not tuple or len(edge) != 2:
+            _bad_edge(edge)
+        check_ep(edge[0])
+        check_ep(edge[1])
     for ep in chain([ep for ep in (system.start, system.goal) if ep is not None],
                     system.boundary):
         check_ep(ep)

@@ -28,10 +28,14 @@ each configuration is one ``bytes`` of fixed-width slots (``gadgets.KeyCodec``),
 with a width worked out per sweep from the cap, the largest start value and
 the number of finite-gadget states.  A successor is its parent key with one
 slot and the position spliced in, and the visited map keeps (parent key,
-move, choice, exit) per key.  Traversal labels are built only for a path
-asked for (``Sweep.path_to``: the witness), and Configurations only for the
-keys a caller reads (``Sweep.configurations``).  The loop itself is
-``_bfs``, under ``sweep`` and the closure and interval walk of ``verify``.
+row number, choice, exit) per key, the row being ``KeyCodec.rows[n]``.  A
+record holds only bytes and ints, so the garbage collector stops tracking
+it at its first collection, and a full collection untracks the map itself:
+no later collection walks the visited map.  Traversal labels are built only
+for a path asked for (``Sweep.path_to``: the witness), and Configurations
+only for the keys a caller reads (``Sweep.configurations``).  The loop
+itself is ``_bfs``, under ``sweep`` and the closure and interval walk of
+``verify``.
 
 A move reads and writes one gadget's slots, so its successors depend only
 on its kind and those slot bytes.  The codec keeps them in memo tables, one
@@ -99,12 +103,14 @@ class Sweep:
 
     The sweep runs on packed keys (``codec``, see ``gadgets.KeyCodec``).
     ``visited`` maps each reached key to its BFS parent edge (parent key,
-    move, choice, exit), or None for a start, in visit order; ``goal_hit``
-    is a key too.  Only ``path_to`` builds Traversal labels and only
-    ``configurations`` unpacks keys into Configurations, so a sweep builds
-    neither for configurations nobody reads.  start_revisited says
-    whether some expanded configuration, or one the budget left queued, has
-    a move back to a start: the one revisit ``visited`` cannot show.
+    row number in ``codec.rows``, choice, exit), or None for a start, in
+    visit order: bytes and ints only, which the garbage collector stops
+    tracking (module docstring).  ``goal_hit`` is a key too.  Only
+    ``path_to`` builds Traversal labels and only ``configurations`` unpacks
+    keys into Configurations, so a sweep builds neither for configurations
+    nobody reads.  start_revisited says whether some expanded
+    configuration, or one the budget left queued, has a move back to a
+    start: the one revisit ``visited`` cannot show.
     """
 
     codec: KeyCodec
@@ -117,23 +123,25 @@ class Sweep:
 
     def path_to(self, key: bytes) -> tuple[Traversal, ...]:
         """The labels on the BFS path from a start to ``key``, first first.
-        A label depends only on the row's slot, entry and exit port, the
-        choice and the slot's bytes before and after, so each distinct label
-        is built once and its repeats share it.  The exit port, not the
-        exit number, is keyed: two components may share an entry."""
+        Each distinct label is built once and its repeats share it, keyed by
+        (row number, choice, exit, the slot's bytes before).  That is
+        enough: a row fixes the instance, the entry port and the exit ports,
+        so rows that share a slot and an entry still key apart, and the
+        bytes before, the choice and the exit fix the bytes after."""
         labels = []
         made: dict = {}
-        edge = self.visited[key]
+        rows, label_of, visited = self.codec.rows, self.codec.label, self.visited
+        edge = visited[key]
         while edge is not None:
-            parent, move, choice, e = edge
-            first, end, _, _, i, (entry, exit_ports, *_) = move
-            at = (i, entry, exit_ports[e], choice, parent[first:end], key[first:end])
+            parent, n, choice, e = edge
+            move = rows[n]
+            at = (n, choice, e, parent[move[0]:move[1]])
             label = made.get(at)
             if label is None:
-                label = made[at] = self.codec.label(move, choice, e, parent, key)
+                label = made[at] = label_of(move, choice, e, parent, key)
             labels.append(label)
             key = parent
-            edge = self.visited[key]
+            edge = visited[key]
         return tuple(reversed(labels))
 
     def configurations(self, at: Container[int]
@@ -206,15 +214,16 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
         if budget_exhausted and start_revisited:
             break
         key = queue.popleft()
+        pos = key[:pw]
         if not budget_exhausted:
             explored += 1
-            if goal is not None and key.startswith(goal):
+            if goal is not None and pos == goal:
                 goal_hit = key
                 break
         # only a start above the cap needs its other slots checked (module docstring)
         over = over_cap.get(key) if over_cap else None
-        for move in moves.get(key[:pw], ()):
-            off, end, memo, exits, i, _ = move
+        for move in moves.get(pos, ()):
+            off, end, memo, exits, i, _, n = move
             slot = key[off:end]
             out = memo.get(slot) if memo is not None else None
             if out is None:
@@ -239,7 +248,7 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
                     continue
                 if m is not None and m > max_counter:
                     max_counter = m
-                visited[nxt] = (key, move, choice, e)
+                visited[nxt] = (key, n, choice, e)
                 queue.append(nxt)
         if len(queue) > frontier_peak:
             frontier_peak = len(queue)
@@ -304,19 +313,30 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
         raise SystemFormatError(f"witness must be a tuple of traversals, got {witness!r:.200}")
     trace = [cfg]
     for i, label in enumerate(witness):
-        matches = [
-            (lab, nxt) for (lab, nxt) in index._successors(cfg)
-            if (lab.instance, lab.entry, lab.exit, lab.choice)
-            == (label.instance, label.entry, label.exit, label.choice)
-        ]
+        before, after = label.before, label.after
+        # a ranged move's choice is its amount, so a cap of before + choice
+        # lists the move a good label names, but for a Dec amount past the
+        # state, which the cap cuts; a label that no capped move fits is
+        # matched against every move, so it replays or fails as uncapped
+        caps = ((before + label.choice, None) if type(before) is int
+                and type(label.choice) is int else (None,))
+        for cap in caps:
+            matches = [
+                (lab, nxt) for (lab, nxt) in index._successors(cfg, cap)
+                if (lab.instance, lab.entry, lab.exit, lab.choice)
+                == (label.instance, label.entry, label.exit, label.choice)
+            ]
+            nxt = next((nxt for lab, nxt in matches
+                        if lab.before == before and lab.after == after), None)
+            if nxt is not None:
+                break
         if not matches:
             raise ReplayError(i, f"no legal traversal matches {label}")
-        cfg = next((nxt for lab, nxt in matches
-                    if lab.before == label.before and lab.after == label.after), None)
-        if cfg is None:
+        if nxt is None:
             lab = matches[0][0]
             raise ReplayError(
-                i, f"state change mismatch: recorded {label.before}->{label.after}, "
+                i, f"state change mismatch: recorded {before}->{after}, "
                    f"replayed {lab.before}->{lab.after}")
+        cfg = nxt
         trace.append(cfg)
     return trace

@@ -370,6 +370,15 @@ def test_an_edge_that_is_no_pair_gets_one_error_from_a_document_or_code():
         assert str(made.value) == f"edge must be a pair of endpoints, got {built!r}"
 
 
+def test_an_edge_built_as_a_list_is_refused():
+    with pytest.raises(SystemFormatError) as exc:
+        SystemOfGadgets((), (), nodes=("a", "b"), edges=(["node:a", "node:b"],))
+    assert str(exc.value) == "edge must be a pair of endpoints, got ['node:a', 'node:b']"
+    made, twin = (SystemOfGadgets((), (), nodes=("a", "b"), edges=(("node:a", "node:b"),))
+                  for _ in range(2))
+    assert hash(made) == hash(twin) and made == twin
+
+
 def test_validation_errors():
     spec = G.spec_inc_dec_jz()
     good = GadgetInstance("a", "inc-dec-jz", 0)

@@ -632,6 +632,49 @@ def test_ranged_rows_keep_no_memo():
         assert memo and set(memo) <= seen
 
 
+def _shared_entrance_cases():
+    """Systems in which two rows of one instance share a slot and an entry:
+    the merged-entrance artifact from its boundary, and a JZ and a PZ on
+    one entrance, whose zero moves differ only in their exit port."""
+    art = lower.sim_incjzdec_via_incdecnzpz()
+    index = canonicalize(art.system)
+    yield pytest.param(art.system, [Configuration(cid, index.at_rest(art.encoding.state_for(q)))
+                                     for cid in index.boundary_classes for q in (0, 2)],
+                       id="merged")
+    spec = CounterGadgetSpec("split-zero", (
+        Component(IncRange(1, 1), "inc", ("inc_out",)),
+        Component(G.JZSwitch(), "in", ("jz_zero", "jz_nonzero")),
+        Component(G.PZ(), "in", ("pz_zero",))))
+    system = SystemOfGadgets(
+        specs=(spec,), instances=(GadgetInstance("a", spec.name, 0),
+                                  GadgetInstance("b", spec.name, 1)),
+        nodes=("hub", "x", "y"),
+        edges=(("node:hub", "a.in"), ("node:hub", "a.inc"), ("a.inc_out", "node:hub"),
+               ("a.jz_nonzero", "node:hub"), ("a.jz_zero", "node:x"), ("a.pz_zero", "node:y"),
+               ("node:x", "b.in"), ("node:y", "b.inc"), ("b.inc_out", "node:hub"),
+               ("b.jz_zero", "node:hub"), ("b.jz_nonzero", "node:hub")),
+        start="node:hub")
+    yield pytest.param(system, [canonicalize(system).start_config()], id="jz-and-pz")
+
+
+@pytest.mark.parametrize("system, starts", _shared_entrance_cases())
+def test_path_to_keys_rows_apart_where_they_share_a_slot_and_an_entry(system, starts):
+    index = canonicalize(system)
+    for entry_rows in index.codec(0).moves.values():
+        slots = [row[4] for row in entry_rows]
+        if len(set(slots)) < len(slots):
+            break
+    else:
+        pytest.fail("no two rows share a slot and an entry")
+    bounds = dict(counter_cap=6, visit_budget=10**5)
+    got = reach.sweep(index, starts, **bounds)
+    want = reference_sweep(ReferenceIndex(system), starts, **bounds)
+    reached = got.configurations(range(len(index.prefix)))
+    assert len(reached) == len(want.visited) > 10
+    for key, (cfg, _) in reached.items():
+        assert got.path_to(key) == want.path_to(cfg), cfg
+
+
 def _criterion_3_derivations():
     """(name, system, seeds, mode) of every criterion-3 artifact at cap 8,
     every criterion-5 single-edge deletion of the quintet, and a system
@@ -812,7 +855,10 @@ def reference_validate(system: SystemOfGadgets) -> None:
             if rest not in locs:
                 raise SystemFormatError(f"unknown port in endpoint {ep!r}")
 
-    for (a, b) in system.edges:
+    for edge in system.edges:
+        if type(edge) is not tuple or len(edge) != 2:  # a list pair would not hash
+            raise SystemFormatError(f"edge must be a pair of endpoints, got {edge!r:.200}")
+        a, b = edge
         check_ep(a)
         check_ep(b)
     for ep in (system.start, system.goal):
@@ -869,8 +915,10 @@ def _index_tables(system: SystemOfGadgets) -> tuple:
 
 def _row_view(codec: G.KeyCodec, row: tuple) -> tuple:
     """A codec row in the 11 fields of ``reference_codec``'s rows: the
-    kernel's five, the instance id, then the shared entrance record's five."""
-    assert len(row) == 6 and len(row[5]) == 5
+    kernel's five, the instance id, then the shared entrance record's five.
+    Its seventh field, its number, is its index in ``codec.rows``."""
+    assert len(row) == 7 and len(row[5]) == 5
+    assert codec.rows[row[6]] is row
     return row[:5] + (codec.ids[row[4]],) + row[5]
 
 
@@ -964,6 +1012,7 @@ def _assert_rows_match(index: SystemIndex) -> int:
         layout, moves, size = reference_codec(index, width)
         assert (codec.layout, codec.size) == (layout, size)
         assert list(codec.moves) == list(moves)
+        assert len(codec.rows) == sum(map(len, codec.moves.values()))
         memo_of: dict[object, dict] = {}
         entrances: dict[int, str] = {}  # id of a record the codec keeps -> its spec
         for prefix, want_rows in moves.items():

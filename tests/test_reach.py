@@ -528,3 +528,71 @@ def test_a_dropped_index_is_freed_without_the_collector(mode):
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_visited_records_hold_only_bytes_and_ints():
+    # the v=24 ladder rung: after a collection the collector tracks no record
+    # and not the map, and each record's row number names the row that made it
+    frag = lower.emit_initializer([24])
+    program = frag.concat(M.Program(frag.counters, (M.Halt(),)))
+    index = G.canonicalize(lower.pipeline(program, "inc-jzdec").system)
+    result = sweep(index, [index.start_config()], counter_cap=58, visit_budget=10**6,
+                   goal_class=index.goal_class)
+    assert result.goal_hit is not None and result.stats.explored == 15_839
+    gc.collect()
+    assert not gc.is_tracked(result.visited)
+    codec, pw = result.codec, result.codec.pos_width
+    records = 0
+    for key, record in result.visited.items():
+        if record is None:
+            continue
+        records += 1
+        assert [type(field) for field in record] == [bytes, int, int, int]
+        assert not gc.is_tracked(record)
+        parent, n, choice, e = record
+        row = codec.rows[n]
+        off, end, _, exits, *_ = row
+        assert any(r is row for r in codec.moves[parent[:pw]])
+        new = key[off:end]
+        assert (choice, new, e) in [(c, s2, x) for c, s2, x, _
+                                    in codec.slot_moves(row, parent[off:end], 58)]
+        assert key == exits[e] + parent[pw:off] + new + parent[end:]
+    assert records == len(result.visited) - 1 > 15_000
+
+
+def _one_tunnel(kind, initial: int) -> SystemOfGadgets:
+    spec = G.CounterGadgetSpec("one", (G.Component(kind, "a", ("b",)),))
+    return SystemOfGadgets(specs=(spec,), instances=(GadgetInstance("g", "one", initial),),
+                           nodes=("s", "t"), edges=(("node:s", "g.a"), ("g.b", "node:t")),
+                           start="node:s", goal="node:t")
+
+
+def test_replay_lists_only_the_amounts_a_ranged_label_can_name():
+    system = _one_tunnel(G.IncRange(1, 10**6), 0)
+    out = bfs_reach(system, counter_cap=3)
+    assert out.verdict is Verdict.REACHABLE and len(out.witness) == 1
+    t0 = time.perf_counter()
+    trace = replay(system, out.witness)
+    assert time.perf_counter() - t0 < 0.1
+    assert trace[-1].states == (1,)
+    # a wrong recorded state reads as it did with every amount listed, also
+    # where its cap lists no move of the label's amount (from 10, cap 5)
+    (t,) = out.witness
+    at_ten = Configuration(trace[0].position, (10,))
+    for lie, start, message in (
+            (Traversal(t.instance, t.entry, t.exit, 5, 10, 15), None,
+             "recorded 10->15, replayed 0->5"),
+            (Traversal(t.instance, t.entry, t.exit, 5, 0, 5), at_ten,
+             "recorded 0->5, replayed 10->15"),
+            (Traversal(t.instance, t.entry, t.exit, 0, 0, 0), None,
+             "no legal traversal matches")):
+        with pytest.raises(ReplayError, match=message):
+            replay(system, (lie,), start)
+
+
+def test_replay_takes_a_saturating_dec_amount_the_kernel_skips():
+    # the kernel stops Dec[1, 5] amounts at 2 from state 2; a label with
+    # amount 4 is still a legal move, to the same state
+    system = _one_tunnel(G.DecRange(1, 5), 2)
+    trace = replay(system, (Traversal("g", "a", "b", 4, 2, 0),))
+    assert trace[-1].states == (0,)
