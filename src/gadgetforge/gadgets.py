@@ -626,7 +626,7 @@ class SystemIndex:
             return []
         code, names, codec = self.finite_code, self.finite_states, self.codec(0)
         out: list[tuple[Traversal, Configuration]] = []
-        for _, _, _, exits, i, (entry, exit_ports, step, pair, counted), _ in codec.moves.get(
+        for _, _, _, exits, i, (entry, exit_ports, step, pair, counted) in codec.moves.get(
                 self.prefix[pos], ()):
             state = states[i]
             for (choice, s2, e) in (step(state) if pair else step(state, cap) if counted
@@ -668,16 +668,13 @@ class KeyCodec:
     declaration order, component order), so successor enumeration is
     reproducible byte for byte.  A row is (first byte of the state's slots,
     one past its last, its memo table or None, exit positions as key
-    prefixes, slot, entrance, row number): the BFS kernel's five fields,
-    then the entrance record (entry port, exit ports, kind.moves or
+    prefixes, slot, entrance): the BFS kernel's five fields, then the
+    entrance record (entry port, exit ports, kind.moves or
     kind.interval_moves, two slots?, a counter?), built once per (spec,
-    component) and shared by every instance's row, then the row's index in
-    ``rows``, the flat list of every row in build order.  A visited record
-    names its row by that int, so it holds no tuple the garbage collector
-    tracks (``reach`` docstring).  ``ids[slot]`` is the instance id.  A
-    finite step's row compares interned codes.  Rows of equal kinds share
-    one memo table, slot bytes -> ``slot_moves``; a concrete ranged kind
-    with lo < hi has none (``reach`` docstring).
+    component) and shared by every instance's row.  ``ids[slot]`` is the
+    instance id.  A finite step's row compares interned codes.  Rows of
+    equal kinds share one memo table, slot bytes -> ``slot_moves``; a
+    concrete ranged kind with lo < hi has none (``reach`` docstring).
     """
 
     def __init__(self, index: SystemIndex, width: int) -> None:
@@ -691,7 +688,6 @@ class KeyCodec:
         # per instance: (first byte, two slots?, counter?)
         self.layout: list[tuple[int, bool, bool]] = []
         self.moves: dict[bytes, list[tuple]] = {}
-        self.rows: list[tuple] = []  # every row of ``moves``, numbered by its last field
         memos: defaultdict[object, dict[bytes, tuple]] = defaultdict(dict)
         templates: dict[str, list[tuple]] = {}  # spec name -> (places, memo, entrance) per row
         for i, (inst, counted) in enumerate(zip(index.system.instances, index.counter)):
@@ -712,10 +708,8 @@ class KeyCodec:
             self.layout.append((off, pair, counted))
             end = off + width * (2 if pair else 1)
             for at, exits, memo, entrance in rows:
-                row = (off, end, memo, tuple([prefix[cls[base + p]] for p in exits]), i,
-                       entrance, len(self.rows))
-                self.rows.append(row)
-                self.moves.setdefault(prefix[cls[base + at]], []).append(row)
+                self.moves.setdefault(prefix[cls[base + at]], []).append(
+                    (off, end, memo, tuple([prefix[cls[base + p]] for p in exits]), i, entrance))
             off = end
         self.size = off  # bytes per key
 
@@ -766,7 +760,7 @@ class KeyCodec:
         amounts bounded by ``cap``, as (choice, the new slot bytes or None
         when the value exceeds ``top``, exit, the new counter value or None);
         kept in the row's memo table, if it has one."""
-        _, _, memo, _, _, (_, _, step, pair, counted), _ = move
+        _, _, memo, _, _, (_, _, step, pair, counted) = move
         w, base, v = self.width, self.top + 1, int.from_bytes(slot, "big")
         if pair:  # (lo, hi) as one number, lo * base + hi
             out = tuple((choice, (lo * base + m).to_bytes(2 * w, "big") if m < base else None,
@@ -781,7 +775,7 @@ class KeyCodec:
     def label(self, move: tuple, choice: int, e: int, before: bytes,
               after: bytes) -> Traversal:
         """The Traversal of a ``moves`` row from key ``before`` to ``after``."""
-        i, (entry, exit_ports, *_), _ = move[4:]
+        i, (entry, exit_ports, *_) = move[4:]
         return Traversal(self.ids[i], entry, exit_ports[e], choice,
                          self.state(before, i), self.state(after, i))
 

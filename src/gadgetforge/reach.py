@@ -27,15 +27,18 @@ A sweep runs on packed keys (Holzmann, "State Compression in SPIN", 1997):
 each configuration is one ``bytes`` of fixed-width slots (``gadgets.KeyCodec``),
 with a width worked out per sweep from the cap, the largest start value and
 the number of finite-gadget states.  A successor is its parent key with one
-slot and the position spliced in, and the visited map keeps (parent key,
-row number, choice, exit) per key, the row being ``KeyCodec.rows[n]``.  A
-record holds only bytes and ints, so the garbage collector stops tracking
-it at its first collection, and a full collection untracks the map itself:
-no later collection walks the visited map.  Traversal labels are built only
-for a path asked for (``Sweep.path_to``: the witness), and Configurations
-only for the keys a caller reads (``Sweep.configurations``).  The loop
-itself is ``_bfs``, under ``sweep`` and the closure and interval walk of
-``verify``.
+slot and the position spliced in.  The visited map keeps each key's parent
+key (None for a start), which the loop already holds: a record allocates
+nothing, and no collection walks one.  ``Sweep.path_to`` finds a path's
+moves again, from each parent the first (row, choice, exit), in the
+kernel's order, whose spliced key is the child: the move that admitted it.
+An earlier one met the child unvisited under the same budget flag (fixed
+per dequeue), so only the cap test refused it.  But the admitted child is
+within the cap in every slot, so no earlier move to it writes a value
+above the cap, and from an over-cap start ``over == {i}`` forces the
+admitting move's slot.  Configurations are built only for the keys a
+caller reads (``Sweep.configurations``).  The loop is ``_bfs``, under
+``sweep`` and the closure and interval walk of ``verify``.
 
 A move reads and writes one gadget's slots, so its successors depend only
 on its kind and those slot bytes.  The codec keeps them in memo tables, one
@@ -101,47 +104,57 @@ class SearchOutcome:
 class Sweep:
     """Raw result of one bounded BFS sweep.
 
-    The sweep runs on packed keys (``codec``, see ``gadgets.KeyCodec``).
-    ``visited`` maps each reached key to its BFS parent edge (parent key,
-    row number in ``codec.rows``, choice, exit), or None for a start, in
-    visit order: bytes and ints only, which the garbage collector stops
-    tracking (module docstring).  ``goal_hit`` is a key too.  Only
-    ``path_to`` builds Traversal labels and only ``configurations`` unpacks
-    keys into Configurations, so a sweep builds neither for configurations
-    nobody reads.  start_revisited says whether some expanded
-    configuration, or one the budget left queued, has a move back to a
-    start: the one revisit ``visited`` cannot show.
+    The sweep runs on packed keys (``codec``, see ``gadgets.KeyCodec``):
+    ``visited`` maps each reached key to its BFS parent's key (None at a
+    start) in visit order, and ``goal_hit`` is a key.  Only ``path_to``
+    builds Traversal labels, from the moves it finds again (``move_cap``
+    lists a memo-less ranged row's amounts as the kernel did), and only
+    ``configurations`` builds Configurations.  start_revisited says whether
+    some expanded configuration, or one the budget left queued, has a move
+    back to a start, the one revisit ``visited`` hides.
     """
 
     codec: KeyCodec
-    visited: dict[bytes, tuple | None]
+    visited: dict[bytes, bytes | None]
     goal_hit: bytes | None
     overflowed: bool
     budget_exhausted: bool
     stats: SearchStats
     start_revisited: bool
+    move_cap: int
 
     def path_to(self, key: bytes) -> tuple[Traversal, ...]:
         """The labels on the BFS path from a start to ``key``, first first.
-        Each distinct label is built once and its repeats share it, keyed by
-        (row number, choice, exit, the slot's bytes before).  That is
-        enough: a row fixes the instance, the entry port and the exit ports,
-        so rows that share a slot and an entry still key apart, and the
-        bytes before, the choice and the exit fix the bytes after."""
+        Each step takes the parent's first move, in the kernel's order, to
+        the child's position and slot bytes, comparing the other slots only
+        among two or more (module docstring).  Each distinct label is built
+        once and its repeats share it, keyed by (row, choice, exit, the
+        slot's bytes before), which fix the bytes after."""
+        codec, visited = self.codec, self.visited
+        if type(key) is not bytes or key not in visited:
+            raise SystemFormatError(f"path_to: {key!r:.200} is no key this sweep reached")
+        pw, moves, slot_moves, cap = codec.pos_width, codec.moves, codec.slot_moves, self.move_cap
         labels = []
         made: dict = {}
-        rows, label_of, visited = self.codec.rows, self.codec.label, self.visited
-        edge = visited[key]
-        while edge is not None:
-            parent, n, choice, e = edge
-            move = rows[n]
-            at = (n, choice, e, parent[move[0]:move[1]])
-            label = made.get(at)
+        parent = visited[key]
+        while parent is not None:
+            pos, found = key[:pw], []
+            for move in moves[parent[:pw]]:
+                off, end, memo, exits, _, _ = move
+                if pos not in exits:
+                    continue
+                slot, new = parent[off:end], key[off:end]
+                out = memo.get(slot) if memo is not None else None
+                for choice, s2, e, _ in slot_moves(move, slot, cap) if out is None else out:
+                    if s2 == new and exits[e] == pos:
+                        found.append((off, end, move, choice, e, slot))
+            off, end, move, choice, e, slot = found[0] if len(found) == 1 else next(
+                c for c in found if parent[pw:c[0]] + parent[c[1]:] == key[pw:c[0]] + key[c[1]:])
+            label = made.get(at := (id(move), choice, e, slot))
             if label is None:
-                label = made[at] = label_of(move, choice, e, parent, key)
+                label = made[at] = codec.label(move, choice, e, parent, key)
             labels.append(label)
-            key = parent
-            edge = visited[key]
+            key, parent = parent, visited[parent]
         return tuple(reversed(labels))
 
     def configurations(self, at: Container[int]
@@ -149,8 +162,11 @@ class Sweep:
         """Each reached key whose position is in ``at`` -> (its configuration,
         the BFS parent's key or None at a start), in visit order."""
         pw, unpack = self.codec.pos_width, self.codec.unpack
-        return {key: (unpack(key), None if edge is None else edge[0])
-                for key, edge in self.visited.items() if int.from_bytes(key[:pw], "big") in at}
+        try:
+            return {key: (unpack(key), parent) for key, parent in self.visited.items()
+                    if int.from_bytes(key[:pw], "big") in at}
+        except TypeError:
+            raise SystemFormatError(f"configurations: {at!r:.200} holds no classes") from None
 
 
 def sweep(index: SystemOfGadgets | SystemIndex, starts: list[Configuration], *, counter_cap: int,
@@ -168,7 +184,7 @@ def sweep(index: SystemOfGadgets | SystemIndex, starts: list[Configuration], *, 
         index.check_config(cfg, "start")
     tops = [index.top(cfg.states) for cfg in starts]
     start_max = max(tops, default=0)
-    codec = index.codec(max(counter_cap, start_max))  # holds every start and successor
+    codec = index.codec(move_cap := max(counter_cap, start_max))  # holds every start, successor
     keys = [codec.pack(cfg) for cfg in starts]
     over_cap = {key: index.slots_above(cfg.states, counter_cap)
                 for key, cfg, high in zip(keys, starts, tops) if high > counter_cap}
@@ -180,7 +196,7 @@ def sweep(index: SystemOfGadgets | SystemIndex, starts: list[Configuration], *, 
      frontier_peak, max_counter) = _bfs(codec, keys, over_cap, counter_cap,
                                         start_max, visit_budget, goal)
     return Sweep(codec, visited, goal_hit, overflowed, budget_exhausted,
-                 SearchStats(explored, frontier_peak, max_counter), start_revisited)
+                 SearchStats(explored, frontier_peak, max_counter), start_revisited, move_cap)
 
 
 def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozenset[int]],
@@ -195,7 +211,7 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
     frontier_peak, max_counter), as ``Sweep`` and ``SearchStats`` hold them.
     """
     move_cap = max(counter_cap, start_max)
-    visited: dict[bytes, tuple | None] = dict.fromkeys(starts)
+    visited: dict[bytes, bytes | None] = dict.fromkeys(starts)
     queue: deque[bytes] = deque(visited)
     pw, moves, slot_moves, join = codec.pos_width, codec.moves, codec.slot_moves, b"".join
     overflowed = False
@@ -223,7 +239,7 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
         # only a start above the cap needs its other slots checked (module docstring)
         over = over_cap.get(key) if over_cap else None
         for move in moves.get(pos, ()):
-            off, end, memo, exits, i, _, n = move
+            off, end, memo, exits, i, _ = move
             slot = key[off:end]
             out = memo.get(slot) if memo is not None else None
             if out is None:
@@ -231,13 +247,12 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
             if not out:
                 continue
             head, tail = key[pw:off], key[end:]
-            for choice, new, e, m in out:
+            for _, new, e, m in out:
                 # the successor key: this move's slots and exit spliced in
                 if new is not None:  # else no key holds m: new, and above the cap
                     nxt = join((exits[e], head, new, tail))
-                    parent = visited.get(nxt, False)  # False: not reached yet
-                    if parent is not False:
-                        if parent is None:
+                    if nxt in visited:
+                        if visited[nxt] is None:  # a start
                             start_revisited = True
                         continue
                 if budget_exhausted:
@@ -248,7 +263,7 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
                     continue
                 if m is not None and m > max_counter:
                     max_counter = m
-                visited[nxt] = (key, n, choice, e)
+                visited[nxt] = key
                 queue.append(nxt)
         if len(queue) > frontier_peak:
             frontier_peak = len(queue)

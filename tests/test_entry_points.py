@@ -33,6 +33,8 @@ PROGRAM = machine.parse_program("0: INC c0\n1: HALT\n")
 REACH = lower.pipeline(PROGRAM, "inc-dec-jz").system  # has a start and a goal
 REACH_INDEX = G.canonicalize(REACH)
 WITNESS = reach.bfs_reach(REACH, 4).witness
+SWEEP = reach.sweep(REACH_INDEX, [REACH_INDEX.start_config()], counter_cap=4, visit_budget=50,
+                    goal_class=REACH_INDEX.goal_class)
 QUINTET = lower.sim_incdecjz_via_incjzdec()
 RANGED = lower.sim_incdecnzpz_via_incab(1, 2, 1, 2)
 RANGED_VEC = RANGED.encoding.state_for(1, "interval")
@@ -87,6 +89,8 @@ CALLS = {
         "counter_cap": CAPS, "visit_budget": BUDGETS,
         "goal_class": [None, REACH_INDEX.goal_class, 0],
     },
+    SWEEP.path_to: {"key": [SWEEP.goal_hit, next(iter(SWEEP.visited))]},
+    SWEEP.configurations: {"at": [range(len(REACH_INDEX.prefix)), (), {REACH_INDEX.goal_class}]},
     reach.bfs_reach: {"system": SYSTEMS, "counter_cap": CAPS, "visit_budget": BUDGETS},
     reach.replay: {
         "system": SYSTEMS, "witness": [(), WITNESS, WITNESS[:1]],

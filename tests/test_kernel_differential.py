@@ -537,11 +537,10 @@ def test_a_witness_names_the_exit_of_each_shared_entry_component():
 def _sweep_view(result: reach.Sweep) -> tuple:
     """A sweep as bytes and labels, without the move rows (whose memo
     tables differ between a fresh index and a used one)."""
-    edges = [(key, None if edge is None else (edge[0], edge[2], edge[3]))
-             for key, edge in result.visited.items()]
     goal = None if result.goal_hit is None else result.path_to(result.goal_hit)
-    return (edges, goal, result.stats, result.overflowed, result.budget_exhausted,
-            result.start_revisited, [result.path_to(key) for key in list(result.visited)[::97]])
+    return (list(result.visited.items()), goal, result.stats, result.overflowed,
+            result.budget_exhausted, result.start_revisited,
+            [result.path_to(key) for key in list(result.visited)[::97]])
 
 
 def _hub_system(kinds, initial=(0, 2)) -> SystemOfGadgets:
@@ -673,6 +672,59 @@ def test_path_to_keys_rows_apart_where_they_share_a_slot_and_an_entry(system, st
     assert len(reached) == len(want.visited) > 10
     for key, (cfg, _) in reached.items():
         assert got.path_to(key) == want.path_to(cfg), cfg
+
+
+def _twin_system(wide_first: bool, door: bool) -> SystemOfGadgets:
+    """Moves from one parent that reach one child key, every pair from the
+    hub to x: a counter's two PZ tunnels, a finite gadget's two
+    state-preserving tunnels (if ``door``: the tuple kernel has no interval
+    mode for it), and a counter's Inc[1,3] and Inc[1,1] (the first one
+    first if ``wide_first``), whose amounts of 1 agree.  A slot
+    that a move to x leaves alone matches the child there, so a child is
+    also matched by position and slot bytes from the other instances.  The
+    goal is behind a DecNZ[2,2] from x: the witness crosses the Inc[1,3],
+    which keeps no memo."""
+    incs = [Component(IncRange(1, 3), "i3", ("o3",)), Component(IncRange(1, 1), "i1", ("o1",))]
+    spec = CounterGadgetSpec("twins", tuple(incs if wide_first else incs[::-1]) + (
+        Component(G.PZ(), "p", ("po",)), Component(G.PZ(), "q", ("qo",)),
+        Component(G.DecNZRange(1, 1), "d", ("do",)),
+        Component(G.DecNZRange(2, 2), "g", ("go",))))
+    twin_door = FiniteGadgetSpec("twin-door", ("s",), ("a1", "b1", "a2", "b2"),
+                                 (("s", "a1", "s", "b1"), ("s", "a2", "s", "b2")))
+    hub, x = node_endpoint("hub"), node_endpoint("x")
+    tunnels = [("a", "p", "po"), ("a", "q", "qo"), ("b", "i3", "o3"), ("b", "i1", "o1"),
+               ("f", "a1", "b1"), ("f", "a2", "b2")][:6 if door else 4]
+    edges = [e for i, a, b in tunnels for e in ((hub, f"{i}.{a}"), (f"{i}.{b}", x))]
+    return SystemOfGadgets(
+        specs=(spec, twin_door), instances=(GadgetInstance("a", spec.name, 0),
+                                            GadgetInstance("b", spec.name, 0))
+        + ((GadgetInstance("f", twin_door.name, "s"),) if door else ()),
+        nodes=("hub", "x", "goal"),
+        edges=tuple(edges) + ((x, "a.i1"), ("a.o1", hub), (x, "b.d"), ("b.do", hub),
+                              (x, "b.g"), ("b.go", node_endpoint("goal"))),
+        start=hub, goal=node_endpoint("goal"))
+
+
+@pytest.mark.parametrize("mode", ["concrete", "interval"])
+@pytest.mark.parametrize("wide_first", [True, False])
+def test_path_to_names_the_first_move_in_kernel_order_to_a_child(mode, wide_first):
+    system = _twin_system(wide_first, door=mode == "concrete")
+    _assert_same_search(system, 6, mode)
+    index = canonicalize(system, mode)
+    result = reach.sweep(index, [index.start_config()], counter_cap=6, visit_budget=10**6)
+    assert 50 < len(result.visited) < 300 and not result.budget_exhausted
+    named = {(t.instance, t.entry, t.choice) for key in result.visited
+             for t in result.path_to(key)}
+    # each pair's second tunnel reaches only children its first one reached
+    tunnels = {(i, entry) for i, entry, _ in named}
+    assert ("a", "p") in tunnels and not {("a", "q"), ("f", "a2")} & tunnels
+    if mode == "concrete":  # the door's first tunnel from A > 0, and the first Inc's 1s
+        assert ("f", "a1") in tunnels
+        first, second = ("i3", "i1") if wide_first else ("i1", "i3")
+        assert ("b", first, 1) in named and ("b", second, 1) not in named
+    outcome = reach.bfs_reach(index, counter_cap=6)
+    assert [(t.instance, t.entry) for t in outcome.witness] == [("b", "i3"), ("b", "g")]
+    assert len(reach.replay(index, outcome.witness)) == 3
 
 
 def _criterion_3_derivations():
@@ -915,10 +967,8 @@ def _index_tables(system: SystemOfGadgets) -> tuple:
 
 def _row_view(codec: G.KeyCodec, row: tuple) -> tuple:
     """A codec row in the 11 fields of ``reference_codec``'s rows: the
-    kernel's five, the instance id, then the shared entrance record's five.
-    Its seventh field, its number, is its index in ``codec.rows``."""
-    assert len(row) == 7 and len(row[5]) == 5
-    assert codec.rows[row[6]] is row
+    kernel's five, the instance id, then the shared entrance record's five."""
+    assert len(row) == 6 and len(row[5]) == 5
     return row[:5] + (codec.ids[row[4]],) + row[5]
 
 
@@ -1012,7 +1062,6 @@ def _assert_rows_match(index: SystemIndex) -> int:
         layout, moves, size = reference_codec(index, width)
         assert (codec.layout, codec.size) == (layout, size)
         assert list(codec.moves) == list(moves)
-        assert len(codec.rows) == sum(map(len, codec.moves.values()))
         memo_of: dict[object, dict] = {}
         entrances: dict[int, str] = {}  # id of a record the codec keeps -> its spec
         for prefix, want_rows in moves.items():

@@ -12,7 +12,9 @@ import gc
 import json
 import logging
 import re
+import sys
 import time
+import tracemalloc
 import weakref
 from collections import defaultdict
 
@@ -530,34 +532,57 @@ def test_a_dropped_index_is_freed_without_the_collector(mode):
         gc.enable()
 
 
-def test_visited_records_hold_only_bytes_and_ints():
-    # the v=24 ladder rung: after a collection the collector tracks no record
-    # and not the map, and each record's row number names the row that made it
-    frag = lower.emit_initializer([24])
+def _ladder_rung(v: int) -> G.SystemIndex:
+    """The initializer for c0=v, plus HALT, lowered to inc-jzdec."""
+    frag = lower.emit_initializer([v])
     program = frag.concat(M.Program(frag.counters, (M.Halt(),)))
-    index = G.canonicalize(lower.pipeline(program, "inc-jzdec").system)
-    result = sweep(index, [index.start_config()], counter_cap=58, visit_budget=10**6,
-                   goal_class=index.goal_class)
+    return G.canonicalize(lower.pipeline(program, "inc-jzdec").system)
+
+
+def _sweep_rung(index: G.SystemIndex):
+    return sweep(index, [index.start_config()], counter_cap=58, visit_budget=10**6,
+                 goal_class=index.goal_class)
+
+
+def test_each_visited_record_is_an_earlier_key_with_a_move_to_its_key():
+    # the v=24 ladder rung: after a collection the collector does not track
+    # the map, and each record is a key visited before its own, from which
+    # a kernel move splices that key
+    result = _sweep_rung(_ladder_rung(24))
     assert result.goal_hit is not None and result.stats.explored == 15_839
     gc.collect()
     assert not gc.is_tracked(result.visited)
-    codec, pw = result.codec, result.codec.pos_width
+    codec, pw, visited = result.codec, result.codec.pos_width, result.visited
+    order = {key: n for n, key in enumerate(visited)}
     records = 0
-    for key, record in result.visited.items():
-        if record is None:
+    for key, parent in visited.items():
+        if parent is None:
             continue
         records += 1
-        assert [type(field) for field in record] == [bytes, int, int, int]
-        assert not gc.is_tracked(record)
-        parent, n, choice, e = record
-        row = codec.rows[n]
-        off, end, _, exits, *_ = row
-        assert any(r is row for r in codec.moves[parent[:pw]])
-        new = key[off:end]
-        assert (choice, new, e) in [(c, s2, x) for c, s2, x, _
-                                    in codec.slot_moves(row, parent[off:end], 58)]
-        assert key == exits[e] + parent[pw:off] + new + parent[end:]
-    assert records == len(result.visited) - 1 > 15_000
+        assert type(parent) is bytes and order[parent] < order[key]
+        assert any(key == exits[e] + parent[pw:off] + new + parent[end:]
+                   for row in codec.moves[parent[:pw]] for off, end, _, exits, *_ in [row]
+                   for _, new, e, _ in codec.slot_moves(row, parent[off:end], 58)
+                   if new is not None)
+    assert records == len(visited) - 1 > 15_000
+
+
+def test_a_visited_config_retains_little_more_than_its_key():
+    # the v=24 ladder rung: what a sweep leaves allocated, its codec and
+    # memo tables included, is under one key object and 64 bytes per
+    # visited config (a dict entry and its share of the table)
+    index = _ladder_rung(24)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = _sweep_rung(index)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result.visited) > 15_000
+    assert retained / len(result.visited) < sys.getsizeof(result.goal_hit) + 64
 
 
 def _one_tunnel(kind, initial: int) -> SystemOfGadgets:
