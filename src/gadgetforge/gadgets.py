@@ -633,9 +633,10 @@ class SystemIndex:
                                     else step(code.get(state))):
                 if not counted:
                     s2 = names[s2]
+                # a move that keeps the state shares the tuple (so do replay traces)
                 out.append((Traversal(codec.ids[i], entry, exit_ports[e], choice, state, s2),
-                            Configuration(int.from_bytes(exits[e], "big"),
-                                          states[:i] + (s2,) + states[i + 1:])))
+                            Configuration(int.from_bytes(exits[e], "big"), states if s2 == state
+                                          else states[:i] + (s2,) + states[i + 1:])))
         return out
 
     def codec(self, limit: int) -> KeyCodec:

@@ -28,17 +28,16 @@ each configuration is one ``bytes`` of fixed-width slots (``gadgets.KeyCodec``),
 with a width worked out per sweep from the cap, the largest start value and
 the number of finite-gadget states.  A successor is its parent key with one
 slot and the position spliced in.  The visited map keeps each key's parent
-key (None for a start), which the loop already holds: a record allocates
-nothing, and no collection walks one.  ``Sweep.path_to`` finds a path's
-moves again, from each parent the first (row, choice, exit), in the
-kernel's order, whose spliced key is the child: the move that admitted it.
-An earlier one met the child unvisited under the same budget flag (fixed
-per dequeue), so only the cap test refused it.  But the admitted child is
-within the cap in every slot, so no earlier move to it writes a value
-above the cap, and from an over-cap start ``over == {i}`` forces the
-admitting move's slot.  Configurations are built only for the keys a
-caller reads (``Sweep.configurations``).  The loop is ``_bfs``, under
-``sweep`` and the closure and interval walk of ``verify``.
+key (None for a start), the object the loop already holds, so a record
+allocates nothing.  ``Sweep.path_to`` finds each move again (the witness
+lemma): from a parent, the first (row, choice, exit) in the kernel's order
+whose spliced key is the child admitted it.  An earlier one met the child
+unvisited under the same budget flag, fixed per dequeue, so only the cap
+test could refuse it; but the child is within the cap in every slot, and
+from an over-cap start ``over == {i}`` forces the slot.  A change to the
+admission rule must keep this proof.  Configurations are built only for
+the keys a caller reads (``Sweep.configurations``).  The loop is
+``_bfs``, under ``sweep`` and the closure and interval walk of ``verify``.
 
 A move reads and writes one gadget's slots, so its successors depend only
 on its kind and those slot bytes.  The codec keeps them in memo tables, one
@@ -107,11 +106,10 @@ class Sweep:
     The sweep runs on packed keys (``codec``, see ``gadgets.KeyCodec``):
     ``visited`` maps each reached key to its BFS parent's key (None at a
     start) in visit order, and ``goal_hit`` is a key.  Only ``path_to``
-    builds Traversal labels, from the moves it finds again (``move_cap``
-    lists a memo-less ranged row's amounts as the kernel did), and only
-    ``configurations`` builds Configurations.  start_revisited says whether
-    some expanded configuration, or one the budget left queued, has a move
-    back to a start, the one revisit ``visited`` hides.
+    builds Traversal labels (``move_cap`` lists a memo-less ranged row's
+    amounts as the kernel did), and only ``configurations`` Configurations.
+    start_revisited says whether some expanded configuration, or one the
+    budget left queued, has a move back to a start: a revisit ``visited`` hides.
     """
 
     codec: KeyCodec
@@ -125,36 +123,38 @@ class Sweep:
 
     def path_to(self, key: bytes) -> tuple[Traversal, ...]:
         """The labels on the BFS path from a start to ``key``, first first.
-        Each step takes the parent's first move, in the kernel's order, to
-        the child's position and slot bytes, comparing the other slots only
-        among two or more (module docstring).  Each distinct label is built
-        once and its repeats share it, keyed by (row, choice, exit, the
-        slot's bytes before), which fix the bytes after."""
+        Each step is the parent's first move, in the kernel's order, whose
+        spliced key is the child (module docstring).  The rows from the
+        parent's position to the child's are listed once per pair, and the
+        other slots compared only where two or more are.  Each distinct label
+        is built once, keyed by (row, exit position, slot bytes before, after)."""
         codec, visited = self.codec, self.visited
         if type(key) is not bytes or key not in visited:
             raise SystemFormatError(f"path_to: {key!r:.200} is no key this sweep reached")
-        pw, moves, slot_moves, cap = codec.pos_width, codec.moves, codec.slot_moves, self.move_cap
+        pw, cap, slot_moves = codec.pos_width, self.move_cap, codec.slot_moves
+        rows: dict[bytes, list] = {}  # parent + child position -> [(row, its labels)]
         labels = []
-        made: dict = {}
-        parent = visited[key]
+        parent, pos = visited[key], key[:pw]
         while parent is not None:
-            pos, found = key[:pw], []
-            for move in moves[parent[:pw]]:
-                off, end, memo, exits, _, _ = move
-                if pos not in exits:
+            at = parent[:pw]
+            if (found := rows.get(at + pos)) is None:
+                found = rows[at + pos] = [(move, {}) for move in codec.moves[at] if pos in move[3]]
+            for move, made in found:
+                off, end = move[0], move[1]
+                if len(found) > 1 and (parent[pw:off] != key[pw:off] or parent[end:] != key[end:]):
                     continue
                 slot, new = parent[off:end], key[off:end]
-                out = memo.get(slot) if memo is not None else None
-                for choice, s2, e, _ in slot_moves(move, slot, cap) if out is None else out:
-                    if s2 == new and exits[e] == pos:
-                        found.append((off, end, move, choice, e, slot))
-            off, end, move, choice, e, slot = found[0] if len(found) == 1 else next(
-                c for c in found if parent[pw:c[0]] + parent[c[1]:] == key[pw:c[0]] + key[c[1]:])
-            label = made.get(at := (id(move), choice, e, slot))
-            if label is None:
-                label = made[at] = codec.label(move, choice, e, parent, key)
+                label = made.get((slot, new))
+                if label is None:
+                    out = move[2].get(slot) if move[2] is not None else None
+                    for choice, s2, e, _ in slot_moves(move, slot, cap) if out is None else out:
+                        if s2 == new and move[3][e] == pos:
+                            label = made[slot, new] = codec.label(move, choice, e, parent, key)
+                            break
+                if label is not None:
+                    break
             labels.append(label)
-            key, parent = parent, visited[parent]
+            key, parent, pos = parent, visited[parent], at
         return tuple(reversed(labels))
 
     def configurations(self, at: Container[int]
@@ -257,7 +257,7 @@ def _bfs(codec: KeyCodec, starts: Iterable[bytes], over_cap: dict[bytes, frozens
                         continue
                 if budget_exhausted:
                     continue
-                # over != {i}: some slot the move left alone is above the cap
+                # over != {i}: a slot the move left alone is above the cap (witness lemma)
                 if (over is not None and over != {i}) or (m is not None and m > counter_cap):
                     overflowed = True
                     continue

@@ -568,9 +568,9 @@ def test_each_visited_record_is_an_earlier_key_with_a_move_to_its_key():
 
 
 def test_a_visited_config_retains_little_more_than_its_key():
-    # the v=24 ladder rung: what a sweep leaves allocated, its codec and
-    # memo tables included, is under one key object and 64 bytes per
-    # visited config (a dict entry and its share of the table)
+    # the v=24 ladder rung: beyond its key objects and the map itself, what
+    # a sweep leaves allocated (codec and memo tables) comes to under 32
+    # bytes per visited config, less than half of a 4-tuple record
     index = _ladder_rung(24)
     gc.collect()
     tracemalloc.start()
@@ -581,8 +581,10 @@ def test_a_visited_config_retains_little_more_than_its_key():
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert len(result.visited) > 15_000
-    assert retained / len(result.visited) < sys.getsizeof(result.goal_hit) + 64
+    visited = result.visited
+    assert len(visited) > 15_000
+    rest = retained - sum(map(sys.getsizeof, visited)) - sys.getsizeof(visited)
+    assert rest / len(visited) < 32 < sys.getsizeof((b"", 0, 0, 0)) / 2
 
 
 def _one_tunnel(kind, initial: int) -> SystemOfGadgets:
