@@ -33,7 +33,7 @@ import logging
 import os
 import sys
 
-from . import gadgets, lower, machine, reach, verify
+from . import gadgets, lower, machine
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +99,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_reach(args) -> int:
+    from . import reach  # loaded here so that the other subcommands never load it
+
     system = gadgets.parse_system(_read(args.system_file))
     outcome = reach.bfs_reach(system, counter_cap=args.cap, visit_budget=args.budget)
     witness = None
@@ -127,6 +129,8 @@ def _load_spec(ref: str) -> gadgets.GadgetSpec:
 
 
 def cmd_verify_sim(args) -> int:
+    from . import verify
+
     system = gadgets.parse_system(_read(args.impl_file))
     spec = _load_spec(args.spec)
     port_map, encoding, sidecar_mode = lower.read_sidecar(args.map)

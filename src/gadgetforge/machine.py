@@ -42,7 +42,7 @@ __all__ = [
     "Program", "Fragment", "MachineConfig",
     "RunStatus", "RunResult",
     "ProgramError", "StepError",
-    "parse_program", "serialize_program", "validate_program",
+    "parse_program", "serialize_program",
     "step", "run",
 ]
 
@@ -266,18 +266,6 @@ def serialize_program(program: Program) -> str:
         else:
             out.append(f"{idx}: HALT")
     return "\n".join(out) + "\n"
-
-
-def validate_program(program: Program) -> list[str]:
-    """Non-fatal lints.  Currently: a run can fall off the end."""
-    warnings = []
-    if not program.instructions:
-        warnings.append("empty program always falls off the end")
-    elif not isinstance(program.instructions[-1], Halt):
-        warnings.append(
-            f"last instruction ({len(program.instructions) - 1}) is not HALT; "
-            "a run reaching it can fall off the end")
-    return warnings
 
 
 def step(program: Program, config: MachineConfig) -> MachineConfig:

@@ -732,6 +732,21 @@ def test_reach_info_line_goes_to_stderr_only(tmp_path):
     assert "configs explored" in line and "key bytes per visited config" in line
 
 
+@pytest.mark.parametrize("command", ["reach", "verify-sim"])
+def test_reach_and_verify_sim_in_a_fresh_process_match_main(tmp_path, capsys, command):
+    # each of the two loads its layer inside the subcommand, and only a
+    # fresh process shows that load missing: in this one every layer is loaded
+    if command == "reach":
+        argv = [_compiled_file(tmp_path, capsys, "0: INC c0\n1: HALT\n"), "--cap", "4"]
+    else:
+        impl, meta = _exported(tmp_path, lower.sim_incdecjz_via_incjzdec(), "q")
+        argv = [impl, "--spec", "inc-dec-jz", "--map", meta, "--cap", "4"]
+    code, out, _ = _run_cli(capsys, command, *argv)
+    proc = _cli_subprocess(command, *argv)
+    assert code == 0 and json.loads(out)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
 def test_compile_is_byte_identical_across_processes(tmp_path):
     src = _write(tmp_path, "p.cm",
                  "counters: c0 c1\n0: INC c0\n1: JZ c1 3\n2: DEC c0\n3: HALT\n")

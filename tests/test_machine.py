@@ -29,7 +29,6 @@ from gadgetforge.machine import (
     run,
     serialize_program,
     step,
-    validate_program,
 )
 
 
@@ -199,12 +198,6 @@ def test_program_validates_jz_targets():
         Program(("c-0",), ())
     with pytest.raises(ProgramError, match="duplicate counter"):
         Program(("c0", "c0"), ())
-
-
-def test_validate_program_warns_on_missing_halt():
-    assert validate_program(Program((), ())) != []
-    assert validate_program(parse_program("0: INC c0\n")) != []
-    assert validate_program(parse_program("0: HALT\n")) == []
 
 
 # ------------------------------------------------------------ step/run
