@@ -21,7 +21,11 @@ same on every value: for s >= T, ``moves(s + 1)`` is ``moves(s)`` with every
 new value + 1 and the same choices and exits, and ``interval_moves`` acts
 alike on an interval whose lo is at least T.  A ranged tunnel's floor is
 hi, except Inc's, which is 0; a zero test's is 1 (``verify`` reuses
-boundary excursions by it).
+boundary excursions by it).  ``move(s, choice)`` is the one move of
+``moves(s)`` with that choice, if any, built alone: a replay step costs the
+same however wide the range.  ``ComponentKind``, the seven kinds, and
+``GadgetSpec``, the counter and finite specs, are PEP 604 unions, which
+``isinstance`` and ``get_args`` read.
 
 A gadget *spec* is a named bundle of such components with named ports.
 Using one port name in several components merges those locations (that is
@@ -77,7 +81,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
 from itertools import chain, count
-from typing import NamedTuple, NoReturn, Union, get_args
+from typing import NamedTuple, NoReturn, get_args
 
 log = logging.getLogger(__name__)
 
@@ -156,6 +160,9 @@ class IncRange(_Ranged):
         hi = self.hi if cap is None else min(self.hi, max(self.lo, cap - s + 1))
         return [(i, s + i, 0) for i in range(self.lo, hi + 1)]
 
+    def move(self, s: int, i) -> list[tuple[int, int, int]]:
+        return [(i, s + i, 0)] if type(i) is int and self.lo <= i <= self.hi else []
+
     def hull(self, lo: int, hi: int) -> Interval | None:
         return (lo + self.lo, hi + self.hi)
 
@@ -172,6 +179,9 @@ class DecNZRange(_Ranged):
             return []
         return [(i, s - i, 0) for i in range(self.lo, min(s, self.hi) + 1)]
 
+    def move(self, s: int, i) -> list[tuple[int, int, int]]:
+        return [(i, s - i, 0)] if type(i) is int and self.lo <= i <= min(s, self.hi) else []
+
     def hull(self, lo: int, hi: int) -> Interval | None:
         return None if hi < self.lo else (max(lo - self.hi, 0), hi - self.lo)
 
@@ -187,6 +197,9 @@ class DecRange(_Ranged):
         # under a cap, stop at the first amount that saturates: the rest repeat it
         hi = self.hi if cap is None else min(self.hi, max(self.lo, s))
         return [(i, max(s - i, 0), 0) for i in range(self.lo, hi + 1)]
+
+    def move(self, s: int, i) -> list[tuple[int, int, int]]:
+        return [(i, max(s - i, 0), 0)] if type(i) is int and self.lo <= i <= self.hi else []
 
     def hull(self, lo: int, hi: int) -> Interval | None:
         return (max(lo - self.hi, 0), max(hi - self.lo, 0))
@@ -210,6 +223,9 @@ class _ZeroTest:
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         e = self.nonzero if s else self.zero
         return [] if e is None else [(0, s - self.step if s else 0, e)]
+
+    def move(self, s: int, choice) -> list[tuple[int, int, int]]:
+        return self.moves(s) if choice == 0 else []
 
     def interval_moves(self, iv: Interval) -> list[tuple[int, Interval, int]]:
         lo, hi = iv
@@ -251,7 +267,8 @@ class JZDecSwitch(_ZeroTest):
     tag, zero, nonzero, step = "jzdec", 0, 1, 1
 
 
-ComponentKind = Union[IncRange, DecNZRange, DecRange, PZ, PNZ, JZSwitch, JZDecSwitch]
+# a PEP 604 union, unlike typing.Union, is not cached: a dropped import's classes are freed
+ComponentKind = IncRange | DecNZRange | DecRange | PZ | PNZ | JZSwitch | JZDecSwitch
 
 _KINDS = {kind.tag: kind for kind in get_args(ComponentKind)}  # tag -> kind, for JSON
 
@@ -338,7 +355,7 @@ class FiniteGadgetSpec:
                 raise SystemFormatError(f"{self.name}: unknown location in {(s, a, s2, b)}")
 
 
-GadgetSpec = Union[CounterGadgetSpec, FiniteGadgetSpec]
+GadgetSpec = CounterGadgetSpec | FiniteGadgetSpec  # PEP 604, as ComponentKind
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +503,9 @@ class _FiniteStep:
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
         return [(self.index, self.after, 0)] if s == self.before else []
 
+    def move(self, s: int, choice) -> list[tuple[int, int, int]]:
+        return self.moves(s) if choice == self.index else []
+
 
 class SystemIndex:
     """canonicalize() result: connectivity classes and the tables every
@@ -613,31 +633,29 @@ class SystemIndex:
         """Every move from ``config``, by the codec's rows applied to tuple
         states; a position that is no class id has none."""
         self.check_config(config, "configuration")
-        return self._successors(config)
-
-    def _successors(self, config: Configuration, cap: int | None = None
-                    ) -> list[tuple[Traversal, Configuration]]:
-        """``successors`` of a configuration whose states are known to be
-        valid: one that ``successors`` returned.  A given ``cap`` goes to a
-        concrete counter row's ``kind.moves``, whose ranged amounts stop
-        early under it; interval and finite rows take none."""
         pos, states = config.position, config.states
         if not 0 <= pos < len(self.prefix):
             return []
         code, names, codec = self.finite_code, self.finite_states, self.codec(0)
         out: list[tuple[Traversal, Configuration]] = []
-        for _, _, _, exits, i, (entry, exit_ports, step, pair, counted) in codec.moves.get(
+        for _, _, _, exits, i, (entry, exit_ports, step, _, counted) in codec.moves.get(
                 self.prefix[pos], ()):
             state = states[i]
-            for (choice, s2, e) in (step(state) if pair else step(state, cap) if counted
-                                    else step(code.get(state))):
+            for (choice, s2, e) in step(state if counted else code[state]):
                 if not counted:
                     s2 = names[s2]
-                # a move that keeps the state shares the tuple (so do replay traces)
                 out.append((Traversal(codec.ids[i], entry, exit_ports[e], choice, state, s2),
-                            Configuration(int.from_bytes(exits[e], "big"), states if s2 == state
-                                          else states[:i] + (s2,) + states[i + 1:])))
+                            self._moved(config, i, s2, exits[e])))
         return out
+
+    @staticmethod
+    def _moved(config: Configuration, i: int, state, exit_prefix: bytes) -> Configuration:
+        """``config`` after a move of instance ``i`` to ``state`` that leaves at
+        the class whose key prefix is ``exit_prefix``; a move that keeps the
+        state shares the tuple (so do replay traces)."""
+        states = config.states
+        return Configuration(int.from_bytes(exit_prefix, "big"), states if state == states[i]
+                             else states[:i] + (state,) + states[i + 1:])
 
     def codec(self, limit: int) -> KeyCodec:
         """The key codec whose slots hold every counter value up to ``limit``

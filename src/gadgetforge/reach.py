@@ -319,6 +319,12 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
     ReplayError at the first label that matches no legal successor with the
     recorded states.  Moves that agree on every field of the label reach
     the same configuration, so the first of them is taken.
+
+    Each step reads only the label's rows: those at the position whose
+    instance and entry are the label's.  Each gives the move of the label's
+    choice from the configuration's own state (``kind.move``: one amount of
+    a ranged kind, however wide its range), or in interval mode the one
+    move per exit of that choice, and only the move taken is built.
     """
     index = canonicalize(system)
     cfg = index.start_config() if start is None else start
@@ -326,32 +332,32 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
     if not isinstance(witness, (list, tuple)) or not all(
             isinstance(label, Traversal) for label in witness):
         raise SystemFormatError(f"witness must be a tuple of traversals, got {witness!r:.200}")
+    codec = index.codec(0)
+    code, names, ids, prefix = index.finite_code, index.finite_states, codec.ids, index.prefix
     trace = [cfg]
-    for i, label in enumerate(witness):
-        before, after = label.before, label.after
-        # a ranged move's choice is its amount, so a cap of before + choice
-        # lists the move a good label names, but for a Dec amount past the
-        # state, which the cap cuts; a label that no capped move fits is
-        # matched against every move, so it replays or fails as uncapped
-        caps = ((before + label.choice, None) if type(before) is int
-                and type(label.choice) is int else (None,))
-        for cap in caps:
-            matches = [
-                (lab, nxt) for (lab, nxt) in index._successors(cfg, cap)
-                if (lab.instance, lab.entry, lab.exit, lab.choice)
-                == (label.instance, label.entry, label.exit, label.choice)
-            ]
-            nxt = next((nxt for lab, nxt in matches
-                        if lab.before == before and lab.after == after), None)
-            if nxt is not None:
-                break
-        if not matches:
-            raise ReplayError(i, f"no legal traversal matches {label}")
-        if nxt is None:
-            lab = matches[0][0]
+    for n, label in enumerate(witness):
+        pos, states = cfg
+        choice = label.choice
+        matches = []  # (before, after, slot, exit prefix) of each move the label names
+        for _, _, _, exits, i, (entry, exit_ports, step, pair, counted) in (
+                codec.moves.get(prefix[pos], ()) if 0 <= pos < len(prefix) else ()):
+            if ids[i] != label.instance or entry != label.entry:
+                continue
+            state = states[i]
+            # step is the bound kind.moves or kind.interval_moves of the row
+            out = ([m for m in step(state) if m[0] == choice] if pair
+                   else step.__self__.move(state if counted else code[state], choice))
+            matches += [(state, s2 if counted else names[s2], i, exits[e])
+                        for _, s2, e in out if exit_ports[e] == label.exit]
+        hit = next((m for m in matches if m[:2] == (label.before, label.after)), None)
+        if hit is None:
+            if not matches:
+                raise ReplayError(n, f"no legal traversal matches {label}")
+            before, after = matches[0][:2]
             raise ReplayError(
-                i, f"state change mismatch: recorded {before}->{after}, "
-                   f"replayed {lab.before}->{lab.after}")
-        cfg = nxt
+                n, f"state change mismatch: recorded {label.before}->{label.after}, "
+                   f"replayed {before}->{after}")
+        _, after, i, exit_prefix = hit
+        cfg = index._moved(cfg, i, after, exit_prefix)
         trace.append(cfg)
     return trace

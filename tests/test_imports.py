@@ -1,7 +1,9 @@
-"""The package loads each layer on first use.
+"""The package loads each layer on first use, and frees a dropped import.
 
 ``import gadgetforge`` loads no layer, a layer loads only the layers it
-imports, and each CLI subcommand only the layers it calls.  In this process
+imports, and each CLI subcommand only the layers it calls.  An import that
+was dropped from ``sys.modules`` is freed once nothing of it is held: no
+cache of the standard library keeps its classes alive.  In this process
 the other tests have already imported every module, so the checks run in
 one fresh interpreter, which drops the package from ``sys.modules`` before
 each import it measures and reports what that import loaded.
@@ -13,9 +15,12 @@ import json
 import os
 import subprocess
 import sys
+from typing import get_args
+
+import pytest
 
 import gadgetforge
-from gadgetforge import lower
+from gadgetforge import gadgets as G, lower
 
 # the public names of the package, each reachable as gadgetforge.X and by
 # ``from gadgetforge import X``
@@ -31,8 +36,12 @@ PUBLIC = {
     "__version__",
 }
 
+# one object of each layer, which holds the layer's globals
+HELD = {"machine": "Program", "gadgets": "SystemOfGadgets", "reach": "Sweep",
+        "verify": "BisimReport", "lower": "LoweringArtifact", "cli": "main"}
+
 _CHILD = r"""
-import contextlib, io, json, sys, types
+import contextlib, gc, io, json, sys, types, weakref
 
 def loaded():
     return sorted(n.split(".", 1)[1] for n in sys.modules if n.startswith("gadgetforge."))
@@ -55,6 +64,16 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     out[argv[0]] = [code, loaded()]
+del main
+
+# a weakref to one object of each layer of an import that two later imports replace
+fresh("from gadgetforge import *")
+held = {layer: weakref.ref(getattr(sys.modules[f"gadgetforge.{layer}"], name))
+        for layer, name in json.loads(sys.argv[2]).items()}
+for _ in range(2):
+    fresh("from gadgetforge import *")
+gc.collect()
+out["kept"] = sorted(layer for layer, ref in held.items() if ref() is not None)
 
 gf = fresh("import gadgetforge")["gadgetforge"]
 out["dir"] = sorted(set(gf.__all__) - set(dir(gf)))  # before any name is loaded
@@ -78,7 +97,9 @@ print(json.dumps(out))
 """
 
 
-def _child(tmp_path) -> dict:
+@pytest.fixture(scope="module")
+def child(tmp_path_factory) -> dict:
+    tmp_path = tmp_path_factory.mktemp("imports")
     program = tmp_path / "p.cm"
     program.write_text("0: INC c0\n1: HALT\n")
     system = tmp_path / "p.json"
@@ -93,14 +114,14 @@ def _child(tmp_path) -> dict:
     env.pop("GADGETFORGE_LOG", None)
     root = os.path.dirname(os.path.dirname(os.path.abspath(gadgetforge.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs), json.dumps(HELD)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_each_layer_loads_on_first_use(tmp_path):
-    out = _child(tmp_path)
+def test_each_layer_loads_on_first_use(child):
+    out = child
     assert out["import gadgetforge"] == []
     assert out["import gadgetforge.reach"] == ["gadgets", "reach"]
     assert out["import gadgetforge.lower"] == ["gadgets", "lower", "machine"]
@@ -118,3 +139,12 @@ def test_each_layer_loads_on_first_use(tmp_path):
     assert out["dir"] == []
     assert out["homes"] == {name: True for name in PUBLIC - {"__version__"}}
     assert out["unknown"] == "module 'gadgetforge' has no attribute 'no_such_name'"
+
+
+def test_a_dropped_import_is_freed(child):
+    # typing caches every Union[...] it builds, with its classes and so their
+    # module, for the life of the process; the unions are PEP 604 ones
+    assert child["kept"] == []
+    assert get_args(G.ComponentKind) == (G.IncRange, G.DecNZRange, G.DecRange, G.PZ, G.PNZ,
+                                         G.JZSwitch, G.JZDecSwitch)
+    assert get_args(G.GadgetSpec) == (G.CounterGadgetSpec, G.FiniteGadgetSpec)
