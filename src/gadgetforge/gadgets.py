@@ -644,18 +644,11 @@ class SystemIndex:
             for (choice, s2, e) in step(state if counted else code[state]):
                 if not counted:
                     s2 = names[s2]
+                # a move that keeps the state shares the tuple (so do replay traces)
                 out.append((Traversal(codec.ids[i], entry, exit_ports[e], choice, state, s2),
-                            self._moved(config, i, s2, exits[e])))
+                            Configuration(int.from_bytes(exits[e], "big"), states if s2 == state
+                                          else states[:i] + (s2,) + states[i + 1:])))
         return out
-
-    @staticmethod
-    def _moved(config: Configuration, i: int, state, exit_prefix: bytes) -> Configuration:
-        """``config`` after a move of instance ``i`` to ``state`` that leaves at
-        the class whose key prefix is ``exit_prefix``; a move that keeps the
-        state shares the tuple (so do replay traces)."""
-        states = config.states
-        return Configuration(int.from_bytes(exit_prefix, "big"), states if state == states[i]
-                             else states[:i] + (state,) + states[i + 1:])
 
     def codec(self, limit: int) -> KeyCodec:
         """The key codec whose slots hold every counter value up to ``limit``

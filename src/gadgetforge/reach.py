@@ -335,6 +335,7 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
     codec = index.codec(0)
     code, names, ids, prefix = index.finite_code, index.finite_states, codec.ids, index.prefix
     trace = [cfg]
+    now = list(cfg.states)  # the states of cfg; a step that changes one copies them once
     for n, label in enumerate(witness):
         pos, states = cfg
         choice = label.choice
@@ -357,7 +358,10 @@ def replay(system: SystemOfGadgets | SystemIndex, witness: tuple[Traversal, ...]
             raise ReplayError(
                 n, f"state change mismatch: recorded {label.before}->{label.after}, "
                    f"replayed {before}->{after}")
-        _, after, i, exit_prefix = hit
-        cfg = index._moved(cfg, i, after, exit_prefix)
+        before, after, i, exit_prefix = hit
+        if after != before:  # a step that keeps the state shares the tuple
+            now[i] = after
+            states = tuple(now)
+        cfg = Configuration(int.from_bytes(exit_prefix, "big"), states)
         trace.append(cfg)
     return trace
