@@ -128,8 +128,13 @@ def check_mode(mode) -> None:
 @dataclass(frozen=True)
 class _Ranged:
     """A tunnel that draws its amount from [lo, hi], 1 <= lo <= hi; it acts
-    alike from its floor hi up (Inc's is 0)."""
+    alike from its floor hi up (Inc's is 0).  Its kinds add no field, so
+    they inherit the methods generated here: ``__slots__`` keeps them
+    immutable, and ``__reduce__`` rebuilds a copy or a pickle through
+    ``__init__``, as the frozen ``__setattr__`` refuses field-by-field
+    filling."""
 
+    __slots__ = ("lo", "hi")
     lo: int
     hi: int
     exits = 1
@@ -137,6 +142,9 @@ class _Ranged:
     def __post_init__(self) -> None:
         if not (1 <= check_integer(self.lo) <= check_integer(self.hi)):
             raise SystemFormatError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
+
+    def __reduce__(self):
+        return type(self), (self.lo, self.hi)
 
     @property
     def floor(self) -> int:
@@ -148,10 +156,10 @@ class _Ranged:
         return [] if hull is None else [(self.lo if self.lo == self.hi else 0, hull, 0)]
 
 
-@dataclass(frozen=True)
 class IncRange(_Ranged):
     """Always-open tunnel adding a chosen amount in [lo, hi]."""
 
+    __slots__ = ()
     tag = "inc"
     floor = 0
 
@@ -167,11 +175,11 @@ class IncRange(_Ranged):
         return (lo + self.lo, hi + self.hi)
 
 
-@dataclass(frozen=True)
 class DecNZRange(_Ranged):
     """Tunnel open iff state >= lo; subtracts a chosen amount in
     [lo, min(state, hi)] so the state never goes negative."""
 
+    __slots__ = ()
     tag = "decnz"
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
@@ -186,11 +194,11 @@ class DecNZRange(_Ranged):
         return None if hi < self.lo else (max(lo - self.hi, 0), hi - self.lo)
 
 
-@dataclass(frozen=True)
 class DecRange(_Ranged):
     """Always-open tunnel subtracting a chosen amount in [lo, hi],
     saturating at 0."""
 
+    __slots__ = ()
     tag = "dec"
 
     def moves(self, s: int, cap: int | None = None) -> list[tuple[int, int, int]]:
@@ -212,9 +220,16 @@ class _ZeroTest:
     s - ``step``.  An exit of None is closed.  Each kind states its tag, its
     two exits and its step as unannotated class attributes, which are no
     dataclass fields: a kind is built with no argument, writes to JSON as
-    its tag alone, and equals only its own kind."""
+    its tag alone, and equals only its own kind.  A kind adds no field, so
+    it inherits the methods generated here; ``__slots__`` keeps it
+    immutable and ``__reduce__`` rebuilds it through ``__init__``, as for
+    ``_Ranged``."""
 
+    __slots__ = ()
     floor = 1
+
+    def __reduce__(self):
+        return type(self), ()
 
     @property
     def exits(self) -> int:
@@ -237,33 +252,33 @@ class _ZeroTest:
         return out
 
 
-@dataclass(frozen=True)
 class PZ(_ZeroTest):
     """Tunnel open iff state == 0."""
 
+    __slots__ = ()
     tag, zero, nonzero, step = "pz", 0, None, 0
 
 
-@dataclass(frozen=True)
 class PNZ(_ZeroTest):
     """Tunnel open iff state >= 1; state unchanged."""
 
+    __slots__ = ()
     tag, zero, nonzero, step = "pnz", None, 0, 0
 
 
-@dataclass(frozen=True)
 class JZSwitch(_ZeroTest):
     """Exit 0 iff state == 0, exit 1 otherwise; state unchanged.
     Behaviorally PZ and PNZ glued at the entrance."""
 
+    __slots__ = ()
     tag, zero, nonzero, step = "jz", 0, 1, 0
 
 
-@dataclass(frozen=True)
 class JZDecSwitch(_ZeroTest):
     """Like JZ, but taking the nonzero exit decrements the state.
     Behaviorally PZ and DecNZ[1,1] glued at the entrance."""
 
+    __slots__ = ()
     tag, zero, nonzero, step = "jzdec", 0, 1, 1
 
 

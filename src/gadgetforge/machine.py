@@ -56,13 +56,25 @@ class StepError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Inc:
+class _CounterOp:
+    """An instruction on one counter, the base of Inc and Dec.  A record
+    that adds no field inherits its base's generated methods; the base
+    keeps it immutable with ``__slots__`` and rebuilds it through
+    ``__init__`` for copy and pickle."""
+
+    __slots__ = ("counter",)
     counter: str
 
+    def __reduce__(self):
+        return type(self), (self.counter,)
 
-@dataclass(frozen=True)
-class Dec:
-    counter: str
+
+class Inc(_CounterOp):
+    __slots__ = ()
+
+
+class Dec(_CounterOp):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -100,38 +112,45 @@ def _check_code(counters: tuple, instructions: tuple, targets: int) -> None:
 
 
 @dataclass(frozen=True)
-class Program:
-    """An immutable program: declared counter names + instruction list.
+class _Code:
+    """Declared counter names + instruction list, the base of Program and
+    Fragment, which differ only in ``past_end``, the number of JZ targets
+    in range past the last instruction.  ``__post_init__`` checks the rule
+    of ``_check_code``.  As for ``_CounterOp``, both add no field and
+    inherit the generated methods, and ``__slots__`` and ``__reduce__``
+    keep them immutable and copyable."""
 
-    Invariants (checked in __post_init__, by ``_check_code``): counter names
-    are unique identifiers, every instruction references a declared counter,
-    and every JZ target lies in range 0..len(instructions) inclusive-exclusive.
-    """
-
+    __slots__ = ("counters", "instructions")
     counters: tuple[str, ...]
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self) -> None:
-        _check_code(self.counters, self.instructions, len(self.instructions))
+        _check_code(self.counters, self.instructions, len(self.instructions) + self.past_end)
+
+    def __reduce__(self):
+        return type(self), (self.counters, self.instructions)
+
+
+class Program(_Code):
+    """An immutable program: every JZ target is an instruction index."""
+
+    __slots__ = ()
+    past_end = 0
 
     def counter_index(self, name: str) -> int:
         return self.counters.index(name)
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(_Code):
     """A program fragment meant to be concatenated before more code.
 
-    Same shape and rule as Program, but a JZ target may equal
-    len(instructions), the fall-through point: the first instruction of
-    whatever gets appended.  ``concat`` resolves this into a valid Program.
+    A JZ target may equal len(instructions), the fall-through point: the
+    first instruction of whatever gets appended.  ``concat`` resolves this
+    into a valid Program.
     """
 
-    counters: tuple[str, ...]
-    instructions: tuple[Instruction, ...]
-
-    def __post_init__(self) -> None:
-        _check_code(self.counters, self.instructions, len(self.instructions) + 1)
+    __slots__ = ()
+    past_end = 1
 
     def concat(self, rest: Program | "Fragment") -> Program:
         """Fragment followed by ``rest``; rest's jump targets are shifted."""

@@ -135,7 +135,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "BoundaryLTS", "BisimVerdict", "BisimReport", "InvariantViolation",
     "derive_boundary_lts", "spec_closure_lts", "check_bisimulation",
-    "distinguishing_trace", "trace_splits",
+    "distinguishing_trace",
     "check_interval_invariant", "interval_step",
 ]
 
@@ -694,16 +694,6 @@ def path_labels(parents: dict, node) -> tuple:
 def _after(out: dict, states, lab: Label) -> frozenset:
     """The states reached from ``states`` by a move labelled ``lab``."""
     return frozenset(s for x in states for s in out.get(x, {}).get(lab, ()))
-
-
-def trace_splits(impl_out: dict, spec_out: dict, x0, y0, trace: Iterable[Label]
-                 ) -> tuple[set, set]:
-    """Replay a distinguishing trace on both sides (determinized); returns
-    the two final state sets.  For a valid trace exactly one is empty."""
-    xs, ys = {x0}, {y0}
-    for lab in trace:
-        xs, ys = _after(impl_out, xs, lab), _after(spec_out, ys, lab)
-    return set(xs), set(ys)
 
 
 # ---------------------------------------------------------------------------

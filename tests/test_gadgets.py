@@ -9,7 +9,10 @@ the acceptance suite runs (criterion: params <= 4, states 0..100, exact).
 from __future__ import annotations
 
 import ast
+import copy
+import dataclasses
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -208,6 +211,38 @@ def test_each_kind_is_pinned(make, tag, exits, floors):
         assert kind == twin and hash(kind) == hash(twin) and kind is not twin
         assert [other == kind for other in every].count(True) == 1
         assert len({kind, twin, *every}) == len(every)
+
+
+@pytest.mark.parametrize("kind", [IncRange(1, 2), DecNZRange(1, 3), DecRange(2, 5), PZ(), PNZ(),
+                                  JZSwitch(), JZDecSwitch()], ids=repr)
+def test_a_kind_is_frozen_and_copies_as_itself(kind):
+    # a kind adds no field and inherits its base's generated methods: the
+    # base's __slots__ refuse every other name, and its __reduce__ rebuilds
+    # a copy through __init__, as the frozen __setattr__ refuses to restore
+    # the fields one by one
+    for field in dataclasses.fields(kind):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kind, field.name, 3)
+    for name in ("zero", "step", "tag", "floor", "x"):
+        with pytest.raises(AttributeError):
+            setattr(kind, name, 5)
+    copies = [copy.copy(kind), copy.deepcopy(kind)]
+    copies += [pickle.loads(pickle.dumps(kind, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other == kind and type(other) is type(kind)
+    assert dataclasses.replace(kind) == kind
+
+
+def test_sibling_kinds_stay_apart():
+    assert PZ() != PNZ() and JZSwitch() != JZDecSwitch()
+    assert IncRange(1, 1) != DecRange(1, 1) != DecNZRange(1, 1)
+    assert (repr(PZ()), repr(JZDecSwitch())) == ("PZ()", "JZDecSwitch()")
+    assert repr(DecNZRange(1, 2)) == "DecNZRange(lo=1, hi=2)"
+    assert dataclasses.asdict(IncRange(1, 2)) == {"lo": 1, "hi": 2}
+    assert dataclasses.asdict(PZ()) == {}
+    assert dataclasses.replace(IncRange(1, 2), hi=4) == IncRange(1, 4)
+    with pytest.raises(SystemFormatError):
+        dataclasses.replace(DecRange(1, 2), lo=3)
 
 
 def test_component_arity_checked():

@@ -8,6 +8,9 @@ programs on paper before the interpreter existed.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import re
 
 import pytest
@@ -335,3 +338,44 @@ def test_a_fragment_keeps_the_program_rule():
                            (("c0",), (Jz("c0", -1),))]:
         with pytest.raises(ProgramError):
             Fragment(counters, code)
+
+
+# ---------------------------------------------------------------- records
+
+RECORDS = [Inc("c"), Dec("c"), Program(("c",), (Inc("c"), Jz("c", 0), Halt())),
+           Fragment(("c",), (Dec("c"), Jz("c", 2)))]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_record_is_frozen_and_copies_as_itself(record):
+    # Inc and Dec, Program and Fragment add no field and inherit their
+    # base's generated methods: the base's __slots__ refuse every other
+    # name, and its __reduce__ rebuilds a copy through __init__, as the
+    # frozen __setattr__ refuses to restore the fields one by one
+    for field in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field.name, ())
+    for name in ("zero", "step", "tag", "floor", "x", "past_end"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 5)
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other == record and type(other) is type(record)
+    assert dataclasses.replace(record) == record
+    assert repr(record).startswith(type(record).__name__ + "(")
+
+
+def test_sibling_records_stay_apart():
+    assert Inc("c") != Dec("c")
+    assert (repr(Inc("c")), repr(Dec("c"))) == ("Inc(counter='c')", "Dec(counter='c')")
+    counters, code = ("c",), (Inc("c"), Halt())
+    program, fragment = Program(counters, code), Fragment(counters, code)
+    assert program != fragment
+    assert repr(fragment) == ("Fragment(counters=('c',), "
+                              "instructions=(Inc(counter='c'), Halt()))")
+    assert dataclasses.asdict(program) == {"counters": counters,
+                                           "instructions": ({"counter": "c"}, {})}
+    assert dataclasses.replace(Dec("c"), counter="d") == Dec("d")
+    with pytest.raises(ProgramError, match="out of range 0..1"):
+        dataclasses.replace(program, instructions=(Jz("c", 2), Halt()))
